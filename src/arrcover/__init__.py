@@ -43,11 +43,9 @@ from .cyclofield import (
     CycNum,
     IntPoly,
     Rational,
-    cyc_arithmetic,
     cyc_reduce,
     cyclotomic_polynomial,
     euler_phi,
-    field_matrix_rank,
 )
 from .exactlin import (
     CohomologyProfile,
@@ -87,7 +85,6 @@ __all__ = [
     "cohomology_modN",
     "cone",
     "cover_betti",
-    "cyc_arithmetic",
     "cyc_reduce",
     "cyclotomic_polynomial",
     "decone",
@@ -95,7 +92,6 @@ __all__ = [
     "euler_characteristic",
     "euler_phi",
     "fast_nonresonant",
-    "field_matrix_rank",
     "intersection_lattice",
     "local_betti",
     "monodromy_charpoly",

@@ -4,24 +4,23 @@ An arrangement is an ordered list of affine hyperplanes c0 + sum(c_i x_i) = 0
 with coefficients in one cyclotomic field.  This module provides validated
 construction, the cone/decone pair, the intersection lattice with its Mobius
 function, the Poincare polynomial, the beta invariant, and dense-edge flags on
-the projective closure.  Flats are deduplicated by the canonical reduced
-row-echelon form of their defining affine systems, so the flat set does not
-depend on hyperplane order.
+the projective closure.
+
+All exact linear algebra happens in one pass, the lattice of the projective
+closure (the affine rows plus the hyperplane at infinity).  Its flats are
+deduplicated by the canonical reduced row-echelon form of their defining
+systems, so the flat set does not depend on hyperplane order; the pass also
+records the join table flat -> flat cap H_j.  The affine flats are the
+closure flats off the hyperplane at infinity, and the dense edges are the
+closure flats below the center of the cone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
-from .cyclofield import (
-    CycNum,
-    IntPoly,
-    field_matrix_rank,
-    reduced_row_echelon,
-    row_in_span,
-)
+from .cyclofield import CycNum, IntPoly, reduced_row_echelon, row_in_span
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ def build(ambient_dim: int, cyc_order: int, hyperplanes) -> Arrangement:
         for j in range(i + 1, len(hps)):
             if hps[i].proportional(hps[j]):
                 raise ValueError(f"duplicate hyperplanes at indices {i} and {j}")
-    rank = field_matrix_rank([list(h.coeffs) for h in hps])
+    rank = len(reduced_row_echelon([h.coeffs for h in hps])[0])
     if rank != ambient_dim:
         raise ValueError(
             f"non-essential arrangement: linear parts have rank {rank} < {ambient_dim}"
@@ -177,7 +176,9 @@ class Flat:
 
     support is the full closure (every hyperplane containing the flat);
     multiplicity is len(support); system is the canonical reduced row-echelon
-    form of the defining affine equations, used as the dedup key.
+    form of the defining equations (affine rows, plus the row of the
+    hyperplane at infinity for closure flats at infinity), used as the dedup
+    key.
     """
 
     support: tuple[int, ...]
@@ -206,69 +207,106 @@ class IntersectionLattice:
         return self.levels[c] if 0 <= c < len(self.levels) else ()
 
 
+@dataclass(frozen=True)
+class ClosureLattice:
+    """Flats of the projective closure with their join table.
+
+    flats lists every closure flat in level order, codim 0 first; support
+    index n is the hyperplane at infinity.  join[f][j] is the index of the
+    flat flats[f] cap H_j, the closure of support(f) + {j}.
+    """
+
+    flats: tuple[Flat, ...]
+    join: tuple[tuple[int, ...], ...]
+
+    def affine_geometry(self, indices) -> tuple[bool, int]:
+        """(nonempty affine intersection?, its codim) for affine indices.
+
+        Folds the indices through the join table.  The intersection is empty
+        exactly when its closure flat lies in the hyperplane at infinity,
+        the last support index.
+        """
+        f = 0
+        for j in indices:
+            f = self.join[f][j]
+        flat = self.flats[f]
+        return len(self.join[f]) - 1 not in flat.support, flat.codim
+
+
+def _by_codim(flats) -> IntersectionLattice:
+    levels: list[list[Flat]] = []
+    for flat in flats:
+        if flat.codim == len(levels):
+            levels.append([])
+        levels[flat.codim].append(flat)
+    return IntersectionLattice(levels=tuple(map(tuple, levels)), rank=len(levels) - 1)
+
+
+@lru_cache(maxsize=None)
+def closure_lattice(a: Arrangement) -> ClosureLattice:
+    """The one exact geometry pass: the lattice of the projective closure.
+
+    The closure is the central arrangement of the affine rows
+    (coeffs | -constant) plus the row (0, ..., 0 | 1) of the hyperplane at
+    infinity, index n.  It is built level by level: flats of codim c+1 are
+    the closures of (codim-c flat) cap hyperplane, deduplicated by canonical
+    echelon form, and every such step is recorded in the join table.  One
+    echelon form per cover of a flat suffices: the cover's support gives the
+    join with each of its hyperplanes.
+    Mobius values follow the recursion mu(Y) = -sum(mu(Z)) over flats Z with
+    support(Z) strictly inside support(Y).
+    """
+    rows = [h.affine_row() for h in a.hyperplanes]
+    rows.append((CycNum.zero(a.cyc_order),) * a.ambient_dim + (CycNum.one(a.cyc_order),))
+    flats = [Flat(support=(), codim=0, mobius=1, dense=None, system=())]
+    index_of = {(): 0}
+    join: list[tuple[int, ...]] = []
+    # flats grows while it is scanned, one level after the other
+    for f, flat in enumerate(flats):
+        step: list[int | None] = [None] * len(rows)
+        for j in flat.support:
+            step[j] = f
+        for j, row in enumerate(rows):
+            if step[j] is not None:
+                continue
+            echelon, _ = reduced_row_echelon(flat.system + (row,))
+            if echelon not in index_of:
+                index_of[echelon] = len(flats)
+                flats.append(Flat(
+                    support=tuple(k for k, r in enumerate(rows) if row_in_span(r, echelon)),
+                    codim=len(echelon),
+                    mobius=0,
+                    dense=None,
+                    system=echelon,
+                ))
+            g = index_of[echelon]
+            # G = flat cap H_j has codim one more, so it is also flat cap H_k
+            # for every k in support(G) outside support(flat)
+            for k in flats[g].support:
+                if step[k] is None:
+                    step[k] = g
+        join.append(tuple(step))
+
+    supports = [set(flat.support) for flat in flats]
+    mobius = [1]
+    for i in range(1, len(flats)):
+        mobius.append(-sum(mobius[k] for k in range(i) if supports[k] < supports[i]))
+    return ClosureLattice(
+        flats=tuple(replace(flat, mobius=mu) for flat, mu in zip(flats, mobius)),
+        join=tuple(join),
+    )
+
+
 @lru_cache(maxsize=None)
 def intersection_lattice(a: Arrangement) -> IntersectionLattice:
     """All nonempty intersections with Mobius values.
 
-    Built level by level: flats of codim c+1 are closures of (codim-c flat)
-    cap hyperplane, deduplicated by canonical echelon form; empty
-    intersections are discarded.  Mobius values follow the recursion
-    mu(Y) = -sum(mu(Z)) over flats Z with support(Z) strictly inside
-    support(Y).
+    These are the closure flats off the hyperplane at infinity: an affine
+    intersection is empty exactly when its projective closure lies at
+    infinity.  Their Mobius values are those of the closure, since every
+    flat below an affine flat is affine.
     """
-    rows = [h.affine_row() for h in a.hyperplanes]
-    width = a.ambient_dim + 1
-
-    def closure(system):
-        return tuple(
-            j for j in range(a.n) if row_in_span(rows[j], system)
-        )
-
-    top = Flat(support=(), codim=0, mobius=1, dense=None, system=())
-    levels: list[list[Flat]] = [[top]]
-    current = [top]
-    while current:
-        next_level: dict = {}
-        for flat in current:
-            in_support = set(flat.support)
-            for j in range(a.n):
-                if j in in_support:
-                    continue
-                candidate = list(flat.system) + [rows[j]]
-                echelon, pivots = reduced_row_echelon(candidate)
-                if (width - 1) in pivots:
-                    continue  # inconsistent system: empty intersection
-                if len(echelon) == flat.codim:
-                    continue  # hyperplane already contains the flat
-                if echelon not in next_level:
-                    next_level[echelon] = Flat(
-                        support=closure(echelon),
-                        codim=len(echelon),
-                        mobius=0,
-                        dense=None,
-                        system=echelon,
-                    )
-        current = list(next_level.values())
-        if current:
-            levels.append(current)
-
-    # Mobius recursion over the interval below each flat.
-    by_support: dict[tuple[int, ...], int] = {(): 1}
-    out_levels: list[tuple[Flat, ...]] = [(top,)]
-    for level in levels[1:]:
-        finished = []
-        for flat in level:
-            sset = set(flat.support)
-            acc = 0
-            for prev in out_levels:
-                for z in prev:
-                    if set(z.support) < sset:
-                        acc += by_support[z.support]
-            mu = -acc
-            by_support[flat.support] = mu
-            finished.append(replace(flat, mobius=mu))
-        out_levels.append(tuple(finished))
-    return IntersectionLattice(levels=tuple(out_levels), rank=len(out_levels) - 1)
+    return _by_codim(f for f in closure_lattice(a).flats if a.n not in f.support)
 
 
 @lru_cache(maxsize=None)
@@ -303,38 +341,31 @@ def beta(a: Arrangement) -> int:
 def dense_edges(a: Arrangement) -> IntersectionLattice:
     """Lattice of the projective closure with dense flags.
 
-    The closure lattice is the lattice of cone(A) minus its center flat of
-    codim ell+1 (which is projectively empty).  A flat Y is dense when the
-    decone of the central subarrangement A_Y has beta > 0, computed as
-    P(A_Y, t)/(1+t) evaluated at -1; hyperplane flats are always dense.  The
-    last closure index is the hyperplane at infinity.
+    These are the closure flats up to codim ell; the flat of codim ell+1 is
+    the center of the cone, which is projectively empty.  A flat Y is dense
+    when the decone of the central subarrangement A_Y has beta > 0, computed
+    as P(A_Y, t)/(1+t) evaluated at -1; hyperplane flats are always dense.
+    The last closure index is the hyperplane at infinity.
     """
-    closure = cone(a)
-    lattice = intersection_lattice(closure)
+    flats = closure_lattice(a).flats
+
     # Interval Poincare polynomial below a flat: the closure's support sets
     # are downward closed, so global Mobius values restrict to each interval.
-    mu_by_support = {f.support: f.mobius for f in lattice.flats()}
-
     def subarrangement_poincare(support: tuple[int, ...]) -> IntPoly:
         sset = set(support)
         coeffs = [0] * (len(support) + 1)
-        for f in lattice.flats():
+        for f in flats:
             if set(f.support) <= sset:
-                coeffs[f.codim] += mu_by_support[f.support] * (-1) ** f.codim
+                coeffs[f.codim] += f.mobius * (-1) ** f.codim
         return IntPoly(tuple(coeffs))
 
-    out_levels = [lattice.levels[0]]
-    for level in lattice.levels[1:]:
-        marked = []
-        for flat in level:
-            if flat.codim > a.ell:
-                continue  # center of the cone: empty in projective space
-            p_sub = subarrangement_poincare(flat.support)
-            deconed = p_sub.divexact(IntPoly((1, 1)))
-            marked.append(replace(flat, dense=abs(deconed.evaluate(-1)) > 0))
-        if marked:
-            out_levels.append(tuple(marked))
-    return IntersectionLattice(levels=tuple(out_levels), rank=len(out_levels) - 1)
+    def marked(flat: Flat) -> Flat:
+        deconed = subarrangement_poincare(flat.support).divexact(IntPoly((1, 1)))
+        return replace(flat, dense=abs(deconed.evaluate(-1)) > 0)
+
+    return _by_codim(
+        [flats[0]] + [marked(f) for f in flats[1:] if f.codim <= a.ell]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -380,71 +380,27 @@ def cyc_reduce(raw, d: int) -> CycNum:
     return CycNum(d, _reduce_mod_phi(coeffs, d))
 
 
-def cyc_arithmetic(a: CycNum, b: CycNum, op: str) -> CycNum:
-    """Exact field arithmetic on same-order cyclotomic numbers."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Q(zeta_d).
 # ---------------------------------------------------------------------------
-
-def _uniform_order(matrix) -> int:
-    orders = {entry.order for row in matrix for entry in row}
-    if len(orders) > 1:
-        raise ValueError(f"mixed cyclotomic orders in matrix: {sorted(orders)}")
-    return orders.pop() if orders else 1
-
-
-def field_matrix_rank(matrix) -> int:
-    """Rank over Q(zeta_d) by exact Gaussian elimination.
-
-    Pivots are chosen as the first nonzero entry in column order; all entries
-    must share one cyclotomic order and rows must have equal length.
-    """
-    if not matrix:
-        return 0
-    width = len(matrix[0])
-    if any(len(row) != width for row in matrix):
-        raise ValueError("ragged matrix")
-    _uniform_order(matrix)
-    rows = [list(row) for row in matrix]
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [inv * v for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero:
-                factor = rows[r][col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
 
 def reduced_row_echelon(rows) -> tuple[tuple[tuple[CycNum, ...], ...], tuple[int, ...]]:
     """Canonical reduced row echelon form over Q(zeta_d).
 
     Returns (nonzero rows, pivot columns).  Two row sets span the same row
     space iff their reduced echelon forms are identical, which is what the
-    lattice code uses to deduplicate flats.
+    lattice code uses to deduplicate flats; the rank is the number of rows.
+    All entries must share one cyclotomic order and rows must have equal
+    length.
     """
     if not rows:
         return (), ()
     width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged matrix")
+    orders = {entry.order for row in rows for entry in row}
+    if len(orders) > 1:
+        raise ValueError(f"mixed cyclotomic orders in matrix: {sorted(orders)}")
     work = [list(r) for r in rows]
     pivots: list[int] = []
     rank = 0

@@ -15,6 +15,11 @@ are sparse dicts tuple -> int with no stored zeros.  The Aomoto differential
 for an integer weight vector k is left multiplication by sum(k_H e_H); its
 matrices are assembled from cached per-hyperplane multiplication matrices so
 that sweeping many weight vectors stays cheap.
+
+No linear algebra happens here: whether a tuple of hyperplanes meets, and in
+which codim, is read off the join table of the closure lattice
+(arrangement.closure_lattice), so circuits, broken circuits and the NBC basis
+are combinatorial in the intersection semilattice.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .arrangement import Arrangement
-from .cyclofield import reduced_row_echelon
+from .arrangement import Arrangement, closure_lattice
 
 
 @dataclass(frozen=True)
@@ -65,35 +69,27 @@ class AomotoComplex:
 # Geometry of index tuples.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _tuple_geometry(a: Arrangement, indices: tuple[int, ...]) -> tuple[bool, int]:
     """(nonempty intersection?, codim of the intersection) for an index set."""
-    rows = [a.hyperplanes[i].affine_row() for i in indices]
-    echelon, pivots = reduced_row_echelon(rows)
-    if a.ambient_dim in pivots:
-        return False, len(echelon)
-    return True, len(echelon)
+    return closure_lattice(a).affine_geometry(indices)
 
 
-def _is_central(a: Arrangement, t: tuple[int, ...]) -> bool:
-    return _tuple_geometry(a, t)[0]
-
-
-def _is_independent(a: Arrangement, t: tuple[int, ...]) -> bool:
-    central, codim = _tuple_geometry(a, t)
-    return central and codim == len(t)
+def _is_independent(geometry, t: tuple[int, ...]) -> bool:
+    nonempty, codim = geometry(t)
+    return nonempty and codim == len(t)
 
 
 @lru_cache(maxsize=None)
 def _circuits(a: Arrangement) -> tuple[tuple[int, ...], ...]:
     """Minimal dependent sets with nonempty intersection, sizes <= ell + 1."""
+    geometry = closure_lattice(a).affine_geometry
     found: list[tuple[int, ...]] = []
     for size in range(2, a.ell + 2):
         for t in combinations(range(a.n), size):
-            central, codim = _tuple_geometry(a, t)
-            if not central or codim == size:
+            nonempty, codim = geometry(t)
+            if not nonempty or codim == size:
                 continue
-            if all(_is_independent(a, t[:i] + t[i + 1:]) for i in range(size)):
+            if all(_is_independent(geometry, t[:i] + t[i + 1:]) for i in range(size)):
                 found.append(t)
     return tuple(found)
 
@@ -126,11 +122,12 @@ def nbc_basis(a: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]:
     Counts agree with the Poincare coefficients of the arrangement (Whitney's
     theorem; cross-checked in the test suite).
     """
+    geometry = closure_lattice(a).affine_geometry
     levels: list[tuple[tuple[int, ...], ...]] = [((),)]
     for q in range(1, a.ell + 1):
         level = tuple(
             t for t in combinations(range(a.n), q)
-            if _is_independent(a, t) and _contains_broken_circuit(a, t) is None
+            if _is_independent(geometry, t) and _contains_broken_circuit(a, t) is None
         )
         levels.append(level)
     return tuple(levels)
@@ -178,7 +175,7 @@ def straighten(a: Arrangement, t: tuple[int, ...]) -> dict[tuple[int, ...], int]
 
 @lru_cache(maxsize=None)
 def _straighten(a: Arrangement, t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    if t and not _is_central(a, t):
+    if t and not _tuple_geometry(a, t)[0]:
         return ()
     broken = _contains_broken_circuit(a, t)
     if broken is None:

@@ -1,5 +1,6 @@
 """File format parsing and the command-line surface (exit codes, JSON shape)."""
 
+import hashlib
 import json
 
 import pytest
@@ -260,6 +261,36 @@ def test_output_is_deterministic(capsys):
     _, p1, _ = run(capsys, "periodicity", "--catalog", "selberg")
     _, p2, _ = run(capsys, "periodicity", "--catalog", "selberg")
     assert p1 == p2
+
+
+# sha256 of the stdout of `lattice` and `os --matrices` per catalog entry:
+# pins the flat order and the matrix bytes, which the value tests leave free.
+STDOUT_SHA256 = {
+    ("lattice", "selberg", "json"): "72bf131d12222b4a55e162ff7ecbc5701e05c1e9620691f76213374f9333a260",
+    ("lattice", "selberg", "text"): "5d8fd66dda5e1e0cb85c39b9459b77b95b0818483762394c05884e4995ca1971",
+    ("lattice", "maclane-decone", "json"): "f74916b067182f6e43e365c69556eb12138b95ca699ab1cd1fc985a7c715a4ce",
+    ("lattice", "maclane-decone", "text"): "0e4d3ca6d79bd59efb0f8f7b031953d5c442ab7a711c5d04e7da42dc10e5e525",
+    ("lattice", "hessian-decone", "json"): "b1567c407b4582c84553a670a82332586d370899c888d7c0be86ab285740b59f",
+    ("lattice", "hessian-decone", "text"): "c2f1df940cd4fabb3110c8294b91ddba072fb367b9f3e4bf0e78e6cd6b60e952",
+    ("lattice", "ceva3", "json"): "87678c691232165f0dc894779c026f5195e818494885656f96823795f1ec16bb",
+    ("lattice", "ceva3", "text"): "8a05be3fcdf01ea7612be1cce83c2cd3ca28293c21526257f0312b5a71878f28",
+    ("os", "selberg", "json"): "717865b729d902cfd0d99afcbb04b0933b5a16b7220a2623ef5834fddd2e3a4b",
+    ("os", "selberg", "text"): "890e9e6f73552680a955550ce43482bd0b1a17cced2d39a095183fc10320c8cd",
+    ("os", "maclane-decone", "json"): "13a5fed020ecba034c5653b34252f494d64fc14353481a35d45b9ddedd3c6b8c",
+    ("os", "maclane-decone", "text"): "01bec8079f80d8cfa01f59f47ba5e420a9005ff7ffb6feeb34dc42c1013298a8",
+    ("os", "hessian-decone", "json"): "517309b42903d44fa71e1dd058530d86a369e1e9e4cd88cd53115c2e95c4fd5d",
+    ("os", "hessian-decone", "text"): "a66266e531ce6d1feac0796cf4e0fd9884025188505ec61cdd1249c512267a84",
+    ("os", "ceva3", "json"): "92ff513389abcc21ef7ed8304f43cbf4a941553783e51b57ceeca712bda3d39a",
+    ("os", "ceva3", "text"): "b04812f596ee34c91e991deb233d033ca4b820e4191a9ac4e74835ceb24d32f9",
+}
+
+
+@pytest.mark.parametrize("command,key,fmt", sorted(STDOUT_SHA256))
+def test_stdout_bytes_pinned(capsys, command, key, fmt):
+    extra = ("--matrices",) if command == "os" else ()
+    code, out, err = run(capsys, command, "--catalog", key, *extra, "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[(command, key, fmt)]
 
 
 def test_selberg_braid_annotation(capsys):

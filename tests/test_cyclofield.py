@@ -1,4 +1,4 @@
-"""Cyclotomic arithmetic, cyclotomic polynomials, and field-valued rank."""
+"""Cyclotomic arithmetic, cyclotomic polynomials, and row echelon forms."""
 
 import random
 from fractions import Fraction
@@ -11,13 +11,12 @@ from arrcover import catalog
 from arrcover.cyclofield import (
     CycNum,
     IntPoly,
-    cyc_arithmetic,
     cyc_reduce,
     cyclotomic_polynomial,
     euler_phi,
-    field_matrix_rank,
     format_rational,
     parse_rational,
+    reduced_row_echelon,
 )
 
 
@@ -115,7 +114,7 @@ def test_cyclotomic_product_identity_up_to_64():
 
 
 # ---------------------------------------------------------------------------
-# cyc_reduce / cyc_arithmetic.
+# cyc_reduce / field arithmetic.
 # ---------------------------------------------------------------------------
 
 def test_cyc_reduce_examples():
@@ -141,20 +140,20 @@ def test_cyc_reduce_idempotent():
 def test_cyc_arithmetic_examples():
     z4 = CycNum.zeta(4)
     minus_one = CycNum.from_rational(-1, 4)
-    assert cyc_arithmetic(z4, z4, "mul") == minus_one
-    assert cyc_arithmetic(CycNum.one(4), z4, "div") == -z4
+    assert z4 * z4 == minus_one
+    assert CycNum.one(4) / z4 == -z4
     z3 = CycNum.zeta(3)
     z3sq = z3 * z3
-    assert cyc_arithmetic(CycNum.one(3) + z3, z3sq, "add").is_zero
+    assert (CycNum.one(3) + z3 + z3sq).is_zero
+    assert (z3sq - z3sq).is_zero
 
 
 def test_cyc_arithmetic_errors():
     with pytest.raises(ZeroDivisionError):
-        cyc_arithmetic(CycNum.one(3), CycNum.zero(3), "div")
-    with pytest.raises(ValueError):
-        cyc_arithmetic(CycNum.one(3), CycNum.one(4), "add")
-    with pytest.raises(ValueError):
-        cyc_arithmetic(CycNum.one(3), CycNum.one(3), "pow")
+        CycNum.one(3) / CycNum.zero(3)
+    for op in (CycNum.__add__, CycNum.__sub__, CycNum.__mul__, CycNum.__truediv__):
+        with pytest.raises(ValueError):
+            op(CycNum.one(3), CycNum.one(4))
 
 
 def test_cyc_field_axioms_sampled():
@@ -180,26 +179,40 @@ def test_zeta_power_order():
 
 
 # ---------------------------------------------------------------------------
-# field_matrix_rank.
+# reduced_row_echelon: the rank is the number of echelon rows.
 # ---------------------------------------------------------------------------
+
+def rank(rows):
+    return len(reduced_row_echelon(rows)[0])
+
 
 def test_rank_identity_and_zero():
     one, zero = CycNum.one(1), CycNum.zero(1)
-    assert field_matrix_rank([[one, zero], [zero, one]]) == 2
-    assert field_matrix_rank([[CycNum.zero(3)] * 5 for _ in range(3)]) == 0
+    assert rank([[one, zero], [zero, one]]) == 2
+    assert rank([[CycNum.zero(3)] * 5 for _ in range(3)]) == 0
 
 
 def test_rank_rejects_ragged():
-    one = CycNum.one(1)
-    with pytest.raises(ValueError):
-        field_matrix_rank([[one, one], [one]])
+    one, zero = CycNum.one(1), CycNum.zero(1)
+    with pytest.raises(ValueError, match="ragged"):
+        rank([[one, one], [one]])
+    # a short later row used to be truncated by zip, hiding its third column
+    with pytest.raises(ValueError, match="ragged"):
+        rank([[one, zero], [zero, zero, one]])
+    with pytest.raises(ValueError, match="ragged"):
+        rank([[zero, one], [one]])
+
+
+def test_rank_rejects_mixed_orders():
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        rank([[CycNum.one(3)], [CycNum.one(4)]])
 
 
 def test_rank_hessian_linear_forms():
     central = catalog.hessian_central()
     rows = [list(h.coeffs) for h in central.hyperplanes]
     assert len(rows) == 12
-    assert field_matrix_rank(rows) == rank_oracle(rows) == 3
+    assert rank(rows) == rank_oracle(rows) == 3
 
 
 def test_rank_matches_minor_oracle_random():
@@ -207,7 +220,7 @@ def test_rank_matches_minor_oracle_random():
     for _ in range(25):
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
         rows = [[random_cyc(rng) for _ in range(nc)] for _ in range(nr)]
-        assert field_matrix_rank(rows) == rank_oracle(rows)
+        assert rank(rows) == rank_oracle(rows)
 
 
 # ---------------------------------------------------------------------------
