@@ -6,6 +6,12 @@ bound) and the mod-k minimal-generator ranks (upper bound); nonresonant k are
 resolved outright to (0, ..., 0, beta).  Cover Betti numbers, monodromy
 characteristic polynomials, polynomial periodicity classes and zeta
 coefficients are all assembled from those per-divisor values.
+
+Assembly never walks 1..m or the residues mod lcm(1..n): the divisors of m
+come from its factorisation, the periodicity classes from the divisors of
+the period, and the monodromy polynomials are expanded through sparse
+t^d - 1 factors, so the cost grows with the number of divisors and the
+degree, not with m itself.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .arrangement import (
     euler_characteristic,
     poincare_polynomial,
 )
-from .cyclofield import IntPoly, cyclotomic_polynomial, euler_phi
+from .cyclofield import IntPoly, divisors, euler_phi, tk_exponents, tk_product
 from .exactlin import cohomology_Q, cohomology_modN
 from .osalgebra import aomoto_matrices
 
@@ -145,7 +151,10 @@ class PeriodicityClass:
 
     def betti(self, m: int, ell: int) -> tuple[int, ...]:
         values = [1, *self.constants, self.top_slope * m + self.top_constant]
-        assert len(values) == ell + 1
+        if len(values) != ell + 1:
+            raise ValueError(
+                f"class has {len(self.constants)} constants, expected ell - 1 = {ell - 1}"
+            )
         return tuple(values)
 
 
@@ -165,6 +174,8 @@ class PeriodicityReport:
         raise KeyError(f"no periodicity class for residue {residue}")
 
     def betti(self, m: int) -> tuple[int, ...]:
+        if m < 1:
+            raise ValueError("m must be >= 1")
         return self.class_for(m).betti(m, self.ell)
 
 
@@ -331,10 +342,6 @@ def _local_values(a: Arrangement, k: int, resolution, search) -> tuple[tuple[int
     return tuple(values), exact
 
 
-def _divisors(m: int) -> list[int]:
-    return [k for k in range(1, m + 1) if m % k == 0]
-
-
 # ---------------------------------------------------------------------------
 # Covers.
 # ---------------------------------------------------------------------------
@@ -351,7 +358,7 @@ def cover_betti(
     search = search or ShiftSearchConfig()
     per_divisor = []
     exact = True
-    for k in _divisors(m):
+    for k in divisors(m):
         values, k_exact = _local_values(a, k, resolution, search)
         exact = exact and k_exact
         per_divisor.append((k, values))
@@ -360,22 +367,6 @@ def cover_betti(
         for q in range(a.ell + 1)
     )
     return CoverReport(m=m, betti=betti, charpoly_exponents=tuple(per_divisor), exact=exact)
-
-
-def _greedy_tk_factors(exponents: dict[int, int]):
-    """Greedy re-expression of prod Phi_k^e_k as prod (t^j - 1)^f_j, or None."""
-    remaining = {k: e for k, e in exponents.items() if e}
-    factors = []
-    for j in sorted(remaining, reverse=True):
-        divs = _divisors(j)
-        take = min((remaining.get(d, 0) for d in divs), default=0)
-        if remaining.get(j, 0) and take:
-            for d in divs:
-                remaining[d] = remaining.get(d, 0) - take
-            factors.append((j, take))
-    if any(remaining.values()):
-        return None
-    return tuple(sorted(factors))
 
 
 def monodromy_charpoly(
@@ -388,23 +379,23 @@ def monodromy_charpoly(
     """Characteristic polynomial of the degree-q monodromy of X_m.
 
     Delta_q = prod over k | m of Phi_k^(b_q(L_k)); its degree is b_q(X_m).
-    The canonical form is the cyclotomic exponent map; a greedy (t^j - 1)
-    re-expression is attached when one exists.
+    The canonical form is the cyclotomic exponent map.  The product is
+    rewritten by Mobius inversion as prod over d | m of (t^d - 1)^(f_d) and
+    expanded through those sparse factors; the (t^d - 1) form is attached as
+    tk_factors when every f_d is positive.
     """
     if not 0 <= q <= a.ell:
         raise ValueError(f"degree {q} out of range 0..{a.ell}")
     report = cover_betti(a, m, resolution, search)
     exps = report.exponents_for_degree(q)
-    expanded = IntPoly((1,))
-    for k, e in sorted(exps.items()):
-        if e:
-            expanded = expanded * cyclotomic_polynomial(k).pow(e)
+    factors = tk_exponents(exps)
+    all_positive = all(f > 0 for f in factors.values())
     return CharpolyReport(
         m=m,
         degree=q,
         exponents=tuple((k, e) for k, e in sorted(exps.items()) if e),
-        expanded=expanded,
-        tk_factors=_greedy_tk_factors(exps),
+        expanded=tk_product(factors),
+        tk_factors=tuple(sorted(factors.items())) if all_positive else None,
         exact=report.exact,
     )
 
@@ -418,8 +409,10 @@ def periodicity(
 
     The period N = lcm(1..n) is the smallest integer divisible by every
     k <= n; residues i share a class exactly when they share the divisor
-    pattern {k <= n : k | i}.  Degrees q < ell get constants b_q(X_i); the
-    top degree gets beta * x plus the Euler-characteristic correction.
+    pattern {k <= n : k | i}.  That pattern only depends on gcd(i, N), so the
+    classes are read off the divisors g of N (each its own gcd) instead of
+    all N residues.  Degrees q < ell get constants b_q(X_i); the top degree
+    gets beta * x plus the Euler-characteristic correction.
     """
     search = search or ShiftSearchConfig()
     n = a.n
@@ -432,7 +425,7 @@ def periodicity(
         exact = exact and k_exact
     b = beta(a)
     patterns = sorted(
-        {tuple(k for k in range(1, n + 1) if i % k == 0) for i in range(1, period + 1)}
+        {tuple(k for k in range(1, n + 1) if g % k == 0) for g in divisors(period)}
     )
     classes = []
     for pattern in patterns:

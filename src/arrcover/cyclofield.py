@@ -5,8 +5,10 @@ where z is a primitive d-th root of unity; every value is kept reduced modulo
 the d-th cyclotomic polynomial, so two values are equal iff their coefficient
 tuples are equal.  Rationals are stdlib ``fractions.Fraction`` (always reduced,
 positive denominator).  The module also provides integer polynomials, the
-cyclotomic polynomials themselves, the Euler phi function, and exact Gaussian
-elimination over Q(zeta_d).
+cyclotomic polynomials themselves and products of them written through the
+sparse factors t^d - 1, the number theory those rest on (trial-division
+factorisation, divisors, Euler phi, Mobius), and exact Gaussian elimination
+over Q(zeta_d).
 """
 
 from __future__ import annotations
@@ -37,21 +39,53 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def factorize(m: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorisation of m >= 1 by trial division: ((p, e), ...), p ascending.
+
+    Trial division stops once p^2 exceeds the unfactored cofactor, so the cost
+    is O(sqrt(m)) at worst and far less for smooth m.
+    """
+    if m < 1:
+        raise ValueError("factorize requires m >= 1")
+    factors = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        p += 1
+    if m > 1:
+        factors.append((m, 1))
+    return tuple(factors)
+
+
 def euler_phi(k: int) -> int:
     """Euler phi: the count of 1 <= j <= k with gcd(j, k) = 1."""
     if k < 1:
         raise ValueError("euler_phi requires k >= 1")
-    n, result = k, k
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
+    result = k
+    for p, _ in factorize(k):
+        result -= result // p
     return result
+
+
+def divisors(m: int) -> list[int]:
+    """The divisors of m >= 1 in ascending order, built from its factorisation."""
+    divs = [1]
+    for p, e in factorize(m):
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def mobius(k: int) -> int:
+    """Number-theoretic Mobius function: 0 unless k is squarefree, else (-1)^(#primes)."""
+    factors = factorize(k)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +135,17 @@ class IntPoly:
         if self.is_zero or other.is_zero:
             return IntPoly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = other._terms()
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in terms:
                     out[i + j] += a * b
         return IntPoly(tuple(out))
+
+    def _terms(self) -> list[tuple[int, int]]:
+        """The nonzero (exponent, coefficient) pairs, so that multiplying by or
+        dividing by a sparse polynomial such as t^d - 1 costs O(degree)."""
+        return [(j, b) for j, b in enumerate(self.coeffs) if b]
 
     def scale(self, c: int) -> "IntPoly":
         return IntPoly(tuple(c * a for a in self.coeffs))
@@ -124,6 +164,7 @@ class IntPoly:
         lead = divisor.coeffs[-1]
         dd = divisor.degree
         q = [0] * max(len(rem) - dd, 0)
+        terms = divisor._terms()
         for i in range(len(rem) - 1, dd - 1, -1):
             if rem[i] == 0:
                 continue
@@ -131,7 +172,7 @@ class IntPoly:
                 raise ValueError("inexact polynomial division")
             c = rem[i] // lead
             q[i - dd] = c
-            for j, b in enumerate(divisor.coeffs):
+            for j, b in terms:
                 rem[i - dd + j] -= c * b
         if any(rem):
             raise ValueError("inexact polynomial division")
@@ -167,23 +208,54 @@ def format_poly(p: IntPoly, var: str = "t") -> str:
     return " ".join(parts)
 
 
+def tk_exponents(exponents) -> dict[int, int]:
+    """Rewrite prod Phi_k^(e_k) as prod (t^d - 1)^(f_d).
+
+    exponents maps k -> e_k.  Since t^d - 1 = prod over k | d of Phi_k, Mobius
+    inversion gives f_d = sum over k with d | k of mu(k/d) * e_k.  The
+    representation is unique; only nonzero f_d are returned, and some may be
+    negative.
+    """
+    f: dict[int, int] = {}
+    for k, e in exponents.items():
+        if e:
+            for d in divisors(k):
+                f[d] = f.get(d, 0) + mobius(k // d) * e
+    return {d: v for d, v in f.items() if v}
+
+
+def tk_product(factors) -> IntPoly:
+    """Expand prod (t^d - 1)^(f_d) for a map d -> f_d with integer f_d.
+
+    The factors with f_d > 0 are multiplied in first and those with f_d < 0
+    are divided out after, exactly; each step touches the two terms of
+    t^d - 1 only, so the cost is O(degree * sum |f_d|).
+    """
+    result = IntPoly((1,))
+    for d, f in sorted(factors.items()):
+        for _ in range(f):
+            result = result * _tk_minus_one(d)
+    for d, f in sorted(factors.items()):
+        for _ in range(-f):
+            result = result.divexact(_tk_minus_one(d))
+    return result
+
+
+def _tk_minus_one(d: int) -> IntPoly:
+    return IntPoly((-1,) + (0,) * (d - 1) + (1,))
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> IntPoly:
     """The k-th cyclotomic polynomial Phi_k, monic of degree phi(k).
 
-    Computed by exact division of t^k - 1 by the product of Phi_d over the
-    proper divisors d of k.
+    Computed as the Mobius product prod over d | k of (t^d - 1)^(mu(k/d)).
+    Cached, because cyclotomic number reduction asks for Phi_d on every
+    operation.
     """
     if k < 1:
         raise ValueError("cyclotomic_polynomial requires k >= 1")
-    tk_minus_1 = IntPoly((-1,) + (0,) * (k - 1) + (1,))
-    if k == 1:
-        return tk_minus_1
-    divisor = IntPoly((1,))
-    for d in range(1, k):
-        if k % d == 0:
-            divisor = divisor * cyclotomic_polynomial(d)
-    return tk_minus_1.divexact(divisor)
+    return tk_product(tk_exponents({k: 1}))
 
 
 # ---------------------------------------------------------------------------

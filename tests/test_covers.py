@@ -4,8 +4,10 @@ import pytest
 
 from arrcover import catalog
 from arrcover.arrangement import (
+    Hyperplane,
     betti_numbers,
     beta,
+    build,
     decone,
     euler_characteristic,
     poincare_polynomial,
@@ -22,7 +24,7 @@ from arrcover.covers import (
     stv_nonresonant,
     zeta_coefficients,
 )
-from arrcover.cyclofield import cyclotomic_polynomial, euler_phi
+from arrcover.cyclofield import CycNum, IntPoly, cyclotomic_polynomial, euler_phi
 
 # asserted closures for the one genuinely open catalog case (Ceva(3), k = 3);
 # the q=1 value is the known rank over Z_3, the others follow from the
@@ -232,6 +234,16 @@ def test_charpoly_trivial_cover(catalog_arrangements):
             assert report.expanded == cyclotomic_polynomial(1).pow(b[q])
 
 
+def test_charpoly_selberg_large_m(selberg):
+    report = monodromy_charpoly(selberg, 5040, 2)
+    assert report.tk_factors == ((1, 3), (3, 1), (5040, 2))
+    t_minus_1 = IntPoly((-1, 1))
+    expected = (t_minus_1.pow(3) * IntPoly((-1, 0, 0, 1))
+                * IntPoly((-1,) + (0,) * 5039 + (1,)).pow(2))
+    assert report.expanded == expected
+    assert report.expanded.degree == 10086 == cover_betti(selberg, 5040).betti[2]
+
+
 def test_charpoly_degree_identity(selberg, maclane_decone, hessian_decone):
     cases = [(selberg, range(1, 13)), (maclane_decone, range(1, 13)),
              (hessian_decone, (2, 4, 6, 12))]
@@ -264,6 +276,34 @@ def test_periodicity_maclane(maclane_decone):
     assert report.period == 420
     polys = {(cls.constants, cls.top_slope, cls.top_constant) for cls in report.classes}
     assert polys == {((7,), 7, 6)}
+
+
+def test_periodicity_generic_sixteen_lines():
+    # 1 + x X + x^2 Y for x = 1..16: duals of points on a conic, so generic
+    one = CycNum.from_rational(1)
+    lines = [
+        Hyperplane(one, (CycNum.from_rational(x), CycNum.from_rational(x * x)))
+        for x in range(1, 17)
+    ]
+    report = periodicity(build(2, 1, lines))
+    assert report.period == 720720
+    assert len(report.classes) == 240
+    assert report.betti(720720) == (1, 16, 105 * 720720 - 1 + 16)
+
+
+def test_periodicity_betti_rejects_nonpositive_m(selberg):
+    report = periodicity(selberg)
+    for m in (0, -5):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            report.betti(m)
+
+
+def test_periodicity_class_rejects_wrong_ell(selberg):
+    cls = periodicity(selberg).classes[0]
+    assert len(cls.betti(4, 2)) == 3
+    for ell in (1, 3):
+        with pytest.raises(ValueError, match="constants"):
+            cls.betti(4, ell)
 
 
 def test_periodicity_cross_check_selberg(selberg):
@@ -326,6 +366,15 @@ def _computable_ms(a, key, upto=12):
     if key == "ceva3":
         return [m for m in range(1, upto + 1) if m % 3 != 0]
     return list(range(1, upto + 1))
+
+
+def test_cover_betti_selberg_large_m(selberg):
+    m = 10**7  # not divisible by 3, so b_1 = 5 (README zeta row)
+    report = cover_betti(selberg, m)
+    assert report.betti == (1, 5, 2 * m - 1 + 5)
+    chi = sum((-1) ** q * v for q, v in enumerate(report.betti))
+    assert chi == m * euler_characteristic(selberg)
+    assert len(report.charpoly_exponents) == 64
 
 
 def test_euler_identity_for_covers(catalog_arrangements):

@@ -13,10 +13,15 @@ from arrcover.cyclofield import (
     IntPoly,
     cyc_reduce,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
+    factorize,
     format_rational,
+    mobius,
     parse_rational,
     reduced_row_echelon,
+    tk_exponents,
+    tk_product,
 )
 
 
@@ -85,6 +90,30 @@ def test_euler_phi_rejects_zero():
 
 
 # ---------------------------------------------------------------------------
+# Factorisation, divisors, Mobius.
+# ---------------------------------------------------------------------------
+
+def test_factorize_examples():
+    assert factorize(1) == ()
+    assert factorize(97) == ((97, 1),)
+    assert factorize(720720) == ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
+    assert factorize(10**7) == ((2, 7), (5, 7))
+
+
+def test_divisors_and_mobius_examples():
+    assert divisors(1) == [1]
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert len(divisors(720720)) == 240
+    assert [mobius(k) for k in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+def test_number_theory_rejects_zero():
+    for fn in (factorize, divisors, mobius):
+        with pytest.raises(ValueError):
+            fn(0)
+
+
+# ---------------------------------------------------------------------------
 # Cyclotomic polynomials.
 # ---------------------------------------------------------------------------
 
@@ -111,6 +140,29 @@ def test_cyclotomic_product_identity_up_to_64():
                 product = product * cyclotomic_polynomial(d)
         expected = IntPoly((-1,) + (0,) * (k - 1) + (1,))
         assert product == expected
+    # 105 = 3 * 5 * 7 is the first k with a coefficient outside {-1, 0, 1}
+    phi_105 = cyclotomic_polynomial(105)
+    assert phi_105.degree == 48
+    assert phi_105.coefficient(7) == -2
+    assert cyclotomic_polynomial(2520).degree == euler_phi(2520) == 576
+
+
+def test_tk_exponents_mobius_inversion():
+    # Phi_6 = (t^6 - 1)(t - 1) / ((t^3 - 1)(t^2 - 1))
+    assert tk_exponents({6: 1}) == {1: 1, 2: -1, 3: -1, 6: 1}
+    # the Hessian X_12 degree-1 monodromy: Phi_1^11 Phi_2^2 Phi_4^2
+    assert tk_exponents({1: 11, 2: 2, 4: 2, 3: 0}) == {1: 9, 4: 2}
+    assert tk_exponents({}) == {}
+
+
+def test_tk_product_expands_and_divides():
+    assert tk_product({}) == IntPoly((1,))
+    assert tk_product({1: 1, 2: -1, 3: -1, 6: 1}) == IntPoly((1, -1, 1))
+    t_minus_1 = IntPoly((-1, 1))
+    assert tk_product({1: 2, 2: 1}) == t_minus_1 * t_minus_1 * IntPoly((-1, 0, 1))
+    # (t^2 - 1)^(-1) is not a polynomial: the exact division refuses it
+    with pytest.raises(ValueError, match="inexact"):
+        tk_product({2: -1})
 
 
 # ---------------------------------------------------------------------------
