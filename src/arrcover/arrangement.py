@@ -18,7 +18,7 @@ closure flats below the center of the cone.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclofield import CycNum, IntPoly, reduced_row_echelon, row_in_span
 
@@ -59,12 +59,25 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class Arrangement:
-    """Ordered, duplicate-free arrangement of n hyperplanes in C^ambient_dim."""
+    """Ordered, duplicate-free arrangement of n hyperplanes in C^ambient_dim.
+
+    The hash is computed once and kept on the instance outside the fields, so
+    equality and repr are the dataclass ones; it equals the dataclass hash.
+    Every cache keyed on an arrangement would otherwise rehash all of its
+    Fraction coefficients on each lookup.
+    """
 
     ambient_dim: int
     cyc_order: int
     hyperplanes: tuple[Hyperplane, ...]
     is_central: bool
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient_dim, self.cyc_order, self.hyperplanes, self.is_central))
 
     @property
     def n(self) -> int:

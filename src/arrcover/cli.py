@@ -77,14 +77,15 @@ def _parse_assertions(items, k_fixed=None) -> dict:
     return table
 
 
+def _parse_integers(item: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in item.split(","))
+    except ValueError as exc:
+        raise CliError(f"bad {what} {item!r}: expected comma-separated integers") from exc
+
+
 def _parse_shifts(items) -> tuple[tuple[int, ...], ...]:
-    shifts = []
-    for item in items or []:
-        try:
-            shifts.append(tuple(int(v) for v in item.split(",")))
-        except ValueError as exc:
-            raise CliError(f"bad shift {item!r}: expected comma-separated integers") from exc
-    return tuple(shifts)
+    return tuple(_parse_integers(item, "shift") for item in items or [])
 
 
 def _emit(payload: dict, text_lines, fmt: str):
@@ -204,18 +205,23 @@ def _cmd_os(args) -> int:
     }
     lines = [f"{name}: NBC basis counts {[len(level) for level in bases]}"]
     if args.matrices:
-        weights = tuple(int(v) for v in args.k_vector.split(",")) if args.k_vector else (1,) * a.n
+        weights = _parse_integers(args.k_vector, "--k-vector") if args.k_vector else (1,) * a.n
         if len(weights) != a.n:
             raise CliError(f"expected {a.n} weights, got {len(weights)}")
         complex_ = aomoto_matrices(a, weights)
         payload["weights"] = list(weights)
-        payload["differentials"] = [
-            {"rows": d.rows, "cols": d.cols, "entries": [list(e) for e in d.entries]}
-            for d in complex_.diffs
+        differentials = [
+            {
+                "rows": len(d),
+                "cols": len(bases[q]),
+                "entries": [[r, c, v] for r, row in enumerate(d) for c, v in enumerate(row) if v],
+            }
+            for q, d in enumerate(complex_.diffs)
         ]
+        payload["differentials"] = differentials
         lines.append(f"differentials for weights {list(weights)}:")
-        for q, d in enumerate(complex_.diffs):
-            lines.append(f"  D^{q}: {d.rows}x{d.cols}, {len(d.entries)} nonzero entries")
+        for q, d in enumerate(differentials):
+            lines.append(f"  D^{q}: {d['rows']}x{d['cols']}, {len(d['entries'])} nonzero entries")
     _emit(payload, lines, args.format)
     return 0
 

@@ -3,7 +3,8 @@
 Provides Smith normal form with deterministic smallest-pivot reduction,
 fraction-free rank over Q, rank over Z_p, cohomology dimensions of a weighted
 complex over Q, and minimal-generator ranks of its cohomology modules over
-Z_N.  Everything is arbitrary-precision; matrices are densified on entry.
+Z_N.  Everything is arbitrary-precision; the differentials arrive as dense
+integer rows (AomotoComplex.diffs) and are copied before elimination.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .cyclofield import factorize
 from .osalgebra import AomotoComplex
 
 
@@ -88,14 +90,7 @@ def rank_mod_p(matrix, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +199,7 @@ def cohomology_Q(complex_: AomotoComplex) -> CohomologyProfile:
     in for rational weight systems.
     """
     sizes = complex_.dims()
-    ranks = [rank_over_Q(d.dense()) if d.entries else 0 for d in complex_.diffs]
+    ranks = [rank_over_Q(d) for d in complex_.diffs]
     dims = []
     for q, nq in enumerate(sizes):
         r_out = ranks[q]
@@ -258,16 +253,15 @@ def cohomology_modN(complex_: AomotoComplex, N: int) -> CohomologyProfile:
     if N < 2:
         raise ValueError("modulus must be >= 2")
     sizes = complex_.dims()
-    dense = [d.dense() for d in complex_.diffs]
+    diffs = complex_.diffs
     dims = []
     for q, nq in enumerate(sizes):
-        d_out = dense[q]
-        d_prev = dense[q - 1] if q > 0 else [[] for _ in range(nq)]
+        d_out = diffs[q]
+        d_prev = diffs[q - 1] if q > 0 else [[] for _ in range(nq)]
         n_prev = sizes[q - 1] if q > 0 else 0
         dims.append(_min_generators_modN(d_out, d_prev, nq, n_prev, N))
     if is_prime(N):
-        ranks = [rank_mod_p(dense[q], N) if complex_.diffs[q].entries else 0
-                 for q in range(len(sizes))]
+        ranks = [rank_mod_p(d, N) for d in diffs]
         for q, nq in enumerate(sizes):
             field_dim = nq - ranks[q] - (ranks[q - 1] if q > 0 else 0)
             if field_dim != dims[q]:

@@ -11,10 +11,13 @@ Conventions (affine arrangements):
     del(e_C) = 0 until only NBC monomials remain.
 
 NBC monomials are plain strictly increasing index tuples; integer combinations
-are sparse dicts tuple -> int with no stored zeros.  The Aomoto differential
-for an integer weight vector k is left multiplication by sum(k_H e_H); its
-matrices are assembled from cached per-hyperplane multiplication matrices so
-that sweeping many weight vectors stays cheap.
+are sparse dicts tuple -> int with no stored zeros.  The algebra of one
+arrangement has one owner, the immutable OSAlgebra built once by os_algebra:
+circuits, broken circuits, NBC bases and the nonzero entries of every
+generator e_H wedge.  The Aomoto differential for an integer weight vector k
+is left multiplication by sum(k_H e_H); aomoto_matrices accumulates it from
+the generator entries into dense integer rows, so sweeping many weight
+vectors stays cheap.
 
 No linear algebra happens here: whether a tuple of hyperplanes meets, and in
 which codim, is read off the join table of the closure lattice
@@ -30,32 +33,38 @@ from itertools import combinations
 
 from .arrangement import Arrangement, closure_lattice
 
+Monomial = tuple[int, ...]
+
 
 @dataclass(frozen=True)
-class SparseIntMatrix:
-    """Integer matrix stored as sorted (row, col, value) triplets."""
+class OSAlgebra:
+    """The Orlik-Solomon algebra of one arrangement in the NBC basis.
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, int, int], ...]
+    circuits are listed by size, then lexicographically.  broken_circuits
+    pairs each broken circuit with its circuit, sorted by broken circuit;
+    ties keep the circuit with the smallest min.  bases[q] lists the NBC
+    monomials of degree q.  generators[h][q] holds the nonzero
+    (row, col, coeff) entries, sorted, of e_h wedge from degree q to q+1:
+    rows index bases[q+1], columns bases[q].
+    """
 
-    def dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
+    circuits: tuple[Monomial, ...]
+    broken_circuits: tuple[tuple[Monomial, Monomial], ...]
+    bases: tuple[tuple[Monomial, ...], ...]
+    generators: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
 
 
 @dataclass(frozen=True)
 class AomotoComplex:
     """NBC bases per degree plus the integer matrices of a_k wedge.
 
-    diffs[q] maps degree q to degree q+1 (rows indexed by the (q+1)-basis,
-    columns by the q-basis); the top differential has zero rows.
+    diffs[q] maps degree q to degree q+1 as a dense tuple of integer rows:
+    one row per monomial of bases[q+1], one column per monomial of bases[q].
+    The top differential has no rows.
     """
 
-    bases: tuple[tuple[tuple[int, ...], ...], ...]
-    diffs: tuple[SparseIntMatrix, ...]
+    bases: tuple[tuple[Monomial, ...], ...]
+    diffs: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def top_degree(self) -> int:
@@ -66,24 +75,17 @@ class AomotoComplex:
 
 
 # ---------------------------------------------------------------------------
-# Geometry of index tuples.
+# Circuits and the NBC basis.
 # ---------------------------------------------------------------------------
 
-def _tuple_geometry(a: Arrangement, indices: tuple[int, ...]) -> tuple[bool, int]:
-    """(nonempty intersection?, codim of the intersection) for an index set."""
-    return closure_lattice(a).affine_geometry(indices)
-
-
-def _is_independent(geometry, t: tuple[int, ...]) -> bool:
+def _is_independent(geometry, t: Monomial) -> bool:
     nonempty, codim = geometry(t)
     return nonempty and codim == len(t)
 
 
-@lru_cache(maxsize=None)
-def _circuits(a: Arrangement) -> tuple[tuple[int, ...], ...]:
+def _find_circuits(a: Arrangement, geometry) -> tuple[Monomial, ...]:
     """Minimal dependent sets with nonempty intersection, sizes <= ell + 1."""
-    geometry = closure_lattice(a).affine_geometry
-    found: list[tuple[int, ...]] = []
+    found: list[Monomial] = []
     for size in range(2, a.ell + 2):
         for t in combinations(range(a.n), size):
             nonempty, codim = geometry(t)
@@ -94,42 +96,31 @@ def _circuits(a: Arrangement) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
-def _broken_circuits(a: Arrangement) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Map broken circuit -> circuit; ties keep the circuit with smallest min."""
-    table: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for circuit in _circuits(a):
+def _broken_circuit_table(circuits) -> tuple[tuple[Monomial, Monomial], ...]:
+    """(broken circuit, circuit) pairs; ties keep the circuit with smallest min."""
+    table: dict[Monomial, Monomial] = {}
+    for circuit in circuits:
         broken = circuit[1:]
         if broken not in table or circuit[0] < table[broken][0]:
             table[broken] = circuit
-    return table
+    return tuple(sorted(table.items()))
 
 
-def _contains_broken_circuit(a: Arrangement, t: tuple[int, ...]):
-    """Lexicographically smallest broken circuit inside t, or None."""
+def _smallest_broken_circuit(broken_circuits, t: Monomial):
+    """(broken circuit, circuit) for the lexicographically smallest broken
+    circuit inside t, or None."""
     tset = set(t)
-    best = None
-    for broken in _broken_circuits(a):
-        if set(broken) <= tset and (best is None or broken < best):
-            best = broken
-    return best
+    return next((pair for pair in broken_circuits if tset.issuperset(pair[0])), None)
 
 
-@lru_cache(maxsize=None)
-def nbc_basis(a: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per-degree NBC monomials: independent tuples with no broken circuit.
-
-    Counts agree with the Poincare coefficients of the arrangement (Whitney's
-    theorem; cross-checked in the test suite).
-    """
-    geometry = closure_lattice(a).affine_geometry
-    levels: list[tuple[tuple[int, ...], ...]] = [((),)]
+def _nbc_levels(a: Arrangement, geometry, broken_circuits) -> tuple[tuple[Monomial, ...], ...]:
+    levels: list[tuple[Monomial, ...]] = [((),)]
     for q in range(1, a.ell + 1):
-        level = tuple(
+        levels.append(tuple(
             t for t in combinations(range(a.n), q)
-            if _is_independent(geometry, t) and _contains_broken_circuit(a, t) is None
-        )
-        levels.append(level)
+            if _is_independent(geometry, t)
+            and _smallest_broken_circuit(broken_circuits, t) is None
+        ))
     return tuple(levels)
 
 
@@ -137,7 +128,7 @@ def nbc_basis(a: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]:
 # Straightening.
 # ---------------------------------------------------------------------------
 
-def _merge_sign(u: tuple[int, ...], v: tuple[int, ...]):
+def _merge_sign(u: Monomial, v: Monomial):
     """Merge disjoint sorted tuples; sign of the sorting shuffle, or (None, 0)."""
     merged = []
     sign = 1
@@ -159,7 +150,51 @@ def _merge_sign(u: tuple[int, ...], v: tuple[int, ...]):
     return tuple(merged), sign
 
 
-def straighten(a: Arrangement, t: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _straightener(geometry, broken_circuits):
+    """Function t -> sorted ((NBC monomial, coeff), ...) for the class of e_t.
+
+    Results are memoised in a dict owned by the returned function, so one
+    build shares them and nothing outlives it.
+    """
+    memo: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
+
+    def straighten_(t: Monomial) -> tuple[tuple[Monomial, int], ...]:
+        if t in memo:
+            return memo[t]
+        if t and not geometry(t)[0]:
+            memo[t] = ()
+            return ()
+        pair = _smallest_broken_circuit(broken_circuits, t)
+        if pair is None:
+            # independent NBC tuples are fixed points; a dependent tuple always
+            # contains a broken circuit, so this branch is genuinely NBC
+            memo[t] = ((t, 1),)
+            return memo[t]
+        broken, circuit = pair
+        rest = tuple(i for i in t if i not in set(broken))
+        _, outer_sign = _merge_sign(broken, rest)
+        # del e_C = 0 solved for the broken circuit:
+        # e_{C \ c_1} = sum_{j >= 2} (-1)^j e_{C \ c_j}
+        result: dict[Monomial, int] = {}
+        for j in range(1, len(circuit)):
+            term = circuit[:j] + circuit[j + 1:]
+            merged, sign = _merge_sign(term, rest)
+            if merged is None:
+                continue
+            coeff = outer_sign * sign * (-1) ** (j + 1)
+            for monomial, c in straighten_(merged):
+                acc = result.get(monomial, 0) + coeff * c
+                if acc:
+                    result[monomial] = acc
+                else:
+                    result.pop(monomial, None)
+        memo[t] = tuple(sorted(result.items()))
+        return memo[t]
+
+    return straighten_
+
+
+def straighten(a: Arrangement, t: Monomial) -> dict[Monomial, int]:
     """Class of e_t as an integer combination of NBC monomials.
 
     Tuples with empty intersection map to zero; dependent tuples are not
@@ -170,63 +205,51 @@ def straighten(a: Arrangement, t: tuple[int, ...]) -> dict[tuple[int, ...], int]
         raise ValueError(f"index tuple {t} is not strictly increasing")
     if any(i < 0 or i >= a.n for i in t):
         raise ValueError(f"index tuple {t} out of range")
-    return dict(_straighten(a, t))
-
-
-@lru_cache(maxsize=None)
-def _straighten(a: Arrangement, t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    if t and not _tuple_geometry(a, t)[0]:
-        return ()
-    broken = _contains_broken_circuit(a, t)
-    if broken is None:
-        # independent NBC tuples are fixed points; a dependent tuple always
-        # contains a broken circuit, so this branch is genuinely NBC
-        return ((t, 1),)
-    circuit = _broken_circuits(a)[broken]
-    rest = tuple(i for i in t if i not in set(broken))
-    _, outer_sign = _merge_sign(broken, rest)
-    # del e_C = 0 solved for the broken circuit:
-    # e_{C \ c_1} = sum_{j >= 2} (-1)^j e_{C \ c_j}
-    result: dict[tuple[int, ...], int] = {}
-    for j in range(1, len(circuit)):
-        term = circuit[:j] + circuit[j + 1:]
-        merged, sign = _merge_sign(term, rest)
-        if merged is None:
-            continue
-        coeff = outer_sign * sign * (-1) ** (j + 1)
-        for monomial, c in _straighten(a, merged):
-            acc = result.get(monomial, 0) + coeff * c
-            if acc:
-                result[monomial] = acc
-            else:
-                result.pop(monomial, None)
-    return tuple(sorted(result.items()))
+    geometry = closure_lattice(a).affine_geometry
+    return dict(_straightener(geometry, os_algebra(a).broken_circuits)(t))
 
 
 # ---------------------------------------------------------------------------
-# Aomoto differentials.
+# The algebra and its Aomoto differentials.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _generator_matrices(a: Arrangement) -> tuple[tuple[dict, ...], ...]:
-    """per_h[h][q]: sparse dict (row, col) -> coeff of e_h wedge (q-basis col)."""
-    bases = nbc_basis(a)
+def os_algebra(a: Arrangement) -> OSAlgebra:
+    """The Orlik-Solomon algebra of a, built once per arrangement."""
+    geometry = closure_lattice(a).affine_geometry
+    circuits = _find_circuits(a, geometry)
+    broken_circuits = _broken_circuit_table(circuits)
+    bases = _nbc_levels(a, geometry, broken_circuits)
+    straighten_ = _straightener(geometry, broken_circuits)
     index_of = [{m: i for i, m in enumerate(level)} for level in bases]
-    per_h = []
+    generators = []
     for h in range(a.n):
-        mats: list[dict] = []
+        per_q = []
         for q in range(len(bases) - 1):
-            entries: dict[tuple[int, int], int] = {}
+            entries = []
             for col, monomial in enumerate(bases[q]):
                 if h in monomial:
                     continue
                 merged, sign = _merge_sign((h,), monomial)
-                for target, c in _straighten(a, merged):
-                    row = index_of[q + 1][target]
-                    entries[(row, col)] = entries.get((row, col), 0) + sign * c
-            mats.append({k: v for k, v in entries.items() if v})
-        per_h.append(tuple(mats))
-    return tuple(per_h)
+                for target, c in straighten_(merged):
+                    entries.append((index_of[q + 1][target], col, sign * c))
+            per_q.append(tuple(sorted(entries)))
+        generators.append(tuple(per_q))
+    return OSAlgebra(
+        circuits=circuits,
+        broken_circuits=broken_circuits,
+        bases=bases,
+        generators=tuple(generators),
+    )
+
+
+def nbc_basis(a: Arrangement) -> tuple[tuple[Monomial, ...], ...]:
+    """Per-degree NBC monomials: independent tuples with no broken circuit.
+
+    Counts agree with the Poincare coefficients of the arrangement (Whitney's
+    theorem; cross-checked in the test suite).
+    """
+    return os_algebra(a).bases
 
 
 def aomoto_matrices(a: Arrangement, weights) -> AomotoComplex:
@@ -234,19 +257,15 @@ def aomoto_matrices(a: Arrangement, weights) -> AomotoComplex:
     weights = tuple(int(w) for w in weights)
     if len(weights) != a.n:
         raise ValueError(f"expected {a.n} weights, got {len(weights)}")
-    bases = nbc_basis(a)
-    per_h = _generator_matrices(a)
+    algebra = os_algebra(a)
+    bases = algebra.bases
     diffs = []
-    for q in range(len(bases)):
-        acc: dict[tuple[int, int], int] = {}
-        if q < len(bases) - 1:
-            for h, w in enumerate(weights):
-                if w:
-                    for key, v in per_h[h][q].items():
-                        acc[key] = acc.get(key, 0) + w * v
-        rows = len(bases[q + 1]) if q < len(bases) - 1 else 0
-        entries = tuple(
-            (r, c, v) for (r, c), v in sorted(acc.items()) if v
-        )
-        diffs.append(SparseIntMatrix(rows=rows, cols=len(bases[q]), entries=entries))
+    for q in range(len(bases) - 1):
+        rows = [[0] * len(bases[q]) for _ in bases[q + 1]]
+        for w, per_q in zip(weights, algebra.generators):
+            if w:
+                for r, c, v in per_q[q]:
+                    rows[r][c] += w * v
+        diffs.append(tuple(map(tuple, rows)))
+    diffs.append(())
     return AomotoComplex(bases=bases, diffs=tuple(diffs))

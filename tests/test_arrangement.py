@@ -16,10 +16,12 @@ from arrcover.arrangement import (
     dense_edges,
     euler_characteristic,
     intersection_lattice,
+    permuted,
     poincare_polynomial,
     restriction,
 )
 from arrcover.cyclofield import CycNum, IntPoly, reduced_row_echelon, row_in_span
+from arrcover.fileformat import parse_file, serialize_arrangement
 
 
 def hp(d, constant, *coeffs):
@@ -89,6 +91,21 @@ def test_build_selberg(selberg):
     assert selberg.n == 5
     assert selberg.ell == 2
     assert not selberg.is_central
+
+
+def test_hash_is_cached_and_consistent_with_equality(tmp_path):
+    for key, entry in catalog.entries().items():
+        a = entry.arrangement
+        path = tmp_path / f"{key}.json"
+        path.write_text(serialize_arrangement(a, key))
+        b = parse_file(path.read_bytes())
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.ambient_dim, a.cyc_order, a.hyperplanes, a.is_central))
+        assert vars(b)["_hash"] == hash(b)  # kept on the instance after first use
+        assert "_hash" not in repr(a)
+        swapped = permuted(a, (1, 0) + tuple(range(2, a.n)))
+        assert swapped != a
+        assert permuted(swapped, (1, 0) + tuple(range(2, a.n))) == a
 
 
 def test_build_rejects_proportional_duplicates():

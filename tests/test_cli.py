@@ -163,6 +163,14 @@ def test_os_matrices_selberg(capsys):
     assert d0["entries"] == [[r, 0, 1] for r in range(5)]
 
 
+def test_bad_k_vector_exits_1(capsys):
+    code, out, err = run(capsys, "os", "--catalog", "selberg", "--matrices", "--k-vector", "1,x")
+    assert code == 1
+    assert out == ""
+    assert err == "error: bad --k-vector '1,x': expected comma-separated integers\n"
+    assert "Traceback" not in err
+
+
 def test_ceva3_unresolved_exits_2(capsys):
     code, out, err = run(capsys, "cover-betti", "--catalog", "ceva3", "--m", "3")
     assert code == 2
@@ -263,8 +271,9 @@ def test_output_is_deterministic(capsys):
     assert p1 == p2
 
 
-# sha256 of the stdout of `lattice` and `os --matrices` per catalog entry:
-# pins the flat order and the matrix bytes, which the value tests leave free.
+# sha256 of the stdout of `lattice`, `os --matrices` and `os --matrices
+# --k-vector` with mixed_weights per catalog entry: pins the flat order and the
+# matrix bytes, which the value tests leave free.
 STDOUT_SHA256 = {
     ("lattice", "selberg", "json"): "72bf131d12222b4a55e162ff7ecbc5701e05c1e9620691f76213374f9333a260",
     ("lattice", "selberg", "text"): "5d8fd66dda5e1e0cb85c39b9459b77b95b0818483762394c05884e4995ca1971",
@@ -282,13 +291,32 @@ STDOUT_SHA256 = {
     ("os", "hessian-decone", "text"): "a66266e531ce6d1feac0796cf4e0fd9884025188505ec61cdd1249c512267a84",
     ("os", "ceva3", "json"): "92ff513389abcc21ef7ed8304f43cbf4a941553783e51b57ceeca712bda3d39a",
     ("os", "ceva3", "text"): "b04812f596ee34c91e991deb233d033ca4b820e4191a9ac4e74835ceb24d32f9",
+    ("os-mixed", "selberg", "json"): "59039403d80876e45a954861b56c89c588fb64974bc3d307f8a86b1d4edc80c1",
+    ("os-mixed", "selberg", "text"): "8b7b59cf0295e45a33474c82dd25e5aa1a75826029d94c7110bf72820a297ce4",
+    ("os-mixed", "maclane-decone", "json"): "7f391b9206b421f128cda3a340810347cbda9ee527ae1d3b704844ad132d17c1",
+    ("os-mixed", "maclane-decone", "text"): "9f599d69bdc34a201ae15b0f01d0d4ed288972967ba5d9a5427f625dbca1fc73",
+    ("os-mixed", "hessian-decone", "json"): "8526d2c3a33e2d00b9c357c85a84899062f86af6ed1decc1ea06479d737dc0a3",
+    ("os-mixed", "hessian-decone", "text"): "18c1efacdd9db0e16761a1dd1867147bb7ea3c90f7fcc71554662384305e448f",
+    ("os-mixed", "ceva3", "json"): "5e02d749fb8aaa44eb95a568704518af793f976dd3fe1b5cc103e167d3694472",
+    ("os-mixed", "ceva3", "text"): "dce9df44a8eeba0452a15b51b5f96f12556902b0d71355587c239713f3643c15",
 }
+
+
+def mixed_weights(n):
+    """w_h = (-1)^h (1 + h mod 3): the generator terms cancel in some entries
+    (2 on MacLane, 2 on Hessian, 13 on Ceva(3)), so zeros must be dropped."""
+    return ",".join(str((-1) ** h * (1 + h % 3)) for h in range(n))
 
 
 @pytest.mark.parametrize("command,key,fmt", sorted(STDOUT_SHA256))
 def test_stdout_bytes_pinned(capsys, command, key, fmt):
-    extra = ("--matrices",) if command == "os" else ()
-    code, out, err = run(capsys, command, "--catalog", key, *extra, "--format", fmt)
+    if command == "lattice":
+        argv = ("lattice",)
+    elif command == "os":
+        argv = ("os", "--matrices")
+    else:
+        argv = ("os", "--matrices", "--k-vector", mixed_weights(catalog.get(key).arrangement.n))
+    code, out, err = run(capsys, *argv, "--catalog", key, "--format", fmt)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[(command, key, fmt)]
 

@@ -11,6 +11,7 @@ from arrcover.exactlin import (
     _smith_reduce,
     cohomology_Q,
     cohomology_modN,
+    is_prime,
     rank_mod_p,
     rank_over_Q,
     smith_normal_form,
@@ -261,10 +262,9 @@ def test_modN_prime_path_agreement(catalog_arrangements):
     for a in catalog_arrangements.values():
         complex_ = aomoto_matrices(a, (1,) * a.n)
         sizes = complex_.dims()
-        dense = [d.dense() for d in complex_.diffs]
         for p in (2, 3, 5, 7):
             snf_dims = cohomology_modN(complex_, p).dims
-            ranks = [rank_mod_p(m, p) if m else 0 for m in dense]
+            ranks = [rank_mod_p(m, p) if m else 0 for m in complex_.diffs]
             for q, nq in enumerate(sizes):
                 expected = nq - ranks[q] - (ranks[q - 1] if q > 0 else 0)
                 assert snf_dims[q] == expected
@@ -278,3 +278,13 @@ def test_bound_chain_Q_below_modN(catalog_arrangements):
             q_dims = cohomology_Q(complex_).dims
             n_dims = cohomology_modN(complex_, n).dims
             assert all(x <= y for x, y in zip(q_dims[1:], n_dims[1:]))
+
+
+def test_is_prime_matches_sieve():
+    limit = 2000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, limit):
+        if sieve[p]:
+            for multiple in range(p * p, limit, p):
+                sieve[multiple] = False
+    assert [is_prime(n) for n in range(-3, limit)] == [False] * 3 + sieve

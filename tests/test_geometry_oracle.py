@@ -12,9 +12,9 @@ from itertools import combinations
 import pytest
 
 from arrcover import catalog
-from arrcover.arrangement import Hyperplane, build, cone, decone
+from arrcover.arrangement import Hyperplane, build, closure_lattice, cone, decone
 from arrcover.cyclofield import cyc_reduce, reduced_row_echelon
-from arrcover.osalgebra import _circuits, _tuple_geometry, nbc_basis
+from arrcover.osalgebra import nbc_basis, os_algebra
 
 
 def braid_a4_decone():
@@ -85,10 +85,11 @@ CASES = {
 def test_join_table_matches_subset_row_reduction(key):
     a = CASES[key]()
     geometry = {t: oracle_geometry(a, t) for t in small_tuples(a)}
+    affine_geometry = closure_lattice(a).affine_geometry
     for t, expected in geometry.items():
-        assert _tuple_geometry(a, t) == expected, t
+        assert affine_geometry(t) == expected, t
     circuits = oracle_circuits(a, geometry)
-    assert _circuits(a) == circuits
+    assert os_algebra(a).circuits == circuits
     assert nbc_basis(a) == oracle_nbc(a, geometry, circuits)
 
 

@@ -70,11 +70,11 @@ def min_generators_oracle(d_out, d_prev, nq, N):
 
 def oracle_profile(complex_, N):
     sizes = complex_.dims()
-    dense = [m.dense() for m in complex_.diffs]
+    diffs = complex_.diffs
     dims = []
     for q, nq in enumerate(sizes):
-        d_prev = dense[q - 1] if q > 0 else [[] for _ in range(nq)]
-        dims.append(min_generators_oracle(dense[q], d_prev, nq, N))
+        d_prev = diffs[q - 1] if q > 0 else [[] for _ in range(nq)]
+        dims.append(min_generators_oracle(diffs[q], d_prev, nq, N))
     return tuple(dims)
 
 

@@ -7,12 +7,7 @@ import pytest
 from arrcover.arrangement import Hyperplane, build, permuted, poincare_polynomial
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, cohomology_modN
-from arrcover.osalgebra import (
-    _circuits,
-    aomoto_matrices,
-    nbc_basis,
-    straighten,
-)
+from arrcover.osalgebra import aomoto_matrices, nbc_basis, os_algebra, straighten
 
 
 def mat_mul(a, b):
@@ -84,7 +79,7 @@ def test_straighten_rejects_non_increasing(selberg):
 def test_straighten_kills_circuit_boundaries(catalog_arrangements):
     # del(e_C) must straighten to zero for every circuit of size <= 4
     for a in catalog_arrangements.values():
-        for circuit in _circuits(a):
+        for circuit in os_algebra(a).circuits:
             if len(circuit) > 4:
                 continue
             acc = {}
@@ -101,12 +96,12 @@ def test_straighten_kills_circuit_boundaries(catalog_arrangements):
 
 def test_zero_weights_give_zero_differentials(selberg):
     complex_ = aomoto_matrices(selberg, (0,) * 5)
-    assert all(not d.entries for d in complex_.diffs)
+    assert all(v == 0 for d in complex_.diffs for row in d for v in row)
 
 
 def test_selberg_degree0_differential(selberg):
     complex_ = aomoto_matrices(selberg, (1,) * 5)
-    assert complex_.diffs[0].dense() == [[1], [1], [1], [1], [1]]
+    assert complex_.diffs[0] == ((1,), (1,), (1,), (1,), (1,))
 
 
 def test_differentials_square_to_zero(catalog_arrangements):
@@ -117,9 +112,9 @@ def test_differentials_square_to_zero(catalog_arrangements):
             for q in range(len(complex_.diffs) - 1):
                 upper = complex_.diffs[q + 1]
                 lower = complex_.diffs[q]
-                if not upper.rows or not lower.entries:
+                if not upper or is_zero_matrix(lower):
                     continue
-                assert is_zero_matrix(mat_mul(upper.dense(), lower.dense())), (a.n, q)
+                assert is_zero_matrix(mat_mul(upper, lower)), (a.n, q)
 
 
 def test_differential_shapes_match_bases(catalog_arrangements):
@@ -127,8 +122,8 @@ def test_differential_shapes_match_bases(catalog_arrangements):
         complex_ = aomoto_matrices(a, (1,) * a.n)
         sizes = complex_.dims()
         for q, diff in enumerate(complex_.diffs):
-            assert diff.cols == sizes[q]
-            assert diff.rows == (sizes[q + 1] if q + 1 < len(sizes) else 0)
+            assert all(len(row) == sizes[q] for row in diff)
+            assert len(diff) == (sizes[q + 1] if q + 1 < len(sizes) else 0)
 
 
 def test_weight_length_checked(selberg):
