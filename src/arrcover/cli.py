@@ -23,6 +23,7 @@ from .arrangement import (
 from .covers import (
     ShiftSearchConfig,
     UnresolvedBettiError,
+    check_assertions,
     cover_betti,
     local_betti,
     monodromy_charpoly,
@@ -196,6 +197,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_os(args) -> int:
+    if args.k_vector and not args.matrices:
+        raise CliError("--k-vector requires --matrices")
     a, name = _load_arrangement(args)
     bases = nbc_basis(a)
     payload = {
@@ -231,14 +234,11 @@ def _cmd_local_betti(args) -> int:
     search = ShiftSearchConfig(extra_shifts=_parse_shifts(args.shift))
     assertions = _parse_assertions(getattr(args, "assert"), k_fixed=args.k)
     intervals = local_betti(a, args.k, search)
+    check_assertions(a, args.k, intervals, assertions)
     resolved_view = []
     for iv in intervals:
-        if not iv.resolved and (args.k, iv.degree) in assertions:
-            value = assertions[(args.k, iv.degree)]
-            if not iv.lower <= value <= iv.upper:
-                raise CliError(
-                    f"asserted b_{iv.degree} = {value} outside [{iv.lower}..{iv.upper}]"
-                )
+        value = assertions.get((args.k, iv.degree))
+        if not iv.resolved and value is not None:
             iv = type(iv)(iv.degree, value, value, True, None)
         resolved_view.append(iv)
     payload = {

@@ -35,6 +35,10 @@ from .exactlin import cohomology_Q, cohomology_modN
 from .osalgebra import aomoto_matrices
 
 
+# Largest n whose shift sweep enumerates all of {-1, 0}^n.
+MAX_ENUMERATION = 16
+
+
 class UnresolvedBettiError(Exception):
     """A cover computation hit a divisor whose Betti interval is open.
 
@@ -95,20 +99,19 @@ class BettiInterval:
 class ShiftSearchConfig:
     """Candidate shifts for the lower bound.
 
-    The default sweep is every vector in {-1, 0}^n (weights 1/k shifted by m
-    stay in (-1, 1)) whenever n <= max_enumeration; explicit extra shifts are
-    always tried first.
+    Explicit extra shifts are always tried first.  Then comes every vector in
+    {-1, 0}^n (weights 1/k shifted by m stay in (-1, 1)) when
+    n <= MAX_ENUMERATION, and only the zero shift beyond that.
     """
 
     extra_shifts: tuple[tuple[int, ...], ...] = ()
-    max_enumeration: int = 16
 
     def candidates(self, n: int):
         for shift in self.extra_shifts:
             if len(shift) != n:
                 raise ValueError(f"shift {shift} has length {len(shift)}, expected {n}")
             yield tuple(int(v) for v in shift)
-        if n <= self.max_enumeration:
+        if n <= MAX_ENUMERATION:
             for size in range(n + 1):
                 for support in combinations(range(n), size):
                     vec = [0] * n
@@ -289,11 +292,7 @@ def _bound_intervals(a: Arrangement, k: int, search: ShiftSearchConfig) -> tuple
 
 
 def local_betti(
-    a: Arrangement,
-    k: int,
-    search: ShiftSearchConfig | None = None,
-    *,
-    use_vanishing: bool = True,
+    a: Arrangement, k: int, search: ShiftSearchConfig | None = None
 ) -> tuple[BettiInterval, ...]:
     """Per-degree intervals for b_q(L_k), weights 1/k.
 
@@ -306,29 +305,45 @@ def local_betti(
     search = search or ShiftSearchConfig()
     if k == 1:
         return _resolved_intervals(betti_numbers(a))
-    if use_vanishing and is_nonresonant(a, k):
+    if is_nonresonant(a, k):
         values = [0] * a.ell + [beta(a)]
         return _resolved_intervals(values)
     return _bound_intervals(a, k, search)
 
 
-def _local_values(a: Arrangement, k: int, resolution, search) -> tuple[tuple[int, ...], bool]:
+def check_assertions(a: Arrangement, k: int, intervals, resolution) -> None:
+    """Reject asserted values that contradict the computed intervals.
+
+    resolution maps (k, q) -> asserted b_q(L_k).  A degree outside 0..ell is
+    rejected whatever its k; at this k, a value outside the interval of its
+    degree is rejected whether or not that interval is resolved.
+    """
+    for (k_asserted, q), value in sorted((resolution or {}).items()):
+        if not 0 <= q <= a.ell:
+            raise ValueError(
+                f"asserted b_{q}(L_{k_asserted}) = {value}: degree out of range 0..{a.ell}"
+            )
+        iv = intervals[q]
+        if k_asserted == k and not iv.lower <= value <= iv.upper:
+            raise ValueError(
+                f"asserted b_{q}(L_{k}) = {value} outside [{iv.lower}..{iv.upper}]"
+            )
+
+
+def _local_values(a: Arrangement, k: int, resolution) -> tuple[tuple[int, ...], bool]:
     """Resolved b_q(L_k) values plus an exactness flag.
 
-    resolution maps (k, q) -> asserted value for open intervals; assertions
-    outside the interval are rejected, and missing ones raise
-    UnresolvedBettiError.
+    resolution maps (k, q) -> asserted value for open intervals; it is
+    checked by check_assertions, and open intervals without an assertion
+    raise UnresolvedBettiError.
     """
-    intervals = local_betti(a, k, search)
+    intervals = local_betti(a, k)
+    check_assertions(a, k, intervals, resolution)
     values = []
     exact = True
     open_intervals = []
     for iv in intervals:
         asserted = (resolution or {}).get((k, iv.degree))
-        if asserted is not None and not iv.lower <= asserted <= iv.upper:
-            raise ValueError(
-                f"asserted b_{iv.degree}(L_{k}) = {asserted} outside [{iv.lower}..{iv.upper}]"
-            )
         if iv.resolved:
             values.append(iv.lower)
         elif asserted is None:
@@ -346,20 +361,14 @@ def _local_values(a: Arrangement, k: int, resolution, search) -> tuple[tuple[int
 # Covers.
 # ---------------------------------------------------------------------------
 
-def cover_betti(
-    a: Arrangement,
-    m: int,
-    resolution=None,
-    search: ShiftSearchConfig | None = None,
-) -> CoverReport:
+def cover_betti(a: Arrangement, m: int, resolution=None) -> CoverReport:
     """b_q(X_m) = sum over k | m of phi(k) * b_q(L_k), plus eigenspace data."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    search = search or ShiftSearchConfig()
     per_divisor = []
     exact = True
     for k in divisors(m):
-        values, k_exact = _local_values(a, k, resolution, search)
+        values, k_exact = _local_values(a, k, resolution)
         exact = exact and k_exact
         per_divisor.append((k, values))
     betti = tuple(
@@ -369,13 +378,7 @@ def cover_betti(
     return CoverReport(m=m, betti=betti, charpoly_exponents=tuple(per_divisor), exact=exact)
 
 
-def monodromy_charpoly(
-    a: Arrangement,
-    m: int,
-    q: int,
-    resolution=None,
-    search: ShiftSearchConfig | None = None,
-) -> CharpolyReport:
+def monodromy_charpoly(a: Arrangement, m: int, q: int, resolution=None) -> CharpolyReport:
     """Characteristic polynomial of the degree-q monodromy of X_m.
 
     Delta_q = prod over k | m of Phi_k^(b_q(L_k)); its degree is b_q(X_m).
@@ -386,7 +389,7 @@ def monodromy_charpoly(
     """
     if not 0 <= q <= a.ell:
         raise ValueError(f"degree {q} out of range 0..{a.ell}")
-    report = cover_betti(a, m, resolution, search)
+    report = cover_betti(a, m, resolution)
     exps = report.exponents_for_degree(q)
     factors = tk_exponents(exps)
     all_positive = all(f > 0 for f in factors.values())
@@ -400,11 +403,7 @@ def monodromy_charpoly(
     )
 
 
-def periodicity(
-    a: Arrangement,
-    resolution=None,
-    search: ShiftSearchConfig | None = None,
-) -> PeriodicityReport:
+def periodicity(a: Arrangement, resolution=None) -> PeriodicityReport:
     """Polynomial periodicity of m -> b_q(X_m).
 
     The period N = lcm(1..n) is the smallest integer divisible by every
@@ -414,14 +413,13 @@ def periodicity(
     all N residues.  Degrees q < ell get constants b_q(X_i); the top degree
     gets beta * x plus the Euler-characteristic correction.
     """
-    search = search or ShiftSearchConfig()
     n = a.n
     ell = a.ell
     period = lcm(*range(1, n + 1))
     values = {}
     exact = True
     for k in range(1, n + 1):
-        values[k], k_exact = _local_values(a, k, resolution, search)
+        values[k], k_exact = _local_values(a, k, resolution)
         exact = exact and k_exact
     b = beta(a)
     patterns = sorted(
@@ -446,12 +444,7 @@ def periodicity(
     return PeriodicityReport(period=period, ell=ell, classes=tuple(classes), exact=exact)
 
 
-def zeta_coefficients(
-    a: Arrangement,
-    q: int,
-    resolution=None,
-    search: ShiftSearchConfig | None = None,
-) -> ZetaReport:
+def zeta_coefficients(a: Arrangement, q: int, resolution=None) -> ZetaReport:
     """Dirichlet coefficients of sum b_q(X_m) m^(-s) over the Riemann zeta.
 
     The finite part lists (k, phi(k) * b_q(L_k)) for k <= n; beyond n the
@@ -459,11 +452,10 @@ def zeta_coefficients(
     """
     if not 0 <= q <= a.ell:
         raise ValueError(f"degree {q} out of range 0..{a.ell}")
-    search = search or ShiftSearchConfig()
     terms = []
     exact = True
     for k in range(1, a.n + 1):
-        values, k_exact = _local_values(a, k, resolution, search)
+        values, k_exact = _local_values(a, k, resolution)
         exact = exact and k_exact
         coeff = euler_phi(k) * values[q]
         if coeff:

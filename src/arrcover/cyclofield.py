@@ -147,9 +147,6 @@ class IntPoly:
         dividing by a sparse polynomial such as t^d - 1 costs O(degree)."""
         return [(j, b) for j, b in enumerate(self.coeffs) if b]
 
-    def scale(self, c: int) -> "IntPoly":
-        return IntPoly(tuple(c * a for a in self.coeffs))
-
     def pow(self, e: int) -> "IntPoly":
         result = IntPoly((1,))
         for _ in range(e):
@@ -323,15 +320,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_order(self, other: "CycNum"):
@@ -372,10 +360,6 @@ class CycNum:
     def __truediv__(self, other: "CycNum") -> "CycNum":
         self._check_order(other)
         return self * other.inverse()
-
-    def scale(self, c) -> "CycNum":
-        c = Fraction(c)
-        return CycNum(self.order, tuple(a * c for a in self.coeffs))
 
     def __str__(self):
         if self.is_zero:

@@ -66,10 +66,6 @@ class AomotoComplex:
     bases: tuple[tuple[Monomial, ...], ...]
     diffs: tuple[tuple[tuple[int, ...], ...], ...]
 
-    @property
-    def top_degree(self) -> int:
-        return len(self.bases) - 1
-
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.bases)
 

@@ -171,6 +171,15 @@ def test_bad_k_vector_exits_1(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("k_vector", ["1,1", "1,x"])
+def test_k_vector_without_matrices_exits_1(capsys, k_vector):
+    code, out, err = run(capsys, "os", "--catalog", "selberg", "--k-vector", k_vector)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --k-vector requires --matrices\n"
+    assert "Traceback" not in err
+
+
 def test_ceva3_unresolved_exits_2(capsys):
     code, out, err = run(capsys, "cover-betti", "--catalog", "ceva3", "--m", "3")
     assert code == 2
@@ -220,6 +229,28 @@ def test_bad_assertion_exits_1(capsys):
     )
     assert code == 1
     assert "outside" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("local-betti", "--k", "3", "--assert", "1=99"),
+         "asserted b_1(L_3) = 99 outside [1..1]"),
+        (("periodicity", "--assert", "3:1=99"),
+         "asserted b_1(L_3) = 99 outside [1..1]"),
+        (("local-betti", "--k", "3", "--assert", "7=1"),
+         "asserted b_7(L_3) = 1: degree out of range 0..2"),
+        (("cover-betti", "--m", "6", "--assert", "3:9=1"),
+         "asserted b_9(L_3) = 1: degree out of range 0..2"),
+    ],
+)
+def test_contradicting_assertion_exits_1(capsys, argv, message):
+    # the same check for every command: resolved intervals and degrees
+    # outside 0..ell are not exempt
+    code, out, err = run(capsys, *argv, "--catalog", "selberg")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_unknown_catalog_exits_1(capsys):
@@ -273,7 +304,8 @@ def test_output_is_deterministic(capsys):
 
 # sha256 of the stdout of `lattice`, `os --matrices` and `os --matrices
 # --k-vector` with mixed_weights per catalog entry: pins the flat order and the
-# matrix bytes, which the value tests leave free.
+# matrix bytes, which the value tests leave free.  `local-betti --k k` for
+# every k <= n pins the intervals and witness shifts of every divisor.
 STDOUT_SHA256 = {
     ("lattice", "selberg", "json"): "72bf131d12222b4a55e162ff7ecbc5701e05c1e9620691f76213374f9333a260",
     ("lattice", "selberg", "text"): "5d8fd66dda5e1e0cb85c39b9459b77b95b0818483762394c05884e4995ca1971",
@@ -299,7 +331,41 @@ STDOUT_SHA256 = {
     ("os-mixed", "hessian-decone", "text"): "18c1efacdd9db0e16761a1dd1867147bb7ea3c90f7fcc71554662384305e448f",
     ("os-mixed", "ceva3", "json"): "5e02d749fb8aaa44eb95a568704518af793f976dd3fe1b5cc103e167d3694472",
     ("os-mixed", "ceva3", "text"): "dce9df44a8eeba0452a15b51b5f96f12556902b0d71355587c239713f3643c15",
+    ("local-betti --k 1", "selberg", "json"): "d228315d45695fbd1137df38ac73f502bac5b3efd9cadecd9adf468e1a39c89a",
+    ("local-betti --k 2", "selberg", "json"): "848dc78ba0734ac46604b1bc4146f0618bb74fe118ed4bb4eddf5ce0a4dfc1f6",
+    ("local-betti --k 3", "selberg", "json"): "e5ced24da5deaddf0364794c93c9588b390da9cd5564b2a5461b13414490eef0",
+    ("local-betti --k 4", "selberg", "json"): "b141dbb01c03d7811f04f124d6b73bcb3c749620dc50f50792d3feafb8204519",
+    ("local-betti --k 5", "selberg", "json"): "fe8fb29c22d8ebc3e56f47254ae700591e6e1a74a371e79f7c9a130fd3fd72ec",
+    ("local-betti --k 1", "maclane-decone", "json"): "43f08cbfbf9ebb26ab6d7daacc4d572595fb934fdc2ddd8568e763d7443b6a64",
+    ("local-betti --k 2", "maclane-decone", "json"): "5de2303606ae20b8592174efd71c741e600154e90731f68d461b31798bade032",
+    ("local-betti --k 3", "maclane-decone", "json"): "f361b7a3606b183e0cc7d0aee06c956f178be2ec37b4fc15262a585179b20180",
+    ("local-betti --k 4", "maclane-decone", "json"): "f623e149571eeec2b769e4ef6032383689a3026936bd5de7cd5372231b368aa5",
+    ("local-betti --k 5", "maclane-decone", "json"): "d5624e12f5b40b7ad38c01e4fcbfb40073e1524b9d15d7e4bb42d1eb517e0631",
+    ("local-betti --k 6", "maclane-decone", "json"): "ef8e4d774da3290d126c133ba3c64d166008365fed8a45121d415991a493a168",
+    ("local-betti --k 7", "maclane-decone", "json"): "eabda687f8226e40c6c99cd77afa6d819184a7f569d09564b0172c1fa1ae5589",
+    ("local-betti --k 1", "hessian-decone", "json"): "d78147a651fd3e14e8ffa1901c78ededb3770639e0ba702bb6e1529c8c87b13b",
+    ("local-betti --k 2", "hessian-decone", "json"): "0af35ffd39101b7873a9a02b42a7edf01248f51e9d5d54e623a150a6da3e1467",
+    ("local-betti --k 3", "hessian-decone", "json"): "60720cef203c67cfc8babf46203e2254b62445cc7d518b038ad4d2edd3df2251",
+    ("local-betti --k 4", "hessian-decone", "json"): "c3d9ce9831277d4bd6e652de49ee867ddeb2ff3838ffd61f4056fd89685f0d4b",
+    ("local-betti --k 5", "hessian-decone", "json"): "087dfc251aef46f29e4ab41b5ef54e95c408705ba15b7042cf0e1a7428484033",
+    ("local-betti --k 6", "hessian-decone", "json"): "eb4eb722917b092cc50958205e27abb8d746b5bd96d3681c2fc4e3d172ad3056",
+    ("local-betti --k 7", "hessian-decone", "json"): "b89364f568e44947515361d77644584c84977ce341931fe033012e3efcaf9b00",
+    ("local-betti --k 8", "hessian-decone", "json"): "dd34d6082c08711d500808ac4648eec0d63e1c6e1743e4b71de466b8b8faa142",
+    ("local-betti --k 9", "hessian-decone", "json"): "5374ae6ffe2f37629fb5cdbae2cd2ab7cb419c360c77e10ed314fa4d57224ba4",
+    ("local-betti --k 10", "hessian-decone", "json"): "ac7abc103846af112fcaf6020f2872c1121facf1530cff2361ce94cf63e9f663",
+    ("local-betti --k 11", "hessian-decone", "json"): "57d44faa1d119e48c62e4ed66ace54a9f0bdd892c7b4aa9ad9993c9b38b3b2cb",
+    ("local-betti --k 1", "ceva3", "json"): "a95487f6157aebbee151eff180932498622d786d0dd1ed302acb2f174e284220",
+    ("local-betti --k 2", "ceva3", "json"): "43f772ea2b2dca232d394c56d630ea96ef28809e57d734a69e474ab1ad91ee1c",
+    ("local-betti --k 3", "ceva3", "json"): "b36f9c8cbb945827c4b6c59bc55db658af9d2c9962d13a28f066e4fa7fb2a27d",
+    ("local-betti --k 4", "ceva3", "json"): "ef2c57d8dd4ad79771f4d432eacd7c8a0fc2524c3e94d2d8259af5eefb1da18c",
+    ("local-betti --k 5", "ceva3", "json"): "999f188efad2f95eaa10820b9c800caead49f4f78c0167ba731d815698c8896c",
+    ("local-betti --k 6", "ceva3", "json"): "e0e9844e76525f92c90fda6ad4665107a3b5add0c250001fabb904b01b7b6642",
+    ("local-betti --k 7", "ceva3", "json"): "6fd18e47faa059fd9ac5a9f68c74c9c433896f49ab0b10d17100dd4be17a18a3",
+    ("local-betti --k 8", "ceva3", "json"): "8f96c35b2d5266e2b0fce9e74801adea41b5c2f288f30fc8d7d9fb9d7fb586a5",
+    ("local-betti --k 9", "ceva3", "json"): "fe35b57999a4f265cbb93985416c29625c21ca2b39fef0a7ca50202ebb9c9037",
 }
+# the commands above that exit with a nonzero code (open intervals)
+STDOUT_EXIT = {("local-betti --k 3", "ceva3"): 2, ("local-betti --k 9", "ceva3"): 2}
 
 
 def mixed_weights(n):
@@ -314,10 +380,12 @@ def test_stdout_bytes_pinned(capsys, command, key, fmt):
         argv = ("lattice",)
     elif command == "os":
         argv = ("os", "--matrices")
-    else:
+    elif command == "os-mixed":
         argv = ("os", "--matrices", "--k-vector", mixed_weights(catalog.get(key).arrangement.n))
+    else:
+        argv = tuple(command.split())
     code, out, err = run(capsys, *argv, "--catalog", key, "--format", fmt)
-    assert code == 0, err
+    assert code == STDOUT_EXIT.get((command, key), 0), err
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[(command, key, fmt)]
 
 

@@ -15,7 +15,6 @@ from arrcover.covers import (
     CoverReport,
     PeriodicityClass,
     PeriodicityReport,
-    ShiftSearchConfig,
     _local_values,
     monodromy_charpoly,
     periodicity,
@@ -95,12 +94,11 @@ def greedy_tk_oracle(exponents):
 
 def periodicity_oracle(a, resolution=None):
     """periodicity() with the classes read off every residue 1..lcm(1..n)."""
-    search = ShiftSearchConfig()
     n, ell = a.n, a.ell
     period = lcm(*range(1, n + 1))
     values, exact = {}, True
     for k in range(1, n + 1):
-        values[k], k_exact = _local_values(a, k, resolution, search)
+        values[k], k_exact = _local_values(a, k, resolution)
         exact = exact and k_exact
     patterns = sorted(
         {tuple(k for k in range(1, n + 1) if i % k == 0) for i in range(1, period + 1)}

@@ -16,6 +16,7 @@ from arrcover.covers import (
     ShiftSearchConfig,
     UnresolvedBettiError,
     WeightSystem,
+    _bound_intervals,
     cover_betti,
     fast_nonresonant,
     local_betti,
@@ -117,7 +118,7 @@ def test_bounds_bracket_nonresonant_values(selberg, maclane_decone):
     # run the bound machinery even where vanishing applies; it must bracket
     for a, k in ((selberg, 2), (selberg, 4), (maclane_decone, 7)):
         expected = [0] * a.ell + [beta(a)]
-        intervals = local_betti(a, k, use_vanishing=False)
+        intervals = _bound_intervals(a, k, ShiftSearchConfig())
         for iv, value in zip(intervals, expected):
             assert iv.lower <= value <= iv.upper
             if iv.resolved:

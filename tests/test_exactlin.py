@@ -8,15 +8,14 @@ from math import gcd
 import pytest
 
 from arrcover.exactlin import (
-    _smith_reduce,
     cohomology_Q,
     cohomology_modN,
-    is_prime,
     rank_mod_p,
     rank_over_Q,
     smith_normal_form,
 )
 from arrcover.osalgebra import aomoto_matrices
+from test_modn_oracle import smith_reduce_with_transforms
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +138,14 @@ def test_snf_matches_determinant_divisor_oracle():
 
 def test_snf_right_transform_tracks_inverse():
     # V and W must stay mutually inverse, and M @ V must have column space
-    # diagonal: the kernel construction in cohomology_modN depends on both
+    # diagonal: the kernel construction of the Smith-form mod-N oracle
+    # depends on both
     rng = random.Random(73)
     for _ in range(25):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        factors, v, w = _smith_reduce(m, want_right=True)
+        factors, v, w = smith_reduce_with_transforms(m)
+        assert factors == smith_normal_form(m).invariant_factors
         identity = [[int(i == j) for j in range(nc)] for i in range(nc)]
         assert mat_mul(v, w) == identity
         assert mat_mul(w, v) == identity
@@ -258,7 +259,7 @@ def test_cohomology_modN_rejects_small_modulus(selberg):
 
 
 def test_modN_prime_path_agreement(catalog_arrangements):
-    # the SNF route must reproduce plain mod-p elimination for prime moduli
+    # for a prime modulus the generator count is the F_p-dimension
     for a in catalog_arrangements.values():
         complex_ = aomoto_matrices(a, (1,) * a.n)
         sizes = complex_.dims()
@@ -279,12 +280,3 @@ def test_bound_chain_Q_below_modN(catalog_arrangements):
             n_dims = cohomology_modN(complex_, n).dims
             assert all(x <= y for x, y in zip(q_dims[1:], n_dims[1:]))
 
-
-def test_is_prime_matches_sieve():
-    limit = 2000
-    sieve = [False, False] + [True] * (limit - 2)
-    for p in range(2, limit):
-        if sieve[p]:
-            for multiple in range(p * p, limit, p):
-                sieve[multiple] = False
-    assert [is_prime(n) for n in range(-3, limit)] == [False] * 3 + sieve
