@@ -115,14 +115,6 @@ def build(ambient_dim: int, cyc_order: int, hyperplanes) -> Arrangement:
     return Arrangement(ambient_dim, cyc_order, hps, central)
 
 
-def _unchecked(ambient_dim: int, cyc_order: int, hps) -> Arrangement:
-    # Internal constructor for deletion/restriction helpers, which may produce
-    # non-essential (or empty) arrangements used only for lattice invariants.
-    hps = tuple(hps)
-    central = all(h.constant.is_zero for h in hps)
-    return Arrangement(ambient_dim, cyc_order, hps, central)
-
-
 def permuted(a: Arrangement, perm) -> Arrangement:
     """Reorder hyperplanes; perm[i] is the old index placed at position i."""
     return build(a.ambient_dim, a.cyc_order, tuple(a.hyperplanes[i] for i in perm))
@@ -379,41 +371,3 @@ def dense_edges(a: Arrangement) -> IntersectionLattice:
     return _by_codim(
         [flats[0]] + [marked(f) for f in flats[1:] if f.codim <= a.ell]
     )
-
-
-# ---------------------------------------------------------------------------
-# Deletion and restriction (used by the deletion-restriction property tests).
-# ---------------------------------------------------------------------------
-
-def deletion(a: Arrangement, at: int) -> Arrangement:
-    """A minus one hyperplane; may be non-essential, so skips validation."""
-    hps = tuple(h for i, h in enumerate(a.hyperplanes) if i != at)
-    return _unchecked(a.ambient_dim, a.cyc_order, hps)
-
-
-def restriction(a: Arrangement, at: int) -> Arrangement:
-    """The arrangement induced on hyperplane `at`, coincident images deduplicated.
-
-    Parallel hyperplanes (empty trace) are dropped.  The result may be empty
-    or non-essential; it is meant for lattice/Poincare computations only.
-    """
-    h0 = a.hyperplanes[at]
-    alpha = h0.coeffs
-    p = next(i for i, v in enumerate(alpha) if not v.is_zero)
-    inv_ap = alpha[p].inverse()
-    restricted: list[Hyperplane] = []
-    for i, h in enumerate(a.hyperplanes):
-        if i == at:
-            continue
-        # substitute x_p = -(c0 + sum_{k != p} a_k x_k)/a_p into h
-        factor = h.coeffs[p] * inv_ap
-        constant = h.constant - factor * h0.constant
-        linear = tuple(
-            h.coeffs[k] - factor * alpha[k] for k in range(a.ambient_dim) if k != p
-        )
-        if all(c.is_zero for c in linear):
-            continue  # parallel to the restriction hyperplane
-        candidate = Hyperplane(constant, linear)
-        if not any(candidate.proportional(g) for g in restricted):
-            restricted.append(candidate)
-    return _unchecked(a.ambient_dim - 1, a.cyc_order, restricted)

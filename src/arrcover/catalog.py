@@ -13,7 +13,6 @@ from functools import lru_cache
 
 from .arrangement import Arrangement, Hyperplane, build, decone
 from .cyclofield import CycNum, cyc_reduce
-from .fileformat import arrangement_to_dict
 
 
 @dataclass(frozen=True)
@@ -21,9 +20,6 @@ class CatalogEntry:
     key: str
     arrangement: Arrangement
     notes: str
-
-    def to_file_dict(self) -> dict:
-        return arrangement_to_dict(self.arrangement, self.key)
 
 
 def _q(d, *values):

@@ -1,7 +1,7 @@
 """Command-line interface: catalog access, reports, JSON/text rendering.
 
-Exit codes: 0 success, 1 input error, 2 unresolved Betti interval.  JSON
-output (the default) is deterministic: sorted keys, two-space indent,
+Exit codes: 0 success, 1 input or usage error, 2 unresolved Betti interval.
+JSON output (the default) is deterministic: sorted keys, two-space indent,
 canonical rational strings.
 """
 
@@ -23,15 +23,14 @@ from .arrangement import (
 from .covers import (
     ShiftSearchConfig,
     UnresolvedBettiError,
-    check_assertions,
     cover_betti,
-    local_betti,
     monodromy_charpoly,
     periodicity,
+    resolve,
     zeta_coefficients,
 )
 from .cyclofield import format_poly
-from .fileformat import ArrangementFileError, arrangement_to_dict, parse_file
+from .fileformat import ArrangementFileError, parse_file, serialize_arrangement
 from .osalgebra import aomoto_matrices, nbc_basis
 
 
@@ -233,23 +232,16 @@ def _cmd_local_betti(args) -> int:
     a, name = _load_arrangement(args)
     search = ShiftSearchConfig(extra_shifts=_parse_shifts(args.shift))
     assertions = _parse_assertions(getattr(args, "assert"), k_fixed=args.k)
-    intervals = local_betti(a, args.k, search)
-    check_assertions(a, args.k, intervals, assertions)
-    resolved_view = []
-    for iv in intervals:
-        value = assertions.get((args.k, iv.degree))
-        if not iv.resolved and value is not None:
-            iv = type(iv)(iv.degree, value, value, True, None)
-        resolved_view.append(iv)
+    _, intervals, _ = next(resolve(a, (args.k,), assertions, search))
     payload = {
         "name": name,
         "k": args.k,
-        "intervals": [_interval_dict(iv) for iv in resolved_view],
+        "intervals": [_interval_dict(iv) for iv in intervals],
     }
     lines = [f"{name}: local system Betti intervals at k={args.k}"]
-    lines += [_interval_text(iv) for iv in resolved_view]
+    lines += [_interval_text(iv) for iv in intervals]
     _emit(payload, lines, args.format)
-    return 0 if all(iv.resolved for iv in resolved_view) else 2
+    return 0 if all(iv.resolved for iv in intervals) else 2
 
 
 def _cmd_cover_betti(args) -> int:
@@ -370,7 +362,7 @@ def _cmd_catalog(args) -> int:
         entry = catalog_mod.get(args.key)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from None
-    print(json.dumps(entry.to_file_dict(), sort_keys=True, indent=2))
+    print(serialize_arrangement(entry.arrangement, entry.key), end="")
     return 0
 
 
@@ -435,8 +427,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, but 2 is the
+        # code of an open interval
+        return 0 if exc.code == 0 else 1
     if args.command == "catalog" and args.action == "show" and not args.key:
         print("catalog show requires a key", file=sys.stderr)
         return 1

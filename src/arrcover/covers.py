@@ -5,7 +5,9 @@ the rational Aomoto cohomology maximized over integer weight shifts (lower
 bound) and the mod-k minimal-generator ranks (upper bound); nonresonant k are
 resolved outright to (0, ..., 0, beta).  Cover Betti numbers, monodromy
 characteristic polynomials, polynomial periodicity classes and zeta
-coefficients are all assembled from those per-divisor values.
+coefficients are all assembled from those per-divisor values.  Asserted
+values for open intervals enter through resolve, the one owner of the
+assertion rule: it checks every assertion against the k a command visits.
 
 Assembly never walks 1..m or the residues mod lcm(1..n): the divisors of m
 come from its factorisation, the periodicity classes from the divisors of
@@ -238,12 +240,8 @@ def is_nonresonant(a: Arrangement, k: int) -> bool:
 # Local system Betti intervals.
 # ---------------------------------------------------------------------------
 
-def _resolved_intervals(values, witnesses=None) -> tuple[BettiInterval, ...]:
-    witnesses = witnesses or {}
-    return tuple(
-        BettiInterval(q, v, v, True, witnesses.get(q))
-        for q, v in enumerate(values)
-    )
+def _resolved_intervals(values) -> tuple[BettiInterval, ...]:
+    return tuple(BettiInterval(q, v, v, True) for q, v in enumerate(values))
 
 
 @lru_cache(maxsize=None)
@@ -311,50 +309,64 @@ def local_betti(
     return _bound_intervals(a, k, search)
 
 
-def check_assertions(a: Arrangement, k: int, intervals, resolution) -> None:
-    """Reject asserted values that contradict the computed intervals.
+def resolve(a: Arrangement, ks, resolution=None, search: ShiftSearchConfig | None = None):
+    """Yield (k, intervals, exact) for each k of the sequence ks, in order.
 
-    resolution maps (k, q) -> asserted b_q(L_k).  A degree outside 0..ell is
-    rejected whatever its k; at this k, a value outside the interval of its
-    degree is rejected whether or not that interval is resolved.
+    The one owner of the assertion rule.  resolution maps (k, q) -> asserted
+    b_q(L_k).  Before any interval is computed every key is checked: k must
+    be one of ks and q in 0..ell.  Then, one k at a time, an asserted value
+    outside the interval of its degree is rejected whether or not that
+    interval is resolved; an asserted open interval becomes that value, with
+    no witness, and makes that k inexact.  Open intervals without an
+    assertion are passed on as data.
     """
-    for (k_asserted, q), value in sorted((resolution or {}).items()):
+    asserted: dict[int, dict[int, int]] = {}
+    for (k, q), value in sorted((resolution or {}).items()):
+        if k not in ks:
+            visited = ", ".join(map(str, ks))
+            raise ValueError(
+                f"asserted b_{q}(L_{k}) = {value}: k={k} is not one of the visited k ({visited})"
+            )
         if not 0 <= q <= a.ell:
             raise ValueError(
-                f"asserted b_{q}(L_{k_asserted}) = {value}: degree out of range 0..{a.ell}"
+                f"asserted b_{q}(L_{k}) = {value}: degree out of range 0..{a.ell}"
             )
-        iv = intervals[q]
-        if k_asserted == k and not iv.lower <= value <= iv.upper:
-            raise ValueError(
-                f"asserted b_{q}(L_{k}) = {value} outside [{iv.lower}..{iv.upper}]"
-            )
+        asserted.setdefault(k, {})[q] = value
+    for k in ks:
+        intervals = local_betti(a, k, search)
+        at_k = asserted.get(k)
+        if not at_k:
+            yield k, intervals, True
+            continue
+        for q, value in at_k.items():
+            iv = intervals[q]
+            if not iv.lower <= value <= iv.upper:
+                raise ValueError(
+                    f"asserted b_{q}(L_{k}) = {value} outside [{iv.lower}..{iv.upper}]"
+                )
+        closed = {q: v for q, v in at_k.items() if not intervals[q].resolved}
+        yield k, tuple(
+            BettiInterval(iv.degree, closed[iv.degree], closed[iv.degree], True)
+            if iv.degree in closed else iv
+            for iv in intervals
+        ), not closed
 
 
-def _local_values(a: Arrangement, k: int, resolution) -> tuple[tuple[int, ...], bool]:
-    """Resolved b_q(L_k) values plus an exactness flag.
+def _local_values(a: Arrangement, ks, resolution) -> tuple[dict[int, tuple[int, ...]], bool]:
+    """Resolved b_q(L_k) values for each k of ks, plus an exactness flag.
 
-    resolution maps (k, q) -> asserted value for open intervals; it is
-    checked by check_assertions, and open intervals without an assertion
-    raise UnresolvedBettiError.
+    The values come from resolve; the first k, in the order of ks, with an
+    open interval and no assertion raises UnresolvedBettiError.
     """
-    intervals = local_betti(a, k)
-    check_assertions(a, k, intervals, resolution)
-    values = []
+    values = {}
     exact = True
-    open_intervals = []
-    for iv in intervals:
-        asserted = (resolution or {}).get((k, iv.degree))
-        if iv.resolved:
-            values.append(iv.lower)
-        elif asserted is None:
-            open_intervals.append(iv)
-            values.append(None)
-        else:
-            values.append(asserted)
-            exact = False
-    if open_intervals:
-        raise UnresolvedBettiError(k, open_intervals)
-    return tuple(values), exact
+    for k, intervals, k_exact in resolve(a, ks, resolution):
+        open_intervals = [iv for iv in intervals if not iv.resolved]
+        if open_intervals:
+            raise UnresolvedBettiError(k, open_intervals)
+        values[k] = tuple(iv.lower for iv in intervals)
+        exact = exact and k_exact
+    return values, exact
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +377,11 @@ def cover_betti(a: Arrangement, m: int, resolution=None) -> CoverReport:
     """b_q(X_m) = sum over k | m of phi(k) * b_q(L_k), plus eigenspace data."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    per_divisor = []
-    exact = True
-    for k in divisors(m):
-        values, k_exact = _local_values(a, k, resolution)
-        exact = exact and k_exact
-        per_divisor.append((k, values))
+    values, exact = _local_values(a, divisors(m), resolution)
     betti = tuple(
-        sum(euler_phi(k) * values[q] for k, values in per_divisor)
-        for q in range(a.ell + 1)
+        sum(euler_phi(k) * v[q] for k, v in values.items()) for q in range(a.ell + 1)
     )
-    return CoverReport(m=m, betti=betti, charpoly_exponents=tuple(per_divisor), exact=exact)
+    return CoverReport(m=m, betti=betti, charpoly_exponents=tuple(values.items()), exact=exact)
 
 
 def monodromy_charpoly(a: Arrangement, m: int, q: int, resolution=None) -> CharpolyReport:
@@ -416,11 +422,7 @@ def periodicity(a: Arrangement, resolution=None) -> PeriodicityReport:
     n = a.n
     ell = a.ell
     period = lcm(*range(1, n + 1))
-    values = {}
-    exact = True
-    for k in range(1, n + 1):
-        values[k], k_exact = _local_values(a, k, resolution)
-        exact = exact and k_exact
+    values, exact = _local_values(a, range(1, n + 1), resolution)
     b = beta(a)
     patterns = sorted(
         {tuple(k for k in range(1, n + 1) if g % k == 0) for g in divisors(period)}
@@ -452,17 +454,10 @@ def zeta_coefficients(a: Arrangement, q: int, resolution=None) -> ZetaReport:
     """
     if not 0 <= q <= a.ell:
         raise ValueError(f"degree {q} out of range 0..{a.ell}")
-    terms = []
-    exact = True
-    for k in range(1, a.n + 1):
-        values, k_exact = _local_values(a, k, resolution)
-        exact = exact and k_exact
-        coeff = euler_phi(k) * values[q]
-        if coeff:
-            terms.append((k, coeff))
+    values, exact = _local_values(a, range(1, a.n + 1), resolution)
     return ZetaReport(
         degree=q,
-        finite_terms=tuple(terms),
+        finite_terms=tuple((k, euler_phi(k) * v[q]) for k, v in values.items() if v[q]),
         tail_beta=beta(a) if q == a.ell else 0,
         exact=exact,
     )

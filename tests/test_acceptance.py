@@ -19,12 +19,10 @@ from arrcover.arrangement import (
     beta,
     betti_numbers,
     cone,
-    deletion,
     euler_characteristic,
     intersection_lattice,
     permuted,
     poincare_polynomial,
-    restriction,
 )
 from arrcover.cli import main as cli_main
 from arrcover.covers import (
@@ -37,6 +35,7 @@ from arrcover.covers import (
 from arrcover.cyclofield import IntPoly, reduced_row_echelon, row_in_span
 from arrcover.exactlin import cohomology_Q, cohomology_modN, smith_normal_form
 from arrcover.osalgebra import aomoto_matrices, nbc_basis
+from deletion_restriction import deletion, restriction
 
 CEVA3_K3 = {(3, 1): 2, (3, 2): 13, (3, 3): 11}
 

@@ -12,16 +12,15 @@ from arrcover.arrangement import (
     build,
     cone,
     decone,
-    deletion,
     dense_edges,
     euler_characteristic,
     intersection_lattice,
     permuted,
     poincare_polynomial,
-    restriction,
 )
 from arrcover.cyclofield import CycNum, IntPoly, reduced_row_echelon, row_in_span
 from arrcover.fileformat import parse_file, serialize_arrangement
+from deletion_restriction import deletion, restriction
 
 
 def hp(d, constant, *coeffs):

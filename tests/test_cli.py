@@ -242,15 +242,61 @@ def test_bad_assertion_exits_1(capsys):
          "asserted b_7(L_3) = 1: degree out of range 0..2"),
         (("cover-betti", "--m", "6", "--assert", "3:9=1"),
          "asserted b_9(L_3) = 1: degree out of range 0..2"),
+        # cover-betti and charpoly visit the divisors of m, periodicity and
+        # zeta every k <= n
+        (("cover-betti", "--m", "6", "--assert", "5:1=3"),
+         "asserted b_1(L_5) = 3: k=5 is not one of the visited k (1, 2, 3, 6)"),
+        (("cover-betti", "--m", "6", "--assert", "0:1=3"),
+         "asserted b_1(L_0) = 3: k=0 is not one of the visited k (1, 2, 3, 6)"),
+        (("charpoly", "--m", "6", "--q", "1", "--assert", "4:1=0"),
+         "asserted b_1(L_4) = 0: k=4 is not one of the visited k (1, 2, 3, 6)"),
+        (("periodicity", "--assert", "9:1=3"),
+         "asserted b_1(L_9) = 3: k=9 is not one of the visited k (1, 2, 3, 4, 5)"),
+        (("zeta", "--q", "1", "--assert", "7:1=7"),
+         "asserted b_1(L_7) = 7: k=7 is not one of the visited k (1, 2, 3, 4, 5)"),
     ],
 )
 def test_contradicting_assertion_exits_1(capsys, argv, message):
-    # the same check for every command: resolved intervals and degrees
-    # outside 0..ell are not exempt
+    # the same check for every command: resolved intervals, degrees outside
+    # 0..ell and k the command never visits are not exempt
     code, out, err = run(capsys, *argv, "--catalog", "selberg")
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_unvisited_k_assertion_precedes_open_interval(capsys):
+    # keys are checked before any interval, so the open k = 3 never exits 2
+    code, out, err = run(capsys, "cover-betti", "--catalog", "ceva3", "--m", "3",
+                         "--assert", "5:1=1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: asserted b_1(L_5) = 1: k=5 is not one of the visited k (1, 3)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cover-betti", "--catalog", "selberg"),
+        ("cover-betti", "--catalog", "selberg", "--m", "x"),
+        ("info", "--catalog", "selberg", "--format", "yaml"),
+        ("no-such-command",),
+        ("cover-betti", "--catalog", "selberg", "--m", "6", "--assert", "-2:1=3"),
+    ],
+)
+def test_usage_error_exits_1(capsys, argv):
+    # exit 2 is reserved for open intervals, so argparse's own 2 is not kept
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "usage:" in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "cover-betti", "--help")
+    assert code == 0
+    assert out.startswith("usage:")
 
 
 def test_unknown_catalog_exits_1(capsys):
@@ -285,6 +331,7 @@ def test_catalog_show_round_trip(capsys):
         assert code == 0
         parsed = parse_file(out)
         assert parsed == entry.arrangement
+        assert out == serialize_arrangement(entry.arrangement, key)
 
 
 def test_catalog_list(capsys):

@@ -96,10 +96,7 @@ def periodicity_oracle(a, resolution=None):
     """periodicity() with the classes read off every residue 1..lcm(1..n)."""
     n, ell = a.n, a.ell
     period = lcm(*range(1, n + 1))
-    values, exact = {}, True
-    for k in range(1, n + 1):
-        values[k], k_exact = _local_values(a, k, resolution)
-        exact = exact and k_exact
+    values, exact = _local_values(a, range(1, n + 1), resolution)
     patterns = sorted(
         {tuple(k for k in range(1, n + 1) if i % k == 0) for i in range(1, period + 1)}
     )
@@ -149,10 +146,10 @@ def test_periodicity_matches_every_residue(selberg, maclane_decone, hessian_deco
 # Monodromy polynomials.
 # ---------------------------------------------------------------------------
 
-def _check_charpolys(a, ms, resolution=None):
+def _check_charpolys(a, ms, resolution_for=lambda m: None):
     for m in ms:
         for q in range(a.ell + 1):
-            report = monodromy_charpoly(a, m, q, resolution)
+            report = monodromy_charpoly(a, m, q, resolution_for(m))
             exps = dict(report.exponents)
             assert report.expanded.coeffs == charpoly_oracle(exps)
             assert report.tk_factors == greedy_tk_oracle(exps)
@@ -164,8 +161,10 @@ def test_charpoly_matches_dense_product(selberg, maclane_decone, hessian_decone)
 
 
 def test_charpoly_ceva3_asserted(ceva3):
-    # m = 9 needs b_q(L_9), which stays open and has no asserted value
-    _check_charpolys(ceva3, [m for m in range(1, 13) if m != 9], CEVA3_K3)
+    # m = 9 needs b_q(L_9), which stays open and has no asserted value; an
+    # assertion at k = 3 is only accepted where 3 is a visited divisor
+    _check_charpolys(ceva3, [m for m in range(1, 13) if m != 9],
+                     lambda m: CEVA3_K3 if m % 3 == 0 else None)
     report = monodromy_charpoly(ceva3, 6, 1, CEVA3_K3)
     assert not report.exact
     assert report.exponents == ((1, 9), (3, 2))

@@ -194,6 +194,12 @@ def test_assertion_contradicting_resolved_value_rejected(selberg):
         cover_betti(selberg, 3, resolution={(3, 1): 2})
 
 
+def test_assertion_at_unvisited_k_rejected(selberg):
+    # 5 does not divide 6, so cover_betti never visits L_5
+    with pytest.raises(ValueError, match=r"k=5 is not one of the visited k \(1, 2, 3, 6\)"):
+        cover_betti(selberg, 6, {(5, 1): 3})
+
+
 def test_cover_report_exponent_sum(selberg, maclane_decone):
     for a, m in ((selberg, 6), (selberg, 12), (maclane_decone, 8)):
         report = cover_betti(a, m)
