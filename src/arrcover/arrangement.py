@@ -237,6 +237,120 @@ class ClosureLattice:
         flat = self.flats[f]
         return len(self.join[f]) - 1 not in flat.support, flat.codim
 
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Generators of a group of lattice automorphisms, as permutations of
+        the affine indices: perm[i] is the image of hyperplane i.
+
+        A permutation qualifies when it maps every affine flat support (a
+        closure flat off the hyperplane at infinity) onto an affine flat
+        support, so it preserves the affine intersection poset, codims and
+        emptiness included.  The set is a stabiliser chain found from the
+        deepest level up: at level i, for each image c > i of i that the
+        generators found so far (which all fix 0..i-1) do not reach, one
+        backtracking search looks for the first permutation fixing 0..i-1
+        with i -> c.  The search prunes a partial map on the codim-2 flat of
+        each pair of assigned hyperplanes and on the (codim, size) profile of
+        the affine flats through each one, and keeps a full permutation only
+        if it passes the support check.  There are at most n(n-1)/2
+        generators, and the group itself is never enumerated.  A search that
+        exceeds AUTOMORPHISM_NODE_BUDGET nodes gives up, which can only leave
+        a subgroup.
+        """
+        n = len(self.join[0]) - 1
+        affine = [_mask(f.support) for f in self.flats if n not in f.support]
+        affine_set = set(affine)
+        # line[i][j]: the closure support of H_i cap H_j; bit n is set when
+        # the two are parallel
+        line = [[_mask(self.flats[self.join[self.join[0][i]][j]].support)
+                 for j in range(n)] for i in range(n)]
+        profile = [sorted((f.codim, len(f.support)) for f in self.flats
+                          if i in f.support and n not in f.support) for i in range(n)]
+
+        def first_leaf(i: int, c: int) -> tuple[int, ...] | None:
+            image = list(range(i)) + [None] * (n - i)
+            used = set(range(i))
+            nodes = 0
+
+            def fits(x: int, y: int) -> bool:
+                # every codim-2 flat on x maps onto the one on the images
+                if profile[x] != profile[y]:
+                    return False
+                for u in range(x):
+                    s, t = line[u][x], line[image[u]][y]
+                    if s.bit_count() != t.bit_count() or s >> n != t >> n:
+                        return False
+                    if any(s >> z & 1 != t >> image[z] & 1 for z in range(x)):
+                        return False
+                return True
+
+            def extend(x: int) -> bool:
+                nonlocal nodes
+                if x == n:
+                    return all(support_image(s, image) in affine_set for s in affine)
+                for y in ([c] if x == i else range(n)):
+                    if y in used or not fits(x, y):
+                        continue
+                    nodes += 1
+                    if nodes > AUTOMORPHISM_NODE_BUDGET:
+                        return False
+                    image[x] = y
+                    used.add(y)
+                    if extend(x + 1):
+                        return True
+                    used.discard(y)
+                return False
+
+            return tuple(image) if extend(i) else None
+
+        generators: list[tuple[int, ...]] = []
+        for i in reversed(range(n)):
+            reached = orbit(i, generators, _point_image)
+            for c in range(i + 1, n):
+                if c not in reached:
+                    perm = first_leaf(i, c)
+                    if perm is not None:
+                        generators.append(perm)
+                        reached = orbit(i, generators, _point_image)
+        return tuple(generators)
+
+
+# Nodes one backtracking search of ClosureLattice.automorphisms may visit.
+AUTOMORPHISM_NODE_BUDGET = 4096
+
+
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _point_image(i: int, perm) -> int:
+    return perm[i]
+
+
+def support_image(mask: int, perm) -> int:
+    """The bitmask of {perm[i] : bit i of mask is set}."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def orbit(start, generators, act) -> set:
+    """Orbit of start under the group the generators make; act(x, perm) is
+    the image of x under one generator."""
+    found = {start}
+    frontier = [start]
+    while frontier:
+        x = frontier.pop()
+        for perm in generators:
+            y = act(x, perm)
+            if y not in found:
+                found.add(y)
+                frontier.append(y)
+    return found
+
 
 def _by_codim(flats) -> IntersectionLattice:
     levels: list[list[Flat]] = []

@@ -70,10 +70,14 @@ def _parse_assertions(items, k_fixed=None) -> dict:
                 key = (int(k_str), int(q_str))
             else:
                 key = (k_fixed, int(left))
-            table[key] = int(value)
+            value = int(value)
         except ValueError as exc:
             form = "q=v" if k_fixed is not None else "k:q=v"
             raise CliError(f"bad assertion {item!r}: expected {form}") from exc
+        if key in table:
+            k, q = key
+            raise CliError(f"b_{q}(L_{k}) is asserted twice: {table[key]} and {value}")
+        table[key] = value
     return table
 
 

@@ -9,6 +9,17 @@ coefficients are all assembled from those per-divisor values.  Asserted
 values for open intervals enter through resolve, the one owner of the
 assertion rule: it checks every assertion against the k a command visits.
 
+The lower-bound sweep evaluates one shift per orbit of the lattice
+automorphisms.  A permutation sigma of the hyperplanes that maps affine flat
+supports onto affine flat supports induces the graded automorphism
+e_H -> e_sigma(H) of the affine Orlik-Solomon algebra, which carries the
+Aomoto complex of weights 1 + k*s to that of 1 + k*(s o sigma^-1); the two
+shifts have the same rational dims.  The running lower bound only goes up,
+so a shift whose orbit holds an evaluated shift can never be the first
+strict improver: skipping it changes no interval, witness, lower <= upper
+check, early stop or Euler closure.  Any subgroup of the automorphisms is
+sound, so a capped generator search only skips fewer shifts.
+
 Assembly never walks 1..m or the residues mod lcm(1..n): the divisors of m
 come from its factorisation, the periodicity classes from the divisors of
 the period, and the monodromy polynomials are expanded through sparse
@@ -28,9 +39,12 @@ from .arrangement import (
     Arrangement,
     beta,
     betti_numbers,
+    closure_lattice,
     dense_edges,
     euler_characteristic,
+    orbit,
     poincare_polynomial,
+    support_image,
 )
 from .cyclofield import IntPoly, divisors, euler_phi, tk_exponents, tk_product
 from .exactlin import cohomology_Q, cohomology_modN
@@ -103,7 +117,11 @@ class ShiftSearchConfig:
 
     Explicit extra shifts are always tried first.  Then comes every vector in
     {-1, 0}^n (weights 1/k shifted by m stay in (-1, 1)) when
-    n <= MAX_ENUMERATION, and only the zero shift beyond that.
+    n <= MAX_ENUMERATION, and only the zero shift beyond that.  For
+    n <= MAX_ENUMERATION the sweep skips a {-1, 0} shift, extra or not, whose
+    orbit under the lattice automorphisms holds a shift tried before it: the
+    two have the same Aomoto dims, and the order is unchanged, so intervals
+    and witnesses are those of the full enumeration.
     """
 
     extra_shifts: tuple[tuple[int, ...], ...] = ()
@@ -258,7 +276,7 @@ def _bound_intervals(a: Arrangement, k: int, search: ShiftSearchConfig) -> tuple
     upper[0] = 0
     lower = [0] * (ell + 1)
     witness: dict[int, tuple[int, ...]] = {}
-    for shift in search.candidates(a.n):
+    for shift in _one_per_orbit(a, search.candidates(a.n)):
         weights = tuple(1 + k * mv for mv in shift)
         dims = cohomology_Q(aomoto_matrices(a, weights)).dims
         for q in range(1, ell + 1):
@@ -289,6 +307,30 @@ def _bound_intervals(a: Arrangement, k: int, search: ShiftSearchConfig) -> tuple
     )
 
 
+def _one_per_orbit(a: Arrangement, candidates):
+    """The candidates, minus each {-1, 0} shift whose orbit under the lattice
+    automorphisms holds a shift yielded before it.
+
+    A shift is held by its support bitmask.  Its orbit is added to the seen
+    set only when the next candidate is asked for, so a sweep that stops
+    after its first candidate never builds the automorphisms.  Beyond
+    MAX_ENUMERATION every candidate is yielded.
+    """
+    seen: set[int] = set()
+    generators = None
+    for shift in candidates:
+        mask = None
+        if a.n <= MAX_ENUMERATION and set(shift) <= {-1, 0}:
+            mask = sum(1 << i for i, v in enumerate(shift) if v)
+            if mask in seen:
+                continue
+        yield shift
+        if mask is not None:
+            if generators is None:
+                generators = closure_lattice(a).automorphisms
+            seen |= orbit(mask, generators, support_image)
+
+
 def local_betti(
     a: Arrangement, k: int, search: ShiftSearchConfig | None = None
 ) -> tuple[BettiInterval, ...]:
@@ -317,8 +359,9 @@ def resolve(a: Arrangement, ks, resolution=None, search: ShiftSearchConfig | Non
     be one of ks and q in 0..ell.  Then, one k at a time, an asserted value
     outside the interval of its degree is rejected whether or not that
     interval is resolved; an asserted open interval becomes that value, with
-    no witness, and makes that k inexact.  Open intervals without an
-    assertion are passed on as data.
+    no witness, and makes that k inexact.  Once the assertions at a k leave
+    every degree resolved, the alternating sum of its values must be
+    chi(M).  Open intervals without an assertion are passed on as data.
     """
     asserted: dict[int, dict[int, int]] = {}
     for (k, q), value in sorted((resolution or {}).items()):
@@ -345,11 +388,20 @@ def resolve(a: Arrangement, ks, resolution=None, search: ShiftSearchConfig | Non
                     f"asserted b_{q}(L_{k}) = {value} outside [{iv.lower}..{iv.upper}]"
                 )
         closed = {q: v for q, v in at_k.items() if not intervals[q].resolved}
-        yield k, tuple(
+        intervals = tuple(
             BettiInterval(iv.degree, closed[iv.degree], closed[iv.degree], True)
             if iv.degree in closed else iv
             for iv in intervals
-        ), not closed
+        )
+        if all(iv.resolved for iv in intervals):
+            values = [iv.lower for iv in intervals]
+            alternating = sum((-1) ** q * v for q, v in enumerate(values))
+            if alternating != euler_characteristic(a):
+                raise ValueError(
+                    f"asserted b(L_{k}) = {values} has Euler characteristic "
+                    f"{alternating}, but chi(M) = {euler_characteristic(a)}"
+                )
+        yield k, intervals, not closed
 
 
 def _local_values(a: Arrangement, ks, resolution) -> tuple[dict[int, tuple[int, ...]], bool]:

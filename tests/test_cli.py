@@ -265,6 +265,57 @@ def test_contradicting_assertion_exits_1(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("cover-betti", "--catalog", "ceva3", "--m", "3", "--assert", "3:1=1",
+          "--assert", "3:1=2", "--assert", "3:2=13", "--assert", "3:3=11"),
+         "b_1(L_3) is asserted twice: 1 and 2"),
+        (("cover-betti", "--catalog", "ceva3", "--m", "3", "--assert", "3:1=2",
+          "--assert", "3:1=1", "--assert", "3:2=13", "--assert", "3:3=11"),
+         "b_1(L_3) is asserted twice: 2 and 1"),
+        (("local-betti", "--catalog", "selberg", "--k", "3", "--assert", "1=1",
+          "--assert", "1=2"),
+         "b_1(L_3) is asserted twice: 1 and 2"),
+        (("local-betti", "--catalog", "selberg", "--k", "3", "--assert", "1=2",
+          "--assert", "1=1"),
+         "b_1(L_3) is asserted twice: 2 and 1"),
+    ],
+)
+def test_repeated_assertion_exits_1(capsys, argv, message):
+    # neither flag wins: the order of the flags never changes the answer
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cover-betti", "--catalog", "ceva3", "--m", "3",
+         "--assert", "3:1=1", "--assert", "3:2=13", "--assert", "3:3=11"),
+        ("local-betti", "--catalog", "ceva3", "--k", "3",
+         "--assert", "1=1", "--assert", "2=13", "--assert", "3=11"),
+    ],
+)
+def test_assertions_breaking_euler_characteristic_exit_1(capsys, argv):
+    # every value lies in its interval, but 0 - 1 + 13 - 11 = 1 != chi = 0
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: asserted b(L_3) = [0, 1, 13, 11] has Euler characteristic 1, "
+                   "but chi(M) = 0\n")
+
+
+def test_partial_assertion_skips_euler_check(capsys):
+    # q = 2 and q = 3 stay open, so there is no full set of values to check
+    code, out, err = run(capsys, "cover-betti", "--catalog", "ceva3", "--m", "3",
+                         "--assert", "3:1=1")
+    assert code == 2
+    assert json.loads(out)["error"] == "unresolved-interval"
+
+
 def test_unvisited_k_assertion_precedes_open_interval(capsys):
     # keys are checked before any interval, so the open k = 3 never exits 2
     code, out, err = run(capsys, "cover-betti", "--catalog", "ceva3", "--m", "3",

@@ -194,6 +194,14 @@ def test_assertion_contradicting_resolved_value_rejected(selberg):
         cover_betti(selberg, 3, resolution={(3, 1): 2})
 
 
+def test_assertion_breaking_euler_characteristic_rejected(ceva3):
+    # each value lies in its interval; the alternating sum is 1, chi(M) is 0
+    with pytest.raises(ValueError, match=r"Euler characteristic 1, but chi\(M\) = 0"):
+        cover_betti(ceva3, 3, resolution={(3, 1): 1, (3, 2): 13, (3, 3): 11})
+    with pytest.raises(ValueError, match="Euler characteristic"):
+        periodicity(ceva3, {(3, 1): 2, (3, 2): 12, (3, 3): 11})
+
+
 def test_assertion_at_unvisited_k_rejected(selberg):
     # 5 does not divide 6, so cover_betti never visits L_5
     with pytest.raises(ValueError, match=r"k=5 is not one of the visited k \(1, 2, 3, 6\)"):
