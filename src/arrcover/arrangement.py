@@ -8,11 +8,12 @@ the projective closure.
 
 All exact linear algebra happens in one pass, the lattice of the projective
 closure (the affine rows plus the hyperplane at infinity).  Its flats are
-deduplicated by the canonical reduced row-echelon form of their defining
-systems, so the flat set does not depend on hyperplane order; the pass also
-records the join table flat -> flat cap H_j.  The affine flats are the
-closure flats off the hyperplane at infinity, and the dense edges are the
-closure flats below the center of the cone.
+keyed by their supports, so the flat set does not depend on hyperplane
+order; the pass finds each flat's covers with one reduction of every row
+modulo that flat and records the join table flat -> flat cap H_j.  The
+affine flats are the closure flats off the hyperplane at infinity, and the
+dense edges are the closure flats below the center of the cone, flagged by
+Crapo's beta invariant of their localizations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
-from .cyclofield import CycNum, IntPoly, reduced_row_echelon, row_in_span
+from .cyclofield import CycNum, IntPoly, reduced_row_echelon
 
 
 @dataclass(frozen=True)
@@ -179,18 +180,14 @@ def decone(c: Arrangement, at: int) -> Arrangement:
 class Flat:
     """Flat of the intersection lattice.
 
-    support is the full closure (every hyperplane containing the flat);
-    multiplicity is len(support); system is the canonical reduced row-echelon
-    form of the defining equations (affine rows, plus the row of the
-    hyperplane at infinity for closure flats at infinity), used as the dedup
-    key.
+    support is the full closure (every hyperplane containing the flat), which
+    identifies the flat; multiplicity is len(support).
     """
 
     support: tuple[int, ...]
     codim: int
     mobius: int
     dense: bool | None
-    system: tuple[tuple[CycNum, ...], ...]
 
     @property
     def multiplicity(self) -> int:
@@ -361,57 +358,71 @@ def _by_codim(flats) -> IntersectionLattice:
     return IntersectionLattice(levels=tuple(map(tuple, levels)), rank=len(levels) - 1)
 
 
+def _residue(row, basis, one: CycNum):
+    """(leading column, row) of row reduced modulo a flat's basis and scaled
+    to leading entry 1: rows off the flat lie in one cover iff equal here."""
+    for lead, brow in basis:
+        c = row[lead]
+        if not c.is_zero:
+            row = tuple(v - c * w for v, w in zip(row, brow))
+    lead = next(i for i, v in enumerate(row) if not v.is_zero)
+    if row[lead] != one:
+        inv = row[lead].inverse()
+        row = tuple(inv * v for v in row)
+    return lead, row
+
+
 @lru_cache(maxsize=None)
 def closure_lattice(a: Arrangement) -> ClosureLattice:
     """The one exact geometry pass: the lattice of the projective closure.
 
     The closure is the central arrangement of the affine rows
     (coeffs | -constant) plus the row (0, ..., 0 | 1) of the hyperplane at
-    infinity, index n.  It is built level by level: flats of codim c+1 are
-    the closures of (codim-c flat) cap hyperplane, deduplicated by canonical
-    echelon form, and every such step is recorded in the join table.  One
-    echelon form per cover of a flat suffices: the cover's support gives the
-    join with each of its hyperplanes.
+    infinity, index n.  A flat is keyed by its support.  The lattice is built
+    level by level: each row outside a flat's support is reduced modulo the
+    flat's equations, and rows j, k give the same cover flat cap H_j exactly
+    when their residues are proportional.  So the rows grouped by normalised
+    residue are the covers of the flat, each with support support(flat) plus
+    its group, and the groups fill the flat's row of the join table.
     Mobius values follow the recursion mu(Y) = -sum(mu(Z)) over flats Z with
     support(Z) strictly inside support(Y).
     """
+    one = CycNum.one(a.cyc_order)
     rows = [h.affine_row() for h in a.hyperplanes]
-    rows.append((CycNum.zero(a.cyc_order),) * a.ambient_dim + (CycNum.one(a.cyc_order),))
-    flats = [Flat(support=(), codim=0, mobius=1, dense=None, system=())]
+    rows.append((CycNum.zero(a.cyc_order),) * a.ambient_dim + (one,))
+    supports: list[tuple[int, ...]] = [()]
+    codims = [0]
     index_of = {(): 0}
+    # bases[f]: flat f's equations as (leading column, row) pairs, each row
+    # with leading entry 1 and zero in the leading columns of the rows before
+    # it; dropped once the covers of f are found
+    bases: list = [()]
     join: list[tuple[int, ...]] = []
-    # flats grows while it is scanned, one level after the other
-    for f, flat in enumerate(flats):
-        step: list[int | None] = [None] * len(rows)
-        for j in flat.support:
-            step[j] = f
+    # supports grows while it is scanned, one level after the other
+    for f, support in enumerate(supports):
+        basis, bases[f] = bases[f], None
+        groups: dict[tuple, list[int]] = {}
         for j, row in enumerate(rows):
-            if step[j] is not None:
-                continue
-            echelon, _ = reduced_row_echelon(flat.system + (row,))
-            if echelon not in index_of:
-                index_of[echelon] = len(flats)
-                flats.append(Flat(
-                    support=tuple(k for k, r in enumerate(rows) if row_in_span(r, echelon)),
-                    codim=len(echelon),
-                    mobius=0,
-                    dense=None,
-                    system=echelon,
-                ))
-            g = index_of[echelon]
-            # G = flat cap H_j has codim one more, so it is also flat cap H_k
-            # for every k in support(G) outside support(flat)
-            for k in flats[g].support:
-                if step[k] is None:
-                    step[k] = g
+            if j not in support:
+                groups.setdefault(_residue(row, basis, one), []).append(j)
+        step = [f] * len(rows)
+        for residue, members in groups.items():
+            cover = tuple(sorted(support + tuple(members)))
+            if cover not in index_of:
+                index_of[cover] = len(supports)
+                supports.append(cover)
+                codims.append(codims[f] + 1)
+                bases.append(basis + (residue,))
+            for j in members:
+                step[j] = index_of[cover]
         join.append(tuple(step))
 
-    supports = [set(flat.support) for flat in flats]
+    masks = [_mask(s) for s in supports]
     mobius = [1]
-    for i in range(1, len(flats)):
-        mobius.append(-sum(mobius[k] for k in range(i) if supports[k] < supports[i]))
+    for i in range(1, len(supports)):
+        mobius.append(-sum(mobius[k] for k in range(i) if masks[k] & masks[i] == masks[k]))
     return ClosureLattice(
-        flats=tuple(replace(flat, mobius=mu) for flat, mu in zip(flats, mobius)),
+        flats=tuple(Flat(s, c, mu, None) for s, c, mu in zip(supports, codims, mobius)),
         join=tuple(join),
     )
 
@@ -462,26 +473,18 @@ def dense_edges(a: Arrangement) -> IntersectionLattice:
 
     These are the closure flats up to codim ell; the flat of codim ell+1 is
     the center of the cone, which is projectively empty.  A flat Y is dense
-    when the decone of the central subarrangement A_Y has beta > 0, computed
-    as P(A_Y, t)/(1+t) evaluated at -1; hyperplane flats are always dense.
-    The last closure index is the hyperplane at infinity.
+    when the decone of the central subarrangement A_Y has beta > 0.  Crapo's
+    beta (J. Combin. Theory 2, 1967) is |sum(mu(Z) codim(Z))| over the flats
+    Z <= Y, those with supports inside support(Y); hyperplane flats are
+    always dense.  The last closure index is the hyperplane at infinity.
     """
     flats = closure_lattice(a).flats
+    masks = [_mask(f.support) for f in flats]
 
-    # Interval Poincare polynomial below a flat: the closure's support sets
-    # are downward closed, so global Mobius values restrict to each interval.
-    def subarrangement_poincare(support: tuple[int, ...]) -> IntPoly:
-        sset = set(support)
-        coeffs = [0] * (len(support) + 1)
-        for f in flats:
-            if set(f.support) <= sset:
-                coeffs[f.codim] += f.mobius * (-1) ** f.codim
-        return IntPoly(tuple(coeffs))
-
-    def marked(flat: Flat) -> Flat:
-        deconed = subarrangement_poincare(flat.support).divexact(IntPoly((1, 1)))
-        return replace(flat, dense=abs(deconed.evaluate(-1)) > 0)
+    def marked(y: int) -> Flat:
+        beta_y = sum(f.mobius * f.codim for f, m in zip(flats, masks) if m & masks[y] == m)
+        return replace(flats[y], dense=beta_y != 0)
 
     return _by_codim(
-        [flats[0]] + [marked(f) for f in flats[1:] if f.codim <= a.ell]
+        [flats[0]] + [marked(y) for y in range(1, len(flats)) if flats[y].codim <= a.ell]
     )

@@ -444,8 +444,8 @@ def reduced_row_echelon(rows) -> tuple[tuple[tuple[CycNum, ...], ...], tuple[int
     """Canonical reduced row echelon form over Q(zeta_d).
 
     Returns (nonzero rows, pivot columns).  Two row sets span the same row
-    space iff their reduced echelon forms are identical, which is what the
-    lattice code uses to deduplicate flats; the rank is the number of rows.
+    space iff their reduced echelon forms are identical; the rank is the
+    number of rows.
     All entries must share one cyclotomic order and rows must have equal
     length.
     """
@@ -476,14 +476,3 @@ def reduced_row_echelon(rows) -> tuple[tuple[tuple[CycNum, ...], ...], tuple[int
         if rank == len(work):
             break
     return tuple(tuple(row) for row in work[:rank]), tuple(pivots)
-
-
-def row_in_span(row, echelon_rows) -> bool:
-    """Whether an affine row lies in the row space of a reduced echelon form."""
-    residue = list(row)
-    for erow in echelon_rows:
-        lead = next(i for i, v in enumerate(erow) if not v.is_zero)
-        if not residue[lead].is_zero:
-            factor = residue[lead]
-            residue = [v - factor * w for v, w in zip(residue, erow)]
-    return all(v.is_zero for v in residue)

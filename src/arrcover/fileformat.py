@@ -33,6 +33,10 @@ class ArrangementFileError(ValueError):
 def _parse_cyc(value, d: int, where: str) -> CycNum:
     if not isinstance(value, list):
         raise ArrangementFileError(f"{where}: expected an array of rational strings")
+    # phi(d) >= sqrt(d/2), so no d above 2 L^2 matches L rationals; such a d
+    # past 2 * 10^6 is rejected without the sqrt(d) trial divisions of phi
+    if d > 2 * max(len(value), 1000) ** 2:
+        raise ArrangementFileError(f"{where}: expected phi({d}) > {len(value)} rationals")
     if len(value) != euler_phi(d):
         raise ArrangementFileError(
             f"{where}: expected phi({d}) = {euler_phi(d)} rationals, got {len(value)}"
@@ -68,9 +72,10 @@ def parse_file(data) -> Arrangement:
             raise ArrangementFileError(f"missing field {key!r}")
     dim = data["ambient_dim"]
     d = data["cyclotomic_order"]
-    if not isinstance(dim, int) or dim < 1:
+    # a JSON true or false would pass as an int
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ArrangementFileError("ambient_dim must be a positive integer")
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ArrangementFileError("cyclotomic_order must be a positive integer")
     records = data["hyperplanes"]
     if not isinstance(records, list) or not records:

@@ -32,10 +32,11 @@ from arrcover.covers import (
     periodicity,
     zeta_coefficients,
 )
-from arrcover.cyclofield import IntPoly, reduced_row_echelon, row_in_span
+from arrcover.cyclofield import IntPoly, reduced_row_echelon
 from arrcover.exactlin import cohomology_Q, cohomology_modN, smith_normal_form
 from arrcover.osalgebra import aomoto_matrices, nbc_basis
 from deletion_restriction import deletion, restriction
+from row_span import row_in_span
 
 CEVA3_K3 = {(3, 1): 2, (3, 2): 13, (3, 3): 11}
 

@@ -18,9 +18,10 @@ from arrcover.arrangement import (
     permuted,
     poincare_polynomial,
 )
-from arrcover.cyclofield import CycNum, IntPoly, reduced_row_echelon, row_in_span
+from arrcover.cyclofield import CycNum, IntPoly, reduced_row_echelon
 from arrcover.fileformat import parse_file, serialize_arrangement
 from deletion_restriction import deletion, restriction
+from row_span import row_in_span
 
 
 def hp(d, constant, *coeffs):

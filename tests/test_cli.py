@@ -2,9 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import arrcover
 from arrcover import catalog
 from arrcover.cli import main
 from arrcover.fileformat import (
@@ -83,6 +89,58 @@ def test_parse_rejects_non_essential():
 def test_parse_rejects_bad_json():
     with pytest.raises(ArrangementFileError, match="line"):
         parse_file(b"{ not json")
+
+
+def boolean_field_file(field):
+    """One point on the line over Q, with field set to the JSON true that
+    Python reads as the int 1."""
+    data = {
+        "ambient_dim": 1,
+        "cyclotomic_order": 1,
+        "hyperplanes": [{"constant": ["0"], "coeffs": [["1"]]}],
+    }
+    data[field] = True
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("field", ["ambient_dim", "cyclotomic_order"])
+def test_parse_rejects_boolean_integer_fields(capsys, tmp_path, field):
+    text = boolean_field_file(field)
+    assert parse_file(text.replace("true", "1")).n == 1
+    with pytest.raises(ArrangementFileError, match=f"^{field} must be a positive integer$"):
+        parse_file(text)
+    path = tmp_path / "bool.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "info", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert f"{field} must be a positive integer" in err
+
+
+def test_huge_cyclotomic_order_is_rejected_at_once(tmp_path):
+    # factoring 2^61 - 1 for phi by trial division would take hours
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "ambient_dim": 1,
+        "cyclotomic_order": 2**61 - 1,
+        "hyperplanes": [{"constant": ["0"], "coeffs": [["1"]]}],
+    }))
+    env = dict(os.environ, PYTHONPATH=str(Path(arrcover.__file__).parent.parent))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrcover", "info", "--file", str(path)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert time.monotonic() - start < 10
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert f"expected phi({2**61 - 1}) > 1 rationals" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_small_cyclotomic_order_keeps_the_exact_phi_message(selberg):
+    data = arrangement_to_dict(selberg, "bad")
+    data["cyclotomic_order"] = 9
+    with pytest.raises(ArrangementFileError, match=r"expected phi\(9\) = 6 rationals, got 1"):
+        parse_file(json.dumps(data))
 
 
 def test_serialize_round_trip_bytes(selberg):

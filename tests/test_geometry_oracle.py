@@ -1,20 +1,35 @@
-"""The join table of the closure lattice against a per-subset row reduction.
+"""The closure lattice against per-subset row reductions.
 
 The oracle intersects every index tuple of size <= ell + 1 by reducing its
 affine rows to echelon form: the tuple meets in the affine space when no
 pivot falls in the constant column, and its codim is the rank.  Circuits and
 the NBC basis are then enumerated from the oracle alone and compared with the
 package, which reads the same predicates off the join table.
+
+The whole closure lattice is checked the same way: every flat of the
+projective closure is the closure of at most ell + 1 of its rows, so closing
+each such row subset yields every support, codim and Mobius value, the join
+table, and the dense flags by dividing the Poincare polynomial of each
+localization by 1 + t.
 """
 
+import random
 from itertools import combinations
 
 import pytest
 
 from arrcover import catalog
-from arrcover.arrangement import Hyperplane, build, closure_lattice, cone, decone
-from arrcover.cyclofield import cyc_reduce, reduced_row_echelon
+from arrcover.arrangement import (
+    Hyperplane,
+    build,
+    closure_lattice,
+    cone,
+    decone,
+    dense_edges,
+)
+from arrcover.cyclofield import CycNum, IntPoly, cyc_reduce, euler_phi, reduced_row_echelon
 from arrcover.osalgebra import nbc_basis, os_algebra
+from row_span import row_in_span
 
 
 def braid_a4_decone():
@@ -69,6 +84,51 @@ def oracle_nbc(a, geometry, circuits):
     return tuple(levels)
 
 
+def random_arrangement(d, ell, n, seed):
+    """A seeded arrangement of n hyperplanes in C^ell over Q(zeta_d), small
+    integer coefficients, with some hyperplanes through the origin and at
+    least one parallel family, so that affine intersections come out empty
+    and flats at infinity carry more than one affine hyperplane."""
+    rng = random.Random(f"{d}-{ell}-{n}-{seed}")
+
+    def number(nonzero=False):
+        while True:
+            x = cyc_reduce([rng.randint(-2, 2) for _ in range(euler_phi(d))], d)
+            if not (nonzero and x.is_zero):
+                return x
+
+    while True:
+        hps = []
+        for _ in range(n):
+            if hps and rng.random() < 0.35:
+                scale = number(nonzero=True)
+                linear = tuple(scale * c for c in rng.choice(hps).coeffs)
+            else:
+                linear = tuple(number() for _ in range(ell))
+            constant = CycNum.zero(d) if rng.random() < 0.3 else number()
+            if all(c.is_zero for c in linear):
+                continue
+            hps.append(Hyperplane(constant, linear))
+        parallel = any(
+            len(reduced_row_echelon([g.coeffs, h.coeffs])[0]) == 1
+            for g, h in combinations(hps, 2)
+        )
+        if len(hps) < n or not parallel:
+            continue
+        try:
+            return build(ell, d, hps)
+        except ValueError:
+            continue  # a duplicate or a non-essential draw
+
+
+RANDOM_CASES = {
+    f"random-d{d}-l{ell}-n{n}-s{seed}": (d, ell, n, seed)
+    for d in (1, 3, 4)
+    for ell, n in ((2, 5), (2, 7), (3, 6))
+    for seed in (1, 2)
+}
+
+
 CASES = {
     "selberg": lambda: catalog.get("selberg").arrangement,
     "maclane-decone": lambda: catalog.get("maclane-decone").arrangement,
@@ -78,7 +138,7 @@ CASES = {
     "maclane-central": catalog.maclane_central,
     "hessian-central": catalog.hessian_central,
     "braid-a4-decone": braid_a4_decone,
-}
+} | {key: (lambda args=args: random_arrangement(*args)) for key, args in RANDOM_CASES.items()}
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
@@ -97,3 +157,68 @@ def test_braid_a4_decone_shape():
     a = braid_a4_decone()
     assert (a.n, a.ell) == (9, 3)
     assert tuple(len(level) for level in nbc_basis(a)) == (1, 9, 26, 24)
+
+
+# ---------------------------------------------------------------------------
+# The whole closure lattice against subset closures.
+# ---------------------------------------------------------------------------
+
+def oracle_closure_lattice(a):
+    """{support: (codim, mobius)} of the projective closure, from the closure
+    of every independent set of at most ell + 1 closure rows (index n is the
+    hyperplane at infinity); a dependent set closes to the flat of a smaller
+    independent one."""
+    rows = [h.affine_row() for h in a.hyperplanes]
+    rows.append((CycNum.zero(a.cyc_order),) * a.ambient_dim + (CycNum.one(a.cyc_order),))
+    codims = {}
+    for size in range(a.ell + 2):
+        for subset in combinations(range(len(rows)), size):
+            echelon, _ = reduced_row_echelon([rows[i] for i in subset])
+            if len(echelon) < size:
+                continue
+            support = tuple(j for j, row in enumerate(rows) if row_in_span(row, echelon))
+            codims[support] = size
+    mobius = {}
+    for support in sorted(codims, key=lambda s: (codims[s], s)):
+        mobius[support] = 1 if not support else -sum(
+            mu for below, mu in mobius.items() if set(below) < set(support)
+        )
+    return {support: (codims[support], mobius[support]) for support in codims}
+
+
+def oracle_join(flats, support, j):
+    """The least oracle flat whose support holds support + {j}."""
+    above = [s for s in flats if j in s and set(support) <= set(s)]
+    return min(above, key=lambda s: flats[s][0])
+
+
+def oracle_dense(flats, support):
+    """beta of the localization at a flat, nonzero: its Poincare polynomial
+    divided by 1 + t, evaluated at -1."""
+    coeffs = [0] * (flats[support][0] + 1)
+    for below, (codim, mu) in flats.items():
+        if set(below) <= set(support):
+            coeffs[codim] += mu * (-1) ** codim
+    return IntPoly(tuple(coeffs)).divexact(IntPoly((1, 1))).evaluate(-1) != 0
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_closure_lattice_matches_subset_closures(key):
+    a = CASES[key]()
+    expected = oracle_closure_lattice(a)
+    lattice = closure_lattice(a)
+    flats = {f.support: (f.codim, f.mobius) for f in lattice.flats}
+    assert len(flats) == len(lattice.flats)
+    assert flats == expected
+    assert [f.codim for f in lattice.flats] == sorted(f.codim for f in lattice.flats)
+    for flat, step in zip(lattice.flats, lattice.join):
+        assert len(step) == a.n + 1
+        for j, g in enumerate(step):
+            assert lattice.flats[g].support == oracle_join(expected, flat.support, j)
+    dense = dense_edges(a)
+    marked = [f for f in dense.flats() if f.codim > 0]
+    assert [f.support for f in marked] == [
+        f.support for f in lattice.flats if 0 < f.codim <= a.ell
+    ]
+    for flat in marked:
+        assert flat.dense == oracle_dense(expected, flat.support), flat.support
