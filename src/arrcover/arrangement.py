@@ -221,19 +221,6 @@ class ClosureLattice:
     flats: tuple[Flat, ...]
     join: tuple[tuple[int, ...], ...]
 
-    def affine_geometry(self, indices) -> tuple[bool, int]:
-        """(nonempty affine intersection?, its codim) for affine indices.
-
-        Folds the indices through the join table.  The intersection is empty
-        exactly when its closure flat lies in the hyperplane at infinity,
-        the last support index.
-        """
-        f = 0
-        for j in indices:
-            f = self.join[f][j]
-        flat = self.flats[f]
-        return len(self.join[f]) - 1 not in flat.support, flat.codim
-
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Generators of a group of lattice automorphisms, as permutations of

@@ -6,9 +6,9 @@ the d-th cyclotomic polynomial, so two values are equal iff their coefficient
 tuples are equal.  Rationals are stdlib ``fractions.Fraction`` (always reduced,
 positive denominator).  The module also provides integer polynomials, the
 cyclotomic polynomials themselves and products of them written through the
-sparse factors t^d - 1, the number theory those rest on (trial-division
-factorisation, divisors, Euler phi, Mobius), and exact Gaussian elimination
-over Q(zeta_d).
+sparse factors t^d - 1, the number theory those rest on (bounded
+trial-division factorisation, divisors, Euler phi, Mobius), and exact
+Gaussian elimination over Q(zeta_d).
 """
 
 from __future__ import annotations
@@ -39,14 +39,43 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+TRIAL_LIMIT = 10**6
+# Miller-Rabin with the prime bases 2..41 is deterministic below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
+def _is_prime_below_limit(m: int) -> bool:
+    """Miller-Rabin with bases 2..41; exact for odd 41 < m < PRIME_TEST_LIMIT."""
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(m: int) -> tuple[tuple[int, int], ...]:
     """Prime factorisation of m >= 1 by trial division: ((p, e), ...), p ascending.
 
-    Trial division stops once p^2 exceeds the unfactored cofactor, so the cost
-    is O(sqrt(m)) at worst and far less for smooth m.
+    Trial division stops once p^2 exceeds the unfactored cofactor, or at
+    p = TRIAL_LIMIT = 10^6, so it never takes more than 10^6 steps.  A cofactor
+    left at the limit has no prime factor up to 10^6, so it exceeds 10^12; it
+    is accepted as prime only when it lies below PRIME_TEST_LIMIT (about
+    3.3e24) and passes Miller-Rabin with bases 2..41, which is deterministic
+    there.  Any other cofactor raises ValueError.
     """
     if m < 1:
         raise ValueError("factorize requires m >= 1")
+    original = m
     factors = []
     p = 2
     while p * p <= m:
@@ -56,6 +85,14 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
                 m //= p
                 e += 1
             factors.append((p, e))
+        elif p == TRIAL_LIMIT:
+            # no prime factor up to TRIAL_LIMIT is left, so m > TRIAL_LIMIT^2
+            if not (m < PRIME_TEST_LIMIT and _is_prime_below_limit(m)):
+                raise ValueError(
+                    f"cannot factor {original}: its cofactor {m} has no prime factor "
+                    f"up to {TRIAL_LIMIT} and is not a prime below {PRIME_TEST_LIMIT}"
+                )
+            break
         p += 1
     if m > 1:
         factors.append((m, 1))

@@ -1,28 +1,29 @@
 """Orlik-Solomon algebra over Z in the no-broken-circuit basis.
 
-Conventions (affine arrangements):
-  * e_S = 0 whenever the hyperplanes of S have empty common intersection;
-  * S is independent when its intersection is nonempty of codim |S|;
-  * circuits are minimal dependent sets with nonempty intersection, and a
-    broken circuit is a circuit minus its smallest index (hyperplane order is
-    the input order);
+Conventions (affine arrangements, hyperplane order is the input order):
+  * e_S = 0 whenever the hyperplanes of S have empty common intersection or
+    are dependent (their intersection has codim < |S|);
+  * an independent tuple t = (t_0 < ... < t_{q-1}) is NBC exactly when each
+    t_j is the least index on the flat of its tail t[j:] (Orlik-Terao,
+    Arrangements of Hyperplanes, ch. 3): a broken circuit inside t fails the
+    test at the position of its least entry, and a failure at j, with h < t_j
+    on that flat, yields a circuit in {h} + t[j:] whose least entry is h;
   * boundary: del e_{(c_1..c_k)} = sum_j (-1)^(j-1) e_{(c_1..^c_j..c_k)}, and
-    straightening rewrites the minimal broken circuit B = C \\ {min C} via
-    del(e_C) = 0 until only NBC monomials remain.
+    straightening rewrites a failing tail through del(e_{h + tail}) = 0 until
+    only NBC monomials remain.
 
 NBC monomials are plain strictly increasing index tuples; integer combinations
 are sparse dicts tuple -> int with no stored zeros.  The algebra of one
 arrangement has one owner, the immutable OSAlgebra built once by os_algebra:
-circuits, broken circuits, NBC bases and the nonzero entries of every
-generator e_H wedge.  The Aomoto differential for an integer weight vector k
-is left multiplication by sum(k_H e_H); aomoto_matrices accumulates it from
-the generator entries into dense integer rows, so sweeping many weight
-vectors stays cheap.
+NBC bases and the nonzero entries of every generator e_H wedge.  The Aomoto
+differential for an integer weight vector k is left multiplication by
+sum(k_H e_H); aomoto_matrices accumulates it from the generator entries into
+dense integer rows, so sweeping many weight vectors stays cheap.
 
-No linear algebra happens here: whether a tuple of hyperplanes meets, and in
-which codim, is read off the join table of the closure lattice
-(arrangement.closure_lattice), so circuits, broken circuits and the NBC basis
-are combinatorial in the intersection semilattice.
+No linear algebra happens here: both the NBC test and straightening fold
+tuples through the join table of the closure lattice
+(arrangement.closure_lattice), so they are combinatorial in the intersection
+semilattice.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .arrangement import Arrangement, closure_lattice
+from .arrangement import Arrangement, ClosureLattice, closure_lattice
 
 Monomial = tuple[int, ...]
 
@@ -40,16 +41,11 @@ Monomial = tuple[int, ...]
 class OSAlgebra:
     """The Orlik-Solomon algebra of one arrangement in the NBC basis.
 
-    circuits are listed by size, then lexicographically.  broken_circuits
-    pairs each broken circuit with its circuit, sorted by broken circuit;
-    ties keep the circuit with the smallest min.  bases[q] lists the NBC
-    monomials of degree q.  generators[h][q] holds the nonzero
-    (row, col, coeff) entries, sorted, of e_h wedge from degree q to q+1:
-    rows index bases[q+1], columns bases[q].
+    bases[q] lists the NBC monomials of degree q.  generators[h][q] holds the
+    nonzero (row, col, coeff) entries, sorted, of e_h wedge from degree q to
+    q+1: rows index bases[q+1], columns bases[q].
     """
 
-    circuits: tuple[Monomial, ...]
-    broken_circuits: tuple[tuple[Monomial, Monomial], ...]
     bases: tuple[tuple[Monomial, ...], ...]
     generators: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
 
@@ -71,53 +67,36 @@ class AomotoComplex:
 
 
 # ---------------------------------------------------------------------------
-# Circuits and the NBC basis.
+# The NBC test.
 # ---------------------------------------------------------------------------
 
-def _is_independent(geometry, t: Monomial) -> bool:
-    nonempty, codim = geometry(t)
-    return nonempty and codim == len(t)
+def _nbc_split(lattice: ClosureLattice, t: Monomial):
+    """Fold t from its last entry through the join table.
+
+    None: e_t = 0, because the intersection is empty (its flat contains the
+    hyperplane at infinity, the last index) or t is dependent (a step leaves
+    the codim unchanged).  (): t is NBC.  Otherwise (j, h) for the last j
+    whose tail t[j:] spans a flat with least support index h < t_j.
+    """
+    flats, join = lattice.flats, lattice.join
+    f = 0
+    split = ()
+    for j in range(len(t) - 1, -1, -1):
+        g = join[f][t[j]]
+        if flats[g].codim == flats[f].codim:
+            return None
+        f = g
+        h = flats[f].support[0]
+        if not split and h < t[j]:
+            split = (j, h)
+    return None if len(join[f]) - 1 in flats[f].support else split
 
 
-def _find_circuits(a: Arrangement, geometry) -> tuple[Monomial, ...]:
-    """Minimal dependent sets with nonempty intersection, sizes <= ell + 1."""
-    found: list[Monomial] = []
-    for size in range(2, a.ell + 2):
-        for t in combinations(range(a.n), size):
-            nonempty, codim = geometry(t)
-            if not nonempty or codim == size:
-                continue
-            if all(_is_independent(geometry, t[:i] + t[i + 1:]) for i in range(size)):
-                found.append(t)
-    return tuple(found)
-
-
-def _broken_circuit_table(circuits) -> tuple[tuple[Monomial, Monomial], ...]:
-    """(broken circuit, circuit) pairs; ties keep the circuit with smallest min."""
-    table: dict[Monomial, Monomial] = {}
-    for circuit in circuits:
-        broken = circuit[1:]
-        if broken not in table or circuit[0] < table[broken][0]:
-            table[broken] = circuit
-    return tuple(sorted(table.items()))
-
-
-def _smallest_broken_circuit(broken_circuits, t: Monomial):
-    """(broken circuit, circuit) for the lexicographically smallest broken
-    circuit inside t, or None."""
-    tset = set(t)
-    return next((pair for pair in broken_circuits if tset.issuperset(pair[0])), None)
-
-
-def _nbc_levels(a: Arrangement, geometry, broken_circuits) -> tuple[tuple[Monomial, ...], ...]:
-    levels: list[tuple[Monomial, ...]] = [((),)]
-    for q in range(1, a.ell + 1):
-        levels.append(tuple(
-            t for t in combinations(range(a.n), q)
-            if _is_independent(geometry, t)
-            and _smallest_broken_circuit(broken_circuits, t) is None
-        ))
-    return tuple(levels)
+def _nbc_levels(a: Arrangement, lattice: ClosureLattice) -> tuple[tuple[Monomial, ...], ...]:
+    return tuple(
+        tuple(t for t in combinations(range(a.n), q) if _nbc_split(lattice, t) == ())
+        for q in range(a.ell + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,45 +125,36 @@ def _merge_sign(u: Monomial, v: Monomial):
     return tuple(merged), sign
 
 
-def _straightener(geometry, broken_circuits):
+def _straightener(lattice: ClosureLattice):
     """Function t -> sorted ((NBC monomial, coeff), ...) for the class of e_t.
 
-    Results are memoised in a dict owned by the returned function, so one
-    build shares them and nothing outlives it.
+    A tail failing the NBC test at j, with h < t_j on its flat, is rewritten
+    by the relation del(e_{h + tail}) = 0 of the dependent set {h} + tail:
+    e_tail = sum_i (-1)^i e_{h + tail minus its i-th entry}.  Each term
+    trades an entry for the smaller h, so the recursion ends.  Results are
+    memoised in a dict owned by the returned function, so one build shares
+    them and nothing outlives it.
     """
     memo: dict[Monomial, tuple[tuple[Monomial, int], ...]] = {}
 
     def straighten_(t: Monomial) -> tuple[tuple[Monomial, int], ...]:
         if t in memo:
             return memo[t]
-        if t and not geometry(t)[0]:
-            memo[t] = ()
-            return ()
-        pair = _smallest_broken_circuit(broken_circuits, t)
-        if pair is None:
-            # independent NBC tuples are fixed points; a dependent tuple always
-            # contains a broken circuit, so this branch is genuinely NBC
-            memo[t] = ((t, 1),)
+        split = _nbc_split(lattice, t)
+        if not split:
+            memo[t] = () if split is None else ((t, 1),)
             return memo[t]
-        broken, circuit = pair
-        rest = tuple(i for i in t if i not in set(broken))
-        _, outer_sign = _merge_sign(broken, rest)
-        # del e_C = 0 solved for the broken circuit:
-        # e_{C \ c_1} = sum_{j >= 2} (-1)^j e_{C \ c_j}
+        j, h = split
+        head, tail = t[:j], t[j:]
         result: dict[Monomial, int] = {}
-        for j in range(1, len(circuit)):
-            term = circuit[:j] + circuit[j + 1:]
-            merged, sign = _merge_sign(term, rest)
+        for i in range(len(tail)):
+            # a term repeating h in head vanishes
+            merged, sign = _merge_sign(head, (h,) + tail[:i] + tail[i + 1:])
             if merged is None:
                 continue
-            coeff = outer_sign * sign * (-1) ** (j + 1)
             for monomial, c in straighten_(merged):
-                acc = result.get(monomial, 0) + coeff * c
-                if acc:
-                    result[monomial] = acc
-                else:
-                    result.pop(monomial, None)
-        memo[t] = tuple(sorted(result.items()))
+                result[monomial] = result.get(monomial, 0) + (-1) ** i * sign * c
+        memo[t] = tuple(sorted((m, c) for m, c in result.items() if c))
         return memo[t]
 
     return straighten_
@@ -193,16 +163,14 @@ def _straightener(geometry, broken_circuits):
 def straighten(a: Arrangement, t: Monomial) -> dict[Monomial, int]:
     """Class of e_t as an integer combination of NBC monomials.
 
-    Tuples with empty intersection map to zero; dependent tuples are not
-    zeroed directly but collapse through the circuit relations.
+    Tuples with empty intersection and dependent tuples map to zero directly.
     """
     t = tuple(t)
     if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
         raise ValueError(f"index tuple {t} is not strictly increasing")
     if any(i < 0 or i >= a.n for i in t):
         raise ValueError(f"index tuple {t} out of range")
-    geometry = closure_lattice(a).affine_geometry
-    return dict(_straightener(geometry, os_algebra(a).broken_circuits)(t))
+    return dict(_straightener(closure_lattice(a))(t))
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +180,9 @@ def straighten(a: Arrangement, t: Monomial) -> dict[Monomial, int]:
 @lru_cache(maxsize=None)
 def os_algebra(a: Arrangement) -> OSAlgebra:
     """The Orlik-Solomon algebra of a, built once per arrangement."""
-    geometry = closure_lattice(a).affine_geometry
-    circuits = _find_circuits(a, geometry)
-    broken_circuits = _broken_circuit_table(circuits)
-    bases = _nbc_levels(a, geometry, broken_circuits)
-    straighten_ = _straightener(geometry, broken_circuits)
+    lattice = closure_lattice(a)
+    bases = _nbc_levels(a, lattice)
+    straighten_ = _straightener(lattice)
     index_of = [{m: i for i, m in enumerate(level)} for level in bases]
     generators = []
     for h in range(a.n):
@@ -231,12 +197,7 @@ def os_algebra(a: Arrangement) -> OSAlgebra:
                     entries.append((index_of[q + 1][target], col, sign * c))
             per_q.append(tuple(sorted(entries)))
         generators.append(tuple(per_q))
-    return OSAlgebra(
-        circuits=circuits,
-        broken_circuits=broken_circuits,
-        bases=bases,
-        generators=tuple(generators),
-    )
+    return OSAlgebra(bases=bases, generators=tuple(generators))
 
 
 def nbc_basis(a: Arrangement) -> tuple[tuple[Monomial, ...], ...]:

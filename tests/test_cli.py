@@ -402,6 +402,13 @@ def test_usage_error_exits_1(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_unfactorable_m_exits_1(capsys):
+    code, out, err = run(capsys, "cover-betti", "--catalog", "selberg", "--m", "1000036000099")
+    assert (code, out) == (1, "")
+    assert "cannot factor 1000036000099" in err
+    assert "Traceback" not in err
+
+
 def test_help_exits_0(capsys):
     code, out, err = run(capsys, "cover-betti", "--help")
     assert code == 0

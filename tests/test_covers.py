@@ -392,6 +392,11 @@ def test_cover_betti_selberg_large_m(selberg):
     assert len(report.charpoly_exponents) == 64
 
 
+def test_cover_betti_selberg_large_prime_m(selberg):
+    m = 10**18 + 3  # prime, past trial division: Miller-Rabin certifies it
+    assert cover_betti(selberg, m).betti == (1, 5, 2 * m + 4)
+
+
 def test_euler_identity_for_covers(catalog_arrangements):
     for key, a in catalog_arrangements.items():
         chi = euler_characteristic(a)

@@ -100,6 +100,44 @@ def test_factorize_examples():
     assert factorize(10**7) == ((2, 7), (5, 7))
 
 
+def trial_division(m):
+    factors, p = {}, 2
+    while p * p <= m:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        factors[m] = 1
+    return tuple(sorted(factors.items()))
+
+
+def test_factorize_agrees_with_plain_trial_division():
+    for m in [*range(1, 2000), 720720, 9699690, 10**7, 999983**2, 2**40 * 3**5]:
+        assert factorize(m) == trial_division(m), m
+    assert factorize(999983**2) == ((999983, 2),)
+    assert factorize(9699690) == tuple((p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19))
+
+
+def test_factorize_certifies_large_prime_cofactors():
+    assert factorize(10**18 + 3) == ((10**18 + 3, 1),)
+    assert factorize(2**61 - 1) == ((2**61 - 1, 1),)
+    assert factorize(6 * (10**18 + 3)) == ((2, 1), (3, 1), (10**18 + 3, 1))
+
+
+@pytest.mark.parametrize("m", [
+    1000003 * 1000033,
+    # a strong pseudoprime to the bases 2..37: only base 41 exposes it
+    399165290221 * 798330580441,
+    # the least strong pseudoprime to the bases 2..41, the bound itself
+    1287836182261 * 2575672364521,
+    (10**12 + 39) ** 2,
+])
+def test_factorize_rejects_cofactors_past_the_limit(m):
+    with pytest.raises(ValueError, match="no prime factor up to 1000000"):
+        factorize(m)
+
+
 def test_divisors_and_mobius_examples():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]

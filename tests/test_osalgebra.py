@@ -7,7 +7,8 @@ import pytest
 from arrcover.arrangement import Hyperplane, build, permuted, poincare_polynomial
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, cohomology_modN
-from arrcover.osalgebra import aomoto_matrices, nbc_basis, os_algebra, straighten
+from arrcover.osalgebra import aomoto_matrices, nbc_basis, straighten
+from test_geometry_oracle import CASES, oracle_case
 
 
 def mat_mul(a, b):
@@ -76,18 +77,29 @@ def test_straighten_rejects_non_increasing(selberg):
         straighten(selberg, (1, 1))
 
 
-def test_straighten_kills_circuit_boundaries(catalog_arrangements):
-    # del(e_C) must straighten to zero for every circuit of size <= 4
-    for a in catalog_arrangements.values():
-        for circuit in os_algebra(a).circuits:
-            if len(circuit) > 4:
-                continue
+def test_straighten_kills_circuit_boundaries():
+    # del(e_C) must straighten to zero for every circuit the row-reduction
+    # oracle finds, over Q, Q(zeta_3) and Q(zeta_4)
+    for key in sorted(CASES):
+        a, _, circuits = oracle_case(key)
+        for circuit in circuits:
             acc = {}
             for j in range(len(circuit)):
                 face = circuit[:j] + circuit[j + 1:]
                 for monomial, c in straighten(a, face).items():
                     acc[monomial] = acc.get(monomial, 0) + (-1) ** j * c
-            assert all(v == 0 for v in acc.values()), circuit
+            assert all(v == 0 for v in acc.values()), (key, circuit)
+
+
+def test_straighten_zeroes_dependent_tuples_and_yields_nbc_monomials():
+    for key in sorted(CASES):
+        a, geometry, _ = oracle_case(key)
+        nbc = {monomial for level in nbc_basis(a) for monomial in level}
+        for t, (nonempty, codim) in geometry.items():
+            result = straighten(a, t)
+            assert set(result) <= nbc, (key, t)
+            if not nonempty or codim < len(t):
+                assert result == {}, (key, t)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +118,8 @@ def test_selberg_degree0_differential(selberg):
 
 def test_differentials_square_to_zero(catalog_arrangements):
     rng = random.Random(3)
-    for a in catalog_arrangements.values():
+    oracle_cases = [CASES[key]() for key in sorted(CASES)]
+    for a in [*catalog_arrangements.values(), *oracle_cases]:
         for weights in [(1,) * a.n, tuple(rng.randint(-3, 3) for _ in range(a.n))]:
             complex_ = aomoto_matrices(a, weights)
             for q in range(len(complex_.diffs) - 1):
