@@ -10,18 +10,22 @@ All exact linear algebra happens in one pass, the lattice of the projective
 closure (the affine rows plus the hyperplane at infinity).  Its flats are
 keyed by their supports, so the flat set does not depend on hyperplane
 order; the pass finds each flat's covers with one reduction of every row
-modulo that flat and records the join table flat -> flat cap H_j.  The
-affine flats are the closure flats off the hyperplane at infinity, and the
-dense edges are the closure flats below the center of the cone, flagged by
-Crapo's beta invariant of their localizations.
+modulo that flat and records the join table flat -> flat cap H_j.  That
+pass works in integer arithmetic over Z[zeta_d]: each row is scaled by the
+lcm of its denominators, reduced fraction-free, and keyed by the primitive
+integer point on its residue's line, reached through the norm of the leading
+entry.  The affine flats are the closure flats off the hyperplane at
+infinity, and the dense edges are the closure flats below the center of the
+cone, flagged by Crapo's beta invariant of their localizations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 
-from .cyclofield import CycNum, IntPoly, reduced_row_echelon
+from .cyclofield import CycNum, IntPoly, reduced_row_echelon, zadjugate, zmul
 
 
 @dataclass(frozen=True)
@@ -345,18 +349,41 @@ def _by_codim(flats) -> IntersectionLattice:
     return IntersectionLattice(levels=tuple(map(tuple, levels)), rank=len(levels) - 1)
 
 
-def _residue(row, basis, one: CycNum):
-    """(leading column, row) of row reduced modulo a flat's basis and scaled
-    to leading entry 1: rows off the flat lie in one cover iff equal here."""
+def _integer_row(row) -> tuple[tuple[int, ...], ...]:
+    """A row over Q(zeta_d) scaled by the lcm of its denominators: a row over
+    Z[zeta_d], each entry a power-basis tuple of ints."""
+    scale = lcm(*(c.denominator for v in row for c in v.coeffs))
+    return tuple(tuple(c.numerator * (scale // c.denominator) for c in v.coeffs) for v in row)
+
+
+def _residue(row, basis, d: int):
+    """(leading column, key) of an integer row reduced modulo a flat's basis:
+    rows off the flat lie in one cover iff their keys are equal.
+
+    Each basis row b has a positive rational integer L = b[lead], so
+    row <- L*row - row[lead]*b clears row[lead] with integer operations only.
+    The residue is then multiplied by the adjugate of its leading entry,
+    which makes that entry its norm, a rational integer, and divided by the
+    gcd of its coefficients, signed so that the leading entry is positive.
+    That is the unique primitive integer point on the residue's line over
+    Q(zeta_d).
+    """
     for lead, brow in basis:
         c = row[lead]
-        if not c.is_zero:
-            row = tuple(v - c * w for v, w in zip(row, brow))
-    lead = next(i for i, v in enumerate(row) if not v.is_zero)
-    if row[lead] != one:
-        inv = row[lead].inverse()
-        row = tuple(inv * v for v in row)
-    return lead, row
+        if any(c):
+            scale = brow[lead][0]
+            row = tuple(
+                tuple(scale * x - y for x, y in zip(v, zmul(c, w, d)))
+                for v, w in zip(row, brow)
+            )
+    lead = next(i for i, v in enumerate(row) if any(v))
+    if any(row[lead][1:]):
+        adj = zadjugate(row[lead], d)
+        row = tuple(zmul(adj, v, d) for v in row)
+    g = gcd(*(x for v in row for x in v))
+    if row[lead][0] < 0:
+        g = -g
+    return lead, tuple(tuple(x // g for x in v) for v in row)
 
 
 @lru_cache(maxsize=None)
@@ -365,24 +392,29 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
 
     The closure is the central arrangement of the affine rows
     (coeffs | -constant) plus the row (0, ..., 0 | 1) of the hyperplane at
-    infinity, index n.  A flat is keyed by its support.  The lattice is built
-    level by level: each row outside a flat's support is reduced modulo the
-    flat's equations, and rows j, k give the same cover flat cap H_j exactly
-    when their residues are proportional.  So the rows grouped by normalised
-    residue are the covers of the flat, each with support support(flat) plus
-    its group, and the groups fill the flat's row of the join table.
+    infinity, index n, each scaled by the lcm of its denominators so that its
+    entries lie in Z[zeta_d].  A flat is keyed by its support.  The lattice
+    is built level by level: each row outside a flat's support is reduced
+    modulo the flat's equations, and rows j, k give the same cover
+    flat cap H_j exactly when their residues are proportional over
+    Q(zeta_d).  The reduction is fraction-free (Bareiss, Math. Comp. 22,
+    1968), and each residue is keyed by the primitive integer point on its
+    line, reached through the norm of its leading entry (see _residue).  So
+    the rows grouped by key are the covers of the flat, each with support
+    support(flat) plus its group, and the groups fill the flat's row of the
+    join table.
     Mobius values follow the recursion mu(Y) = -sum(mu(Z)) over flats Z with
     support(Z) strictly inside support(Y).
     """
-    one = CycNum.one(a.cyc_order)
-    rows = [h.affine_row() for h in a.hyperplanes]
-    rows.append((CycNum.zero(a.cyc_order),) * a.ambient_dim + (one,))
+    d = a.cyc_order
+    rows = [_integer_row(h.affine_row()) for h in a.hyperplanes]
+    rows.append(_integer_row((CycNum.zero(d),) * a.ambient_dim + (CycNum.one(d),)))
     supports: list[tuple[int, ...]] = [()]
     codims = [0]
     index_of = {(): 0}
-    # bases[f]: flat f's equations as (leading column, row) pairs, each row
-    # with leading entry 1 and zero in the leading columns of the rows before
-    # it; dropped once the covers of f are found
+    # bases[f]: flat f's equations as (leading column, key) pairs, each key
+    # with a positive rational integer leading entry and zero in the leading
+    # columns of the rows before it; dropped once the covers of f are found
     bases: list = [()]
     join: list[tuple[int, ...]] = []
     # supports grows while it is scanned, one level after the other
@@ -391,7 +423,7 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
         groups: dict[tuple, list[int]] = {}
         for j, row in enumerate(rows):
             if j not in support:
-                groups.setdefault(_residue(row, basis, one), []).append(j)
+                groups.setdefault(_residue(row, basis, d), []).append(j)
         step = [f] * len(rows)
         for residue, members in groups.items():
             cover = tuple(sorted(support + tuple(members)))

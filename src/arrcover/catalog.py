@@ -99,39 +99,37 @@ def ceva3() -> Arrangement:
     return build(3, d, hps)
 
 
+# key -> (builder, notes); get builds only the entry asked for
+_ENTRIES = {
+    "selberg": (
+        selberg,
+        "Selberg arrangement x y (x-y) (x-1) (y-1); decone of the rank-3 "
+        "braid arrangement, so X_6 is homeomorphic to the braid Milnor fiber",
+    ),
+    "maclane-decone": (
+        lambda: decone(maclane_central(), 0),
+        "MacLane (8_3) configuration deconed at the first hyperplane (x)",
+    ),
+    "hessian-decone": (
+        lambda: decone(hessian_central(), 0),
+        "Hessian configuration (12 planes) deconed at the first hyperplane (x1)",
+    ),
+    "ceva3": (
+        ceva3,
+        "Ceva(3) arrangement (x^3-y^3)(x^3-z^3)(y^3-z^3), kept central",
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def get(key: str) -> CatalogEntry:
+    if key not in _ENTRIES:
+        known = ", ".join(sorted(_ENTRIES))
+        raise KeyError(f"unknown catalog entry {key!r}; known entries: {known}")
+    builder, notes = _ENTRIES[key]
+    return CatalogEntry(key=key, arrangement=builder(), notes=notes)
+
+
 @lru_cache(maxsize=None)
 def entries() -> dict[str, CatalogEntry]:
-    all_entries = [
-        CatalogEntry(
-            key="selberg",
-            arrangement=selberg(),
-            notes=(
-                "Selberg arrangement x y (x-y) (x-1) (y-1); decone of the rank-3 "
-                "braid arrangement, so X_6 is homeomorphic to the braid Milnor fiber"
-            ),
-        ),
-        CatalogEntry(
-            key="maclane-decone",
-            arrangement=decone(maclane_central(), 0),
-            notes="MacLane (8_3) configuration deconed at the first hyperplane (x)",
-        ),
-        CatalogEntry(
-            key="hessian-decone",
-            arrangement=decone(hessian_central(), 0),
-            notes="Hessian configuration (12 planes) deconed at the first hyperplane (x1)",
-        ),
-        CatalogEntry(
-            key="ceva3",
-            arrangement=ceva3(),
-            notes="Ceva(3) arrangement (x^3-y^3)(x^3-z^3)(y^3-z^3), kept central",
-        ),
-    ]
-    return {e.key: e for e in all_entries}
-
-
-def get(key: str) -> CatalogEntry:
-    table = entries()
-    if key not in table:
-        known = ", ".join(sorted(table))
-        raise KeyError(f"unknown catalog entry {key!r}; known entries: {known}")
-    return table[key]
+    return {key: get(key) for key in _ENTRIES}

@@ -46,7 +46,7 @@ from .arrangement import (
     poincare_polynomial,
     support_image,
 )
-from .cyclofield import IntPoly, divisors, euler_phi, tk_exponents, tk_product
+from .cyclofield import IntPoly, divisor_phis, divisors, euler_phi, tk_exponents, tk_product
 from .exactlin import cohomology_Q, cohomology_modN
 from .osalgebra import aomoto_matrices
 
@@ -429,9 +429,10 @@ def cover_betti(a: Arrangement, m: int, resolution=None) -> CoverReport:
     """b_q(X_m) = sum over k | m of phi(k) * b_q(L_k), plus eigenspace data."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    values, exact = _local_values(a, divisors(m), resolution)
+    phis = divisor_phis(m)
+    values, exact = _local_values(a, list(phis), resolution)
     betti = tuple(
-        sum(euler_phi(k) * v[q] for k, v in values.items()) for q in range(a.ell + 1)
+        sum(phis[k] * v[q] for k, v in values.items()) for q in range(a.ell + 1)
     )
     return CoverReport(m=m, betti=betti, charpoly_exponents=tuple(values.items()), exact=exact)
 
@@ -479,10 +480,11 @@ def periodicity(a: Arrangement, resolution=None) -> PeriodicityReport:
     patterns = sorted(
         {tuple(k for k in range(1, n + 1) if g % k == 0) for g in divisors(period)}
     )
+    phis = {k: euler_phi(k) for k in values}
     classes = []
     for pattern in patterns:
         constants = tuple(
-            sum(euler_phi(k) * values[k][q] for k in pattern)
+            sum(phis[k] * values[k][q] for k in pattern)
             for q in range(1, ell)
         )
         alternating = sum((-1) ** q * c for q, c in enumerate(constants, start=1))

@@ -3,12 +3,13 @@
 Numbers in Q(zeta_d) are stored on the power basis {1, z, ..., z^(phi(d)-1)},
 where z is a primitive d-th root of unity; every value is kept reduced modulo
 the d-th cyclotomic polynomial, so two values are equal iff their coefficient
-tuples are equal.  Rationals are stdlib ``fractions.Fraction`` (always reduced,
-positive denominator).  The module also provides integer polynomials, the
-cyclotomic polynomials themselves and products of them written through the
-sparse factors t^d - 1, the number theory those rest on (bounded
-trial-division factorisation, divisors, Euler phi, Mobius), and exact
-Gaussian elimination over Q(zeta_d).
+tuples are equal.  The ring of integers Z[zeta_d] uses the same basis with
+plain int tuples, for fraction-free elimination.  Rationals are stdlib
+``fractions.Fraction`` (always reduced, positive denominator).  The module
+also provides integer polynomials, the cyclotomic polynomials themselves and
+products of them written through the sparse factors t^d - 1, the number
+theory those rest on (bounded trial-division factorisation, divisors with
+their Euler phi, Mobius), and exact Gaussian elimination over Q(zeta_d).
 """
 
 from __future__ import annotations
@@ -109,12 +110,19 @@ def euler_phi(k: int) -> int:
     return result
 
 
+def divisor_phis(m: int) -> dict[int, int]:
+    """{k: phi(k)} for the divisors k of m >= 1, ascending, built from the one
+    factorisation of m: phi is multiplicative, and phi(p^i) = p^i - p^(i-1)."""
+    pairs = [(1, 1)]
+    for p, e in factorize(m):
+        powers = [(1, 1)] + [(p**i, p**i - p ** (i - 1)) for i in range(1, e + 1)]
+        pairs = [(k * q, f * g) for k, f in pairs for q, g in powers]
+    return dict(sorted(pairs))
+
+
 def divisors(m: int) -> list[int]:
     """The divisors of m >= 1 in ascending order, built from its factorisation."""
-    divs = [1]
-    for p, e in factorize(m):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+    return list(divisor_phis(m))
 
 
 def mobius(k: int) -> int:
@@ -300,20 +308,35 @@ def _phi_coeffs(d: int) -> tuple[int, ...]:
     return cyclotomic_polynomial(d).coeffs
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], d: int) -> tuple[Fraction, ...]:
-    """Remainder of sum(coeffs[i] * z^i) modulo Phi_d, padded to length phi(d)."""
+def _reduce_mod_phi(coeffs: list, d: int, zero=Fraction(0)) -> tuple:
+    """Remainder of sum(coeffs[i] * z^i) modulo Phi_d, padded with zero to
+    length phi(d).
+
+    Phi_d is monic, so no division is needed and the coefficients stay in
+    their ring: Fractions for Q(zeta_d), ints for Z[zeta_d].
+    """
     phi = _phi_coeffs(d)
     deg = len(phi) - 1
     rem = list(coeffs)
     for i in range(len(rem) - 1, deg - 1, -1):
         c = rem[i]
         if c:
-            # Phi_d is monic, so no division is needed.
             for j in range(deg + 1):
                 rem[i - deg + j] -= c * phi[j]
         rem.pop()
-    rem.extend([Fraction(0)] * (deg - len(rem)))
+    rem.extend([zero] * (deg - len(rem)))
     return tuple(rem)
+
+
+def _mul_mod_phi(a, b, d: int, zero) -> tuple:
+    """Product of two power-basis tuples of length phi(d), reduced modulo Phi_d."""
+    out = [zero] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return _reduce_mod_phi(out, d, zero)
 
 
 @dataclass(frozen=True)
@@ -334,6 +357,16 @@ class CycNum:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _canonical(order: int, coeffs: tuple[Fraction, ...]) -> "CycNum":
+        """A CycNum from coefficients that are canonical by construction
+        (Fractions, reduced modulo Phi_order, length phi(order)), without the
+        checks of the public constructor.  Arithmetic results are built so."""
+        num = object.__new__(CycNum)
+        object.__setattr__(num, "order", order)
+        object.__setattr__(num, "coeffs", coeffs)
+        return num
 
     @staticmethod
     def zero(d: int) -> "CycNum":
@@ -365,25 +398,24 @@ class CycNum:
 
     def __add__(self, other: "CycNum") -> "CycNum":
         self._check_order(other)
-        return CycNum(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycNum._canonical(
+            self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __sub__(self, other: "CycNum") -> "CycNum":
         self._check_order(other)
-        return CycNum(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycNum._canonical(
+            self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.order, tuple(-a for a in self.coeffs))
+        return CycNum._canonical(self.order, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "CycNum") -> "CycNum":
         self._check_order(other)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * (2 * n - 1 if n else 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return CycNum(self.order, _reduce_mod_phi(out, self.order))
+        return CycNum._canonical(
+            self.order, _mul_mod_phi(self.coeffs, other.coeffs, self.order, Fraction(0))
+        )
 
     def inverse(self) -> "CycNum":
         if self.is_zero:
@@ -392,7 +424,7 @@ class CycNum:
         g, s = _poly_half_xgcd(list(self.coeffs), phi)
         # Phi_d is irreducible over Q, so the gcd is a nonzero constant.
         inv = [c / g for c in s]
-        return CycNum(self.order, _reduce_mod_phi(inv, self.order))
+        return CycNum._canonical(self.order, _reduce_mod_phi(inv, self.order))
 
     def __truediv__(self, other: "CycNum") -> "CycNum":
         self._check_order(other)
@@ -471,6 +503,35 @@ def cyc_reduce(raw, d: int) -> CycNum:
         raise ValueError("cyclotomic order must be >= 1")
     coeffs = [Fraction(c) for c in raw]
     return CycNum(d, _reduce_mod_phi(coeffs, d))
+
+
+# ---------------------------------------------------------------------------
+# The ring of integers Z[zeta_d]: power-basis tuples of ints, length phi(d).
+# ---------------------------------------------------------------------------
+
+def zmul(a: tuple[int, ...], b: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """Product in Z[zeta_d]; a rational integer a only scales b."""
+    if not any(a[1:]):
+        return tuple(a[0] * y for y in b)
+    return _mul_mod_phi(a, b, d, 0)
+
+
+def zconj(a: tuple[int, ...], j: int, d: int) -> tuple[int, ...]:
+    """The Galois conjugate sigma_j(a), zeta_d -> zeta_d^j, for j coprime to d."""
+    out = [0] * d
+    for i, x in enumerate(a):
+        out[i * j % d] += x
+    return _reduce_mod_phi(out, d, 0)
+
+
+def zadjugate(a: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """prod sigma_j(a) over the units j != 1 mod d, so that a * zadjugate(a, d)
+    is the norm N(a), a rational integer."""
+    adj = (1,) + (0,) * (len(a) - 1)
+    for j in range(2, d):
+        if gcd(j, d) == 1:
+            adj = zmul(adj, zconj(a, j, d), d)
+    return adj
 
 
 # ---------------------------------------------------------------------------

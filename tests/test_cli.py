@@ -441,6 +441,20 @@ def test_file_workflow(capsys, tmp_path, selberg):
     assert payload["poincare"] == [1, 5, 6]
 
 
+def test_catalog_get_builds_only_the_requested_entry():
+    # a fresh process: the catalog caches of this one are already filled
+    code = (
+        "from arrcover import catalog; catalog.get('selberg'); "
+        "print(catalog.hessian_central.cache_info().currsize, "
+        "catalog.maclane_central.cache_info().currsize, catalog.ceva3.cache_info().currsize)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(arrcover.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout.split()) == (0, ["0", "0", "0"])
+
+
 def test_catalog_show_round_trip(capsys):
     for key, entry in catalog.entries().items():
         code, out, err = run(capsys, "catalog", "show", key)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from arrcover import catalog
+from arrcover import catalog, cyclofield
 from arrcover.arrangement import (
     Hyperplane,
     betti_numbers,
@@ -395,6 +395,21 @@ def test_cover_betti_selberg_large_m(selberg):
 def test_cover_betti_selberg_large_prime_m(selberg):
     m = 10**18 + 3  # prime, past trial division: Miller-Rabin certifies it
     assert cover_betti(selberg, m).betti == (1, 5, 2 * m + 4)
+
+
+def test_cover_betti_factors_m_once(selberg, monkeypatch):
+    # phi of every divisor comes from the one factorisation of m
+    m = 10**18 + 3
+    factored = []
+    original = cyclofield.factorize
+
+    def counting(k):
+        factored.append(k)
+        return original(k)
+
+    monkeypatch.setattr(cyclofield, "factorize", counting)
+    assert cover_betti(selberg, m).betti == (1, 5, 2 * m + 4)
+    assert factored.count(m) == 1
 
 
 def test_euler_identity_for_covers(catalog_arrangements):

@@ -1,5 +1,6 @@
 """Cyclotomic arithmetic, cyclotomic polynomials, and row echelon forms."""
 
+import cmath
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +23,9 @@ from arrcover.cyclofield import (
     reduced_row_echelon,
     tk_exponents,
     tk_product,
+    zadjugate,
+    zconj,
+    zmul,
 )
 
 
@@ -257,6 +261,62 @@ def test_cyc_field_axioms_sampled():
         assert a * (b + c) == a * b + a * c
         if not b.is_zero:
             assert (a * b) / b == a
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError):
+        CycNum(3, (1,))
+    with pytest.raises(ValueError):
+        CycNum(0, ())
+    x = CycNum(3, (1, 2))
+    assert all(type(c) is Fraction for c in x.coeffs)
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 5, 8, 12])
+def test_arithmetic_results_equal_validated_constructions(d):
+    # results of + - neg * inverse skip the constructor's checks
+    rng = random.Random(f"canonical-{d}")
+
+    def number():
+        return cyc_reduce(
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(euler_phi(d))], d
+        )
+
+    for _ in range(20):
+        a, b = number(), number()
+        results = [a + b, a - b, -a, a * b]
+        if not b.is_zero:
+            results += [b.inverse(), a / b]
+        for r in results:
+            validated = CycNum(d, r.coeffs)
+            assert r == validated
+            assert hash(r) == hash(validated)
+            assert all(type(c) is Fraction for c in r.coeffs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 12])
+def test_integer_ring_product_conjugates_and_norm(d):
+    rng = random.Random(f"zring-{d}")
+    units = [j for j in range(1, d + 1) if gcd(j, d) == 1]
+    roots = [cmath.exp(2j * cmath.pi * u / d) for u in units]
+    for _ in range(15):
+        a, b = (tuple(rng.randint(-3, 3) for _ in range(euler_phi(d))) for _ in range(2))
+        product = zmul(a, b, d)
+        assert all(type(c) is int for c in product)
+        assert cyc_reduce(product, d) == cyc_reduce(a, d) * cyc_reduce(b, d)
+        assert zconj(a, 1, d) == a
+        for j in units:
+            # each sigma_j is a ring homomorphism
+            assert zconj(product, j, d) == zmul(zconj(a, j, d), zconj(b, j, d), d)
+        if any(a):
+            # a * adj(a) is the norm: a rational integer, the product of the
+            # complex embeddings of a
+            norm = zmul(a, zadjugate(a, d), d)
+            assert not any(norm[1:])
+            embedded = 1
+            for z in roots:
+                embedded *= sum(c * z**i for i, c in enumerate(a))
+            assert norm[0] == round(embedded.real) != 0
 
 
 def test_zeta_power_order():

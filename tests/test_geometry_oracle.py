@@ -14,8 +14,9 @@ localization by 1 + t.
 """
 
 import random
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, cycle
 
 import pytest
 
@@ -127,6 +128,11 @@ RANDOM_CASES = {
     for d in (1, 3, 4)
     for ell, n in ((2, 5), (2, 7), (3, 6))
     for seed in (1, 2)
+} | {
+    # phi(d) = 4: a residue's leading entry needs three conjugates for its norm
+    f"random-d{d}-l{ell}-n{n}-s1": (d, ell, n, 1)
+    for d in (5, 8)
+    for ell, n in ((2, 6), (3, 6))
 }
 
 
@@ -232,3 +238,25 @@ def test_closure_lattice_matches_subset_closures(key):
     ]
     for flat in marked:
         assert flat.dense == oracle_dense(expected, flat.support), flat.support
+
+
+def rescaled(a):
+    """The same arrangement with each equation multiplied by a nonzero scalar,
+    non-units and negatives among them: 2 - 3 zeta has norm 19 over Q(zeta_3)
+    and 13 over Q(i), and 7/3 is not an integer."""
+    d = a.cyc_order
+    base = [cyc_reduce([2, -3], d), CycNum.from_rational(Fraction(-7, 3), d)]
+    scalars = base + [base[0] * base[1], -base[0]]
+    return build(a.ell, d, [
+        Hyperplane(s * h.constant, tuple(s * c for c in h.coeffs))
+        for s, h in zip(cycle(scalars), a.hyperplanes)
+    ])
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_closure_lattice_ignores_equation_scaling(key):
+    a = CASES[key]()
+    b = rescaled(a)
+    assert b != a
+    assert closure_lattice(b) == closure_lattice(a)
+    assert dense_edges(b) == dense_edges(a)
