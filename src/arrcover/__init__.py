@@ -7,101 +7,47 @@ polynomials, polynomial periodicity, and zeta coefficients of the family of
 cyclic covers X_m.
 """
 
-from .arrangement import (
-    Arrangement,
-    Flat,
-    Hyperplane,
-    IntersectionLattice,
-    beta,
-    betti_numbers,
-    build,
-    cone,
-    decone,
-    dense_edges,
-    euler_characteristic,
-    intersection_lattice,
-    poincare_polynomial,
-)
-from .covers import (
-    BettiInterval,
-    CharpolyReport,
-    CoverReport,
-    PeriodicityReport,
-    ShiftSearchConfig,
-    UnresolvedBettiError,
-    WeightSystem,
-    ZetaReport,
-    cover_betti,
-    fast_nonresonant,
-    local_betti,
-    monodromy_charpoly,
-    periodicity,
-    stv_nonresonant,
-    zeta_coefficients,
-)
-from .cyclofield import (
-    CycNum,
-    IntPoly,
-    Rational,
-    cyc_reduce,
-    cyclotomic_polynomial,
-    euler_phi,
-)
-from .exactlin import (
-    CohomologyProfile,
-    SnfResult,
-    cohomology_modN,
-    cohomology_Q,
-    smith_normal_form,
-)
-from .fileformat import ArrangementFileError, parse_file, serialize_arrangement
-from .osalgebra import AomotoComplex, aomoto_matrices, nbc_basis, straighten
+import importlib
 
-__all__ = [
-    "AomotoComplex",
-    "Arrangement",
-    "ArrangementFileError",
-    "BettiInterval",
-    "CharpolyReport",
-    "CohomologyProfile",
-    "CoverReport",
-    "CycNum",
-    "Flat",
-    "Hyperplane",
-    "IntPoly",
-    "IntersectionLattice",
-    "PeriodicityReport",
-    "Rational",
-    "ShiftSearchConfig",
-    "SnfResult",
-    "UnresolvedBettiError",
-    "WeightSystem",
-    "ZetaReport",
-    "aomoto_matrices",
-    "beta",
-    "betti_numbers",
-    "build",
-    "cohomology_Q",
-    "cohomology_modN",
-    "cone",
-    "cover_betti",
-    "cyc_reduce",
-    "cyclotomic_polynomial",
-    "decone",
-    "dense_edges",
-    "euler_characteristic",
-    "euler_phi",
-    "fast_nonresonant",
-    "intersection_lattice",
-    "local_betti",
-    "monodromy_charpoly",
-    "nbc_basis",
-    "parse_file",
-    "periodicity",
-    "poincare_polynomial",
-    "serialize_arrangement",
-    "smith_normal_form",
-    "straighten",
-    "stv_nonresonant",
-    "zeta_coefficients",
-]
+# public name -> the submodule that defines it; a name is imported with its
+# module on first access (PEP 562), so a command loads only what it uses
+_HOMES = {
+    **dict.fromkeys(
+        ("Arrangement", "Flat", "Hyperplane", "IntersectionLattice", "beta", "betti_numbers",
+         "build", "cone", "decone", "dense_edges", "euler_characteristic",
+         "intersection_lattice", "poincare_polynomial"),
+        "arrangement",
+    ),
+    **dict.fromkeys(
+        ("BettiInterval", "CharpolyReport", "CoverReport", "PeriodicityReport",
+         "ShiftSearchConfig", "UnresolvedBettiError", "WeightSystem", "ZetaReport",
+         "cover_betti", "fast_nonresonant", "local_betti", "monodromy_charpoly",
+         "periodicity", "stv_nonresonant", "zeta_coefficients"),
+        "covers",
+    ),
+    **dict.fromkeys(
+        ("CycNum", "IntPoly", "Rational", "cyc_reduce", "cyclotomic_polynomial", "euler_phi"),
+        "cyclofield",
+    ),
+    **dict.fromkeys(
+        ("CohomologyProfile", "SnfResult", "cohomology_modN", "cohomology_Q",
+         "smith_normal_form"),
+        "exactlin",
+    ),
+    **dict.fromkeys(("ArrangementFileError", "parse_file", "serialize_arrangement"),
+                    "fileformat"),
+    **dict.fromkeys(("AomotoComplex", "aomoto_matrices", "nbc_basis", "straighten"),
+                    "osalgebra"),
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    # Only the exported names resolve here.  Any other name raises, so that
+    # ``from arrcover import covers`` falls back to importing the submodule.
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value

@@ -21,27 +21,28 @@ cone, flagged by Crapo's beta invariant of their localizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .cyclofield import CycNum, IntPoly, reduced_row_echelon, zadjugate, zmul
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class Hyperplane:
     """Affine hyperplane {x : constant + coeffs . x = 0}; linear part nonzero."""
 
     constant: CycNum
     coeffs: tuple[CycNum, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if all(c.is_zero for c in self.coeffs):
+    def __init__(self, constant, coeffs):
+        coeffs = tuple(coeffs)
+        if all(c.is_zero for c in coeffs):
             raise ValueError("hyperplane has zero linear part")
-        orders = {self.constant.order} | {c.order for c in self.coeffs}
+        orders = {constant.order} | {c.order for c in coeffs}
         if len(orders) != 1:
             raise ValueError(f"mixed cyclotomic orders in hyperplane: {sorted(orders)}")
+        self.__dict__.update(constant=constant, coeffs=coeffs)
 
     @property
     def order(self) -> int:
@@ -62,20 +63,24 @@ class Hyperplane:
         return all((x - ratio * y).is_zero for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
+@record
 class Arrangement:
     """Ordered, duplicate-free arrangement of n hyperplanes in C^ambient_dim.
 
     The hash is computed once and kept on the instance outside the fields, so
-    equality and repr are the dataclass ones; it equals the dataclass hash.
-    Every cache keyed on an arrangement would otherwise rehash all of its
-    Fraction coefficients on each lookup.
+    equality and repr are the field-wise ones of every record; it equals the
+    hash of the field tuple.  Every cache keyed on an arrangement would
+    otherwise rehash all of its Fraction coefficients on each lookup.
     """
 
     ambient_dim: int
     cyc_order: int
     hyperplanes: tuple[Hyperplane, ...]
     is_central: bool
+
+    def __init__(self, ambient_dim, cyc_order, hyperplanes, is_central):
+        self.__dict__.update(ambient_dim=ambient_dim, cyc_order=cyc_order,
+                             hyperplanes=hyperplanes, is_central=is_central)
 
     def __hash__(self) -> int:
         return self._hash
@@ -118,11 +123,6 @@ def build(ambient_dim: int, cyc_order: int, hyperplanes) -> Arrangement:
         )
     central = all(h.constant.is_zero for h in hps)
     return Arrangement(ambient_dim, cyc_order, hps, central)
-
-
-def permuted(a: Arrangement, perm) -> Arrangement:
-    """Reorder hyperplanes; perm[i] is the old index placed at position i."""
-    return build(a.ambient_dim, a.cyc_order, tuple(a.hyperplanes[i] for i in perm))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def decone(c: Arrangement, at: int) -> Arrangement:
 # Intersection lattice.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Flat:
     """Flat of the intersection lattice.
 
@@ -193,17 +193,23 @@ class Flat:
     mobius: int
     dense: bool | None
 
+    def __init__(self, support, codim, mobius, dense):
+        self.__dict__.update(support=support, codim=codim, mobius=mobius, dense=dense)
+
     @property
     def multiplicity(self) -> int:
         return len(self.support)
 
 
-@dataclass(frozen=True)
+@record
 class IntersectionLattice:
     """Flats grouped by codimension 0..rank."""
 
     levels: tuple[tuple[Flat, ...], ...]
     rank: int
+
+    def __init__(self, levels, rank):
+        self.__dict__.update(levels=levels, rank=rank)
 
     def flats(self):
         for level in self.levels:
@@ -213,7 +219,7 @@ class IntersectionLattice:
         return self.levels[c] if 0 <= c < len(self.levels) else ()
 
 
-@dataclass(frozen=True)
+@record
 class ClosureLattice:
     """Flats of the projective closure with their join table.
 
@@ -224,6 +230,9 @@ class ClosureLattice:
 
     flats: tuple[Flat, ...]
     join: tuple[tuple[int, ...], ...]
+
+    def __init__(self, flats, join):
+        self.__dict__.update(flats=flats, join=join)
 
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
@@ -363,10 +372,12 @@ def _residue(row, basis, d: int):
     Each basis row b has a positive rational integer L = b[lead], so
     row <- L*row - row[lead]*b clears row[lead] with integer operations only.
     The residue is then multiplied by the adjugate of its leading entry,
-    which makes that entry its norm, a rational integer, and divided by the
-    gcd of its coefficients, signed so that the leading entry is positive.
-    That is the unique primitive integer point on the residue's line over
-    Q(zeta_d).
+    which makes that entry a rational integer, and divided by the gcd of its
+    coefficients, signed so that the leading entry is positive.  That is the
+    unique primitive integer point on the residue's line over Q(zeta_d).
+    The adjugate is taken of the leading entry divided by the gcd c of its
+    coefficients: that scales the product by c^(phi(d) - 1) > 0 only, which
+    leaves the point unchanged, and the elimination leaves large contents.
     """
     for lead, brow in basis:
         c = row[lead]
@@ -378,7 +389,11 @@ def _residue(row, basis, d: int):
             )
     lead = next(i for i, v in enumerate(row) if any(v))
     if any(row[lead][1:]):
-        adj = zadjugate(row[lead], d)
+        entry = row[lead]
+        content = gcd(*entry)
+        if content > 1:
+            entry = tuple(x // content for x in entry)
+        adj = zadjugate(entry, d)
         row = tuple(zmul(adj, v, d) for v in row)
     g = gcd(*(x for v in row for x in v))
     if row[lead][0] < 0:
@@ -502,7 +517,8 @@ def dense_edges(a: Arrangement) -> IntersectionLattice:
 
     def marked(y: int) -> Flat:
         beta_y = sum(f.mobius * f.codim for f, m in zip(flats, masks) if m & masks[y] == m)
-        return replace(flats[y], dense=beta_y != 0)
+        flat = flats[y]
+        return Flat(flat.support, flat.codim, flat.mobius, beta_y != 0)
 
     return _by_codim(
         [flats[0]] + [marked(y) for y in range(1, len(flats)) if flats[y].codim <= a.ell]

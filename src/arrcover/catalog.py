@@ -8,18 +8,21 @@ exposed too, for the cone/decone and decone-choice tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arrangement import Arrangement, Hyperplane, build, decone
 from .cyclofield import CycNum, cyc_reduce
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     key: str
     arrangement: Arrangement
     notes: str
+
+    def __init__(self, key, arrangement, notes):
+        self.__dict__.update(key=key, arrangement=arrangement, notes=notes)
 
 
 def _q(d, *values):

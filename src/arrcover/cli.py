@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 input or usage error, 2 unresolved Betti interval.
 JSON output (the default) is deterministic: sorted keys, two-space indent,
 canonical rational strings.
+
+A cold process pays for every module it imports, so each command imports the
+modules it needs itself: only os loads osalgebra, only the commands on local
+Betti values load covers (and with it osalgebra and exactlin), and only
+--file and catalog show load fileformat.
 """
 
 from __future__ import annotations
@@ -20,18 +25,7 @@ from .arrangement import (
     intersection_lattice,
     poincare_polynomial,
 )
-from .covers import (
-    ShiftSearchConfig,
-    UnresolvedBettiError,
-    cover_betti,
-    monodromy_charpoly,
-    periodicity,
-    resolve,
-    zeta_coefficients,
-)
 from .cyclofield import format_poly
-from .fileformat import ArrangementFileError, parse_file, serialize_arrangement
-from .osalgebra import aomoto_matrices, nbc_basis
 
 
 class CliError(Exception):
@@ -48,6 +42,8 @@ def _load_arrangement(args) -> tuple[Arrangement, str]:
             raise CliError(str(exc.args[0])) from exc
         return entry.arrangement, entry.key
     if args.file:
+        from .fileformat import ArrangementFileError, parse_file
+
         try:
             with open(args.file, "rb") as fh:
                 data = fh.read()
@@ -117,7 +113,7 @@ def _interval_text(iv):
     return f"  q={iv.degree}: [{iv.lower}..{iv.upper}] unresolved"
 
 
-def _report_unresolved(exc: UnresolvedBettiError, fmt: str) -> int:
+def _report_unresolved(exc, fmt: str) -> int:
     payload = {
         "error": "unresolved-interval",
         "k": exc.k,
@@ -202,6 +198,8 @@ def _cmd_lattice(args) -> int:
 def _cmd_os(args) -> int:
     if args.k_vector and not args.matrices:
         raise CliError("--k-vector requires --matrices")
+    from .osalgebra import aomoto_matrices, nbc_basis
+
     a, name = _load_arrangement(args)
     bases = nbc_basis(a)
     payload = {
@@ -233,6 +231,8 @@ def _cmd_os(args) -> int:
 
 
 def _cmd_local_betti(args) -> int:
+    from .covers import ShiftSearchConfig, resolve
+
     a, name = _load_arrangement(args)
     search = ShiftSearchConfig(extra_shifts=_parse_shifts(args.shift))
     assertions = _parse_assertions(getattr(args, "assert"), k_fixed=args.k)
@@ -249,6 +249,8 @@ def _cmd_local_betti(args) -> int:
 
 
 def _cmd_cover_betti(args) -> int:
+    from .covers import cover_betti
+
     a, name = _load_arrangement(args)
     assertions = _parse_assertions(getattr(args, "assert"))
     report = cover_betti(a, args.m, assertions)
@@ -272,6 +274,8 @@ def _cmd_cover_betti(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
+    from .covers import monodromy_charpoly
+
     a, name = _load_arrangement(args)
     assertions = _parse_assertions(getattr(args, "assert"))
     report = monodromy_charpoly(a, args.m, args.q, assertions)
@@ -301,6 +305,8 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_periodicity(args) -> int:
+    from .covers import periodicity
+
     a, name = _load_arrangement(args)
     assertions = _parse_assertions(getattr(args, "assert"))
     report = periodicity(a, assertions)
@@ -331,6 +337,8 @@ def _cmd_periodicity(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
+    from .covers import zeta_coefficients
+
     a, name = _load_arrangement(args)
     assertions = _parse_assertions(getattr(args, "assert"))
     report = zeta_coefficients(a, args.q, assertions)
@@ -362,6 +370,8 @@ def _cmd_catalog(args) -> int:
                  for e in table.values()]
         _emit(payload, lines, args.format)
         return 0
+    from .fileformat import serialize_arrangement
+
     try:
         entry = catalog_mod.get(args.key)
     except KeyError as exc:
@@ -442,14 +452,16 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except UnresolvedBettiError as exc:
+    except (CliError, ValueError) as exc:  # ArrangementFileError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # an open interval can only come from covers, so a command that never
+        # loaded it cannot raise one
+        covers = sys.modules.get(f"{__package__}.covers")
+        if covers is None or not isinstance(exc, covers.UnresolvedBettiError):
+            raise
         return _report_unresolved(exc, args.format)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArrangementFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

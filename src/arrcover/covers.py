@@ -29,7 +29,6 @@ degree, not with m itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -49,6 +48,7 @@ from .arrangement import (
 from .cyclofield import IntPoly, divisor_phis, divisors, euler_phi, tk_exponents, tk_product
 from .exactlin import cohomology_Q, cohomology_modN
 from .osalgebra import aomoto_matrices
+from .record import record
 
 
 # Largest n whose shift sweep enumerates all of {-1, 0}^n.
@@ -71,17 +71,17 @@ class UnresolvedBettiError(Exception):
         super().__init__(f"unresolved local Betti numbers at k={k}: {gaps}")
 
 
-@dataclass(frozen=True)
+@record
 class WeightSystem:
     """Integer weights k_H with common denominator N; lambda_H = k_H / N."""
 
     k_vector: tuple[int, ...]
     modulus: int
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, k_vector, modulus):
+        if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "k_vector", tuple(int(v) for v in self.k_vector))
+        self.__dict__.update(k_vector=tuple(int(v) for v in k_vector), modulus=modulus)
 
     @property
     def infinity_weight(self) -> Fraction:
@@ -92,17 +92,19 @@ class WeightSystem:
         return WeightSystem((1,) * n, k)
 
 
-@dataclass(frozen=True)
+@record
 class BettiInterval:
     degree: int
     lower: int
     upper: int
     resolved: bool
-    witness_shift: tuple[int, ...] | None = None
+    witness_shift: tuple[int, ...] | None
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"interval lower {self.lower} exceeds upper {self.upper}")
+    def __init__(self, degree, lower, upper, resolved, witness_shift=None):
+        if lower > upper:
+            raise ValueError(f"interval lower {lower} exceeds upper {upper}")
+        self.__dict__.update(degree=degree, lower=lower, upper=upper, resolved=resolved,
+                             witness_shift=witness_shift)
 
     @property
     def value(self) -> int:
@@ -111,7 +113,7 @@ class BettiInterval:
         return self.lower
 
 
-@dataclass(frozen=True)
+@record
 class ShiftSearchConfig:
     """Candidate shifts for the lower bound.
 
@@ -124,7 +126,10 @@ class ShiftSearchConfig:
     and witnesses are those of the full enumeration.
     """
 
-    extra_shifts: tuple[tuple[int, ...], ...] = ()
+    extra_shifts: tuple[tuple[int, ...], ...]
+
+    def __init__(self, extra_shifts=()):
+        self.__dict__["extra_shifts"] = extra_shifts
 
     def candidates(self, n: int):
         for shift in self.extra_shifts:
@@ -142,7 +147,11 @@ class ShiftSearchConfig:
             yield (0,) * n
 
 
-@dataclass(frozen=True)
+# The search of every local_betti call that names none.
+DEFAULT_SEARCH = ShiftSearchConfig()
+
+
+@record
 class CoverReport:
     """Betti numbers and eigenspace data of the cover X_m."""
 
@@ -151,11 +160,15 @@ class CoverReport:
     charpoly_exponents: tuple[tuple[int, tuple[int, ...]], ...]  # (k, per-degree d)
     exact: bool
 
+    def __init__(self, m, betti, charpoly_exponents, exact):
+        self.__dict__.update(m=m, betti=betti, charpoly_exponents=charpoly_exponents,
+                             exact=exact)
+
     def exponents_for_degree(self, q: int) -> dict[int, int]:
         return {k: dims[q] for k, dims in self.charpoly_exponents}
 
 
-@dataclass(frozen=True)
+@record
 class CharpolyReport:
     m: int
     degree: int
@@ -164,13 +177,21 @@ class CharpolyReport:
     tk_factors: tuple[tuple[int, int], ...] | None  # (j, e) when a product of t^j - 1 works
     exact: bool
 
+    def __init__(self, m, degree, exponents, expanded, tk_factors, exact):
+        self.__dict__.update(m=m, degree=degree, exponents=exponents, expanded=expanded,
+                             tk_factors=tk_factors, exact=exact)
 
-@dataclass(frozen=True)
+
+@record
 class PeriodicityClass:
     divisors: tuple[int, ...]  # {k <= n : k | residue}, determines membership
     constants: tuple[int, ...]  # p_q for 1 <= q <= ell-1
     top_slope: int
     top_constant: int
+
+    def __init__(self, divisors, constants, top_slope, top_constant):
+        self.__dict__.update(divisors=divisors, constants=constants, top_slope=top_slope,
+                             top_constant=top_constant)
 
     def betti(self, m: int, ell: int) -> tuple[int, ...]:
         values = [1, *self.constants, self.top_slope * m + self.top_constant]
@@ -181,12 +202,15 @@ class PeriodicityClass:
         return tuple(values)
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicityReport:
     period: int
     ell: int
     classes: tuple[PeriodicityClass, ...]
     exact: bool
+
+    def __init__(self, period, ell, classes, exact):
+        self.__dict__.update(period=period, ell=ell, classes=classes, exact=exact)
 
     def class_for(self, m: int) -> PeriodicityClass:
         residue = ((m - 1) % self.period) + 1
@@ -206,12 +230,16 @@ def _max_divisor(report: PeriodicityReport) -> int:
     return max((max(cls.divisors) for cls in report.classes), default=1)
 
 
-@dataclass(frozen=True)
+@record
 class ZetaReport:
     degree: int
     finite_terms: tuple[tuple[int, int], ...]  # (k, phi(k) * b_q(L_k)) nonzero
     tail_beta: int
     exact: bool
+
+    def __init__(self, degree, finite_terms, tail_beta, exact):
+        self.__dict__.update(degree=degree, finite_terms=finite_terms, tail_beta=tail_beta,
+                             exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -332,23 +360,33 @@ def _one_per_orbit(a: Arrangement, candidates):
 
 
 def local_betti(
-    a: Arrangement, k: int, search: ShiftSearchConfig | None = None
+    a: Arrangement,
+    k: int,
+    search: ShiftSearchConfig | None = None,
+    *,
+    nonresonant: tuple[BettiInterval, ...] | None = None,
 ) -> tuple[BettiInterval, ...]:
     """Per-degree intervals for b_q(L_k), weights 1/k.
 
     k = 1 is the trivial system (constant Betti numbers); nonresonant k give
     (0, ..., 0, beta) exactly; otherwise the combinatorial bounds are
     computed and unresolved intervals are returned as data, not errors.
+    A caller that visits many k passes those (0, ..., 0, beta) intervals as
+    nonresonant, built once, instead of having them rebuilt for each k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    search = search or ShiftSearchConfig()
     if k == 1:
         return _resolved_intervals(betti_numbers(a))
     if is_nonresonant(a, k):
-        values = [0] * a.ell + [beta(a)]
-        return _resolved_intervals(values)
-    return _bound_intervals(a, k, search)
+        if nonresonant is None:
+            nonresonant = _nonresonant_intervals(a)
+        return nonresonant
+    return _bound_intervals(a, k, DEFAULT_SEARCH if search is None else search)
+
+
+def _nonresonant_intervals(a: Arrangement) -> tuple[BettiInterval, ...]:
+    return _resolved_intervals([0] * a.ell + [beta(a)])
 
 
 def resolve(a: Arrangement, ks, resolution=None, search: ShiftSearchConfig | None = None):
@@ -375,8 +413,9 @@ def resolve(a: Arrangement, ks, resolution=None, search: ShiftSearchConfig | Non
                 f"asserted b_{q}(L_{k}) = {value}: degree out of range 0..{a.ell}"
             )
         asserted.setdefault(k, {})[q] = value
+    nonresonant = _nonresonant_intervals(a)
     for k in ks:
-        intervals = local_betti(a, k, search)
+        intervals = local_betti(a, k, search, nonresonant=nonresonant)
         at_k = asserted.get(k)
         if not at_k:
             yield k, intervals, True

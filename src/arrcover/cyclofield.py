@@ -15,10 +15,11 @@ their Euler phi, Mobius), and exact Gaussian elimination over Q(zeta_d).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from .record import record
 
 Rational = Fraction
 
@@ -137,7 +138,7 @@ def mobius(k: int) -> int:
 # Integer polynomials, coefficients low degree first.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class IntPoly:
     """Polynomial with integer coefficients, low degree first.
 
@@ -147,11 +148,11 @@ class IntPoly:
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
+    def __init__(self, coeffs):
+        c = tuple(int(v) for v in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        self.__dict__["coeffs"] = c
 
     @property
     def degree(self) -> int:
@@ -339,22 +340,22 @@ def _mul_mod_phi(a, b, d: int, zero) -> tuple:
     return _reduce_mod_phi(out, d, zero)
 
 
-@dataclass(frozen=True)
+@record
 class CycNum:
     """Element of Q(zeta_d) with canonical coefficients of length phi(d)."""
 
     order: int
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order, coeffs):
+        if order < 1:
             raise ValueError("cyclotomic order must be >= 1")
-        expected = euler_phi(self.order)
-        if len(self.coeffs) != expected:
+        expected = euler_phi(order)
+        if len(coeffs) != expected:
             raise ValueError(
-                f"expected {expected} coefficients for order {self.order}, got {len(self.coeffs)}"
+                f"expected {expected} coefficients for order {order}, got {len(coeffs)}"
             )
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        self.__dict__.update(order=order, coeffs=tuple(Fraction(c) for c in coeffs))
 
     # -- constructors ------------------------------------------------------
 
@@ -364,8 +365,7 @@ class CycNum:
         (Fractions, reduced modulo Phi_order, length phi(order)), without the
         checks of the public constructor.  Arithmetic results are built so."""
         num = object.__new__(CycNum)
-        object.__setattr__(num, "order", order)
-        object.__setattr__(num, "coeffs", coeffs)
+        num.__dict__.update(order=order, coeffs=coeffs)
         return num
 
     @staticmethod
@@ -526,12 +526,52 @@ def zconj(a: tuple[int, ...], j: int, d: int) -> tuple[int, ...]:
 
 def zadjugate(a: tuple[int, ...], d: int) -> tuple[int, ...]:
     """prod sigma_j(a) over the units j != 1 mod d, so that a * zadjugate(a, d)
-    is the norm N(a), a rational integer."""
-    adj = (1,) + (0,) * (len(a) - 1)
-    for j in range(2, d):
-        if gcd(j, d) == 1:
-            adj = zmul(adj, zconj(a, j, d), d)
-    return adj
+    is the norm N(a), a rational integer.
+
+    Along the chain of _unit_chain(d), H_i is the union of the cosets
+    g^t H_{i-1}, t < o.  So the norm x_i of a over H_i is the product of
+    sigma_{g^t}(x_{i-1}) over t < o, and the adjugate is the product over
+    the chain of the factors for 0 < t < o, each found by doubling with
+    O(log o) products instead of o - 1.
+    """
+    adj = x = factor = None
+    for g, index in _unit_chain(d):
+        x = a if x is None else zmul(x, factor, d)
+        factor = _conjugates_after_one(x, g, index - 1, d)
+        adj = factor if adj is None else zmul(adj, factor, d)
+    return (1,) if adj is None else adj  # phi(d) = 1: no other conjugate
+
+
+@lru_cache(maxsize=None)
+def _unit_chain(d: int) -> tuple[tuple[int, int], ...]:
+    """(g, o) for each step of a chain {1} = H_0 < H_1 < ... = (Z/d)^x:
+    g is the least unit outside H_{i-1}, and H_i, generated by H_{i-1} and
+    g, is the union of the o distinct cosets g^t H_{i-1}, t < o."""
+    chain = []
+    group = {1}
+    for g in range(2, d):
+        if g in group or gcd(g, d) != 1:
+            continue
+        cosets = [group]
+        while (coset := {h * g % d for h in cosets[-1]}) != group:
+            cosets.append(coset)
+        chain.append((g, len(cosets)))
+        group = set().union(*cosets)
+    return tuple(chain)
+
+
+def _conjugates_after_one(x: tuple[int, ...], g: int, n: int, d: int) -> tuple[int, ...]:
+    """prod sigma_{g^t}(x) for t = 1..n, as sigma_g(P_n) with
+    P_m = prod_{t < m} sigma_{g^t}(x) doubled along the bits of n:
+    P_2m = P_m * sigma_{g^m}(P_m) and P_m+1 = P_m * sigma_{g^m}(x)."""
+    p, m = x, 1
+    for bit in bin(n)[3:]:
+        p = zmul(p, zconj(p, pow(g, m, d), d), d)
+        m *= 2
+        if bit == "1":
+            p = zmul(p, zconj(x, pow(g, m, d), d), d)
+            m += 1
+    return zconj(p, g, d)
 
 
 # ---------------------------------------------------------------------------

@@ -11,29 +11,34 @@ is arbitrary-precision; the differentials arrive as dense integer rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclofield import factorize
 from .osalgebra import AomotoComplex
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class SnfResult:
     """Diagonal of the Smith normal form: d_1 | d_2 | ..., zeros trailing."""
 
     invariant_factors: tuple[int, ...]
+
+    def __init__(self, invariant_factors):
+        self.__dict__["invariant_factors"] = invariant_factors
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.invariant_factors if d != 0)
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyProfile:
     """Per-degree cohomology dimensions of a complex over one ring."""
 
     ring: str
     dims: tuple[int, ...]
+
+    def __init__(self, ring, dims):
+        self.__dict__.update(ring=ring, dims=dims)
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,16 @@ semilattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .arrangement import Arrangement, ClosureLattice, closure_lattice
+from .record import record
 
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class OSAlgebra:
     """The Orlik-Solomon algebra of one arrangement in the NBC basis.
 
@@ -49,8 +49,11 @@ class OSAlgebra:
     bases: tuple[tuple[Monomial, ...], ...]
     generators: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
 
+    def __init__(self, bases, generators):
+        self.__dict__.update(bases=bases, generators=generators)
 
-@dataclass(frozen=True)
+
+@record
 class AomotoComplex:
     """NBC bases per degree plus the integer matrices of a_k wedge.
 
@@ -61,6 +64,9 @@ class AomotoComplex:
 
     bases: tuple[tuple[Monomial, ...], ...]
     diffs: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __init__(self, bases, diffs):
+        self.__dict__.update(bases=bases, diffs=diffs)
 
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.bases)

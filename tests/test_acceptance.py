@@ -21,7 +21,6 @@ from arrcover.arrangement import (
     cone,
     euler_characteristic,
     intersection_lattice,
-    permuted,
     poincare_polynomial,
 )
 from arrcover.cli import main as cli_main
@@ -36,6 +35,7 @@ from arrcover.cyclofield import IntPoly, reduced_row_echelon
 from arrcover.exactlin import cohomology_Q, cohomology_modN, smith_normal_form
 from arrcover.osalgebra import aomoto_matrices, nbc_basis
 from deletion_restriction import deletion, restriction
+from permutation import permuted
 from row_span import row_in_span
 
 CEVA3_K3 = {(3, 1): 2, (3, 2): 13, (3, 3): 11}

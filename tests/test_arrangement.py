@@ -15,12 +15,12 @@ from arrcover.arrangement import (
     dense_edges,
     euler_characteristic,
     intersection_lattice,
-    permuted,
     poincare_polynomial,
 )
 from arrcover.cyclofield import CycNum, IntPoly, reduced_row_echelon
 from arrcover.fileformat import parse_file, serialize_arrangement
 from deletion_restriction import deletion, restriction
+from permutation import permuted
 from row_span import row_in_span
 
 

@@ -22,6 +22,7 @@ from arrcover.covers import (
     local_betti,
     monodromy_charpoly,
     periodicity,
+    resolve,
     stv_nonresonant,
     zeta_coefficients,
 )
@@ -112,6 +113,17 @@ def test_local_betti_nonresonant_shortcut(selberg, maclane_decone, hessian_decon
         intervals = local_betti(a, k)
         expected = [0] * a.ell + [beta(a)]
         assert [iv.value for iv in intervals] == expected
+
+
+def test_resolve_shares_one_set_of_nonresonant_intervals(selberg):
+    # k = 6, 7, 10 exceed n = 5, so all three are nonresonant
+    visited = list(resolve(selberg, (1, 6, 7, 10)))
+    shared = visited[1][1]
+    assert all(intervals is shared for _, intervals, _ in visited[2:])
+    assert shared == local_betti(selberg, 7)
+    assert visited[0][1] == local_betti(selberg, 1) != shared
+    # a resonant k ignores the given intervals
+    assert local_betti(selberg, 3, nonresonant=shared) == local_betti(selberg, 3)
 
 
 def test_bounds_bracket_nonresonant_values(selberg, maclane_decone):

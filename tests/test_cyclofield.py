@@ -319,6 +319,24 @@ def test_integer_ring_product_conjugates_and_norm(d):
             assert norm[0] == round(embedded.real) != 0
 
 
+@pytest.mark.parametrize("d", [5, 8, 12, 23, 31])
+def test_adjugate_is_the_product_of_the_other_conjugates(d):
+    # zadjugate doubles along a chain of cyclic quotients of the units;
+    # the plain product runs over the units one at a time
+    rng = random.Random(f"adjugate-{d}")
+    others = [j for j in range(2, d) if gcd(j, d) == 1]
+    for _ in range(6):
+        a = tuple(rng.randint(-3, 3) for _ in range(euler_phi(d)))
+        if not any(a):
+            continue
+        plain = (1,) + (0,) * (len(a) - 1)
+        for j in others:
+            plain = zmul(plain, zconj(a, j, d), d)
+        assert zadjugate(a, d) == plain
+        norm = zmul(a, plain, d)
+        assert not any(norm[1:]) and norm[0] != 0
+
+
 def test_zeta_power_order():
     for d in (3, 4, 5, 12):
         z = CycNum.zeta(d)

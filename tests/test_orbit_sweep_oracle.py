@@ -22,12 +22,12 @@ from arrcover.arrangement import (
     build,
     closure_lattice,
     euler_characteristic,
-    permuted,
 )
 from arrcover.covers import ShiftSearchConfig, _bound_intervals, is_nonresonant, local_betti
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, cohomology_modN
 from arrcover.osalgebra import aomoto_matrices
+from permutation import permuted
 from test_geometry_oracle import braid_a4_decone
 
 

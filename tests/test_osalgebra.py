@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from arrcover.arrangement import Hyperplane, build, permuted, poincare_polynomial
+from arrcover.arrangement import Hyperplane, build, poincare_polynomial
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, cohomology_modN
 from arrcover.osalgebra import aomoto_matrices, nbc_basis, straighten
+from permutation import permuted
 from test_geometry_oracle import CASES, oracle_case
 
 
