@@ -52,15 +52,11 @@ class Hyperplane:
         """Row (coeffs | -constant) of the linear system coeffs . x = -constant."""
         return self.coeffs + (-self.constant,)
 
-    def proportional(self, other: "Hyperplane") -> bool:
-        """Whether the two affine forms differ by a nonzero scalar."""
-        a = (self.constant,) + self.coeffs
-        b = (other.constant,) + other.coeffs
-        lead = next(i for i, v in enumerate(a) if not v.is_zero)
-        if b[lead].is_zero:
-            return False
-        ratio = a[lead] / b[lead]
-        return all((x - ratio * y).is_zero for x, y in zip(a, b))
+    def line_key(self) -> tuple:
+        """The primitive integer point on the line of the affine row over
+        Q(zeta_d), with its leading column (see _residue).  Two hyperplanes
+        are equal, their forms proportional, exactly when their keys are."""
+        return _residue(_integer_row(self.affine_row()), (), self.order)
 
 
 @record
@@ -101,6 +97,8 @@ class Arrangement:
 def build(ambient_dim: int, cyc_order: int, hyperplanes) -> Arrangement:
     """Validated arrangement: rejects duplicates and non-essential input.
 
+    Hyperplanes are grouped by line key; with several duplicate groups, the
+    error names the least pair (first, second index of a group).
     Essentiality (the linear parts span the ambient space) is required by all
     downstream invariants; the error message names the rank actually found.
     """
@@ -112,10 +110,13 @@ def build(ambient_dim: int, cyc_order: int, hyperplanes) -> Arrangement:
             raise ValueError(f"hyperplane order {h.order} != arrangement order {cyc_order}")
         if len(h.coeffs) != ambient_dim:
             raise ValueError(f"expected {ambient_dim} coefficients, got {len(h.coeffs)}")
-    for i in range(len(hps)):
-        for j in range(i + 1, len(hps)):
-            if hps[i].proportional(hps[j]):
-                raise ValueError(f"duplicate hyperplanes at indices {i} and {j}")
+    groups: dict[tuple, list[int]] = {}
+    for j, h in enumerate(hps):
+        groups.setdefault(h.line_key(), []).append(j)
+    duplicates = [g[:2] for g in groups.values() if len(g) > 1]
+    if duplicates:
+        i, j = min(duplicates)
+        raise ValueError(f"duplicate hyperplanes at indices {i} and {j}")
     rank = len(reduced_row_echelon([h.coeffs for h in hps])[0])
     if rank != ambient_dim:
         raise ValueError(

@@ -4,12 +4,14 @@ Numbers in Q(zeta_d) are stored on the power basis {1, z, ..., z^(phi(d)-1)},
 where z is a primitive d-th root of unity; every value is kept reduced modulo
 the d-th cyclotomic polynomial, so two values are equal iff their coefficient
 tuples are equal.  The ring of integers Z[zeta_d] uses the same basis with
-plain int tuples, for fraction-free elimination.  Rationals are stdlib
-``fractions.Fraction`` (always reduced, positive denominator).  The module
-also provides integer polynomials, the cyclotomic polynomials themselves and
-products of them written through the sparse factors t^d - 1, the number
-theory those rest on (bounded trial-division factorisation, divisors with
-their Euler phi, Mobius), and exact Gaussian elimination over Q(zeta_d).
+plain int tuples, for fraction-free elimination; the field inverts through
+it, as the adjugate over the norm, with no polynomial gcd.  Rationals are
+stdlib ``fractions.Fraction`` (always reduced, positive denominator).  The
+module also provides integer polynomials, the cyclotomic polynomials
+themselves and products of them written through the sparse factors
+t^d - 1, the number theory those rest on (bounded trial-division
+factorisation, divisors with their Euler phi, Mobius), and exact Gaussian
+elimination over Q(zeta_d).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .record import record
 
@@ -418,13 +420,16 @@ class CycNum:
         )
 
     def inverse(self) -> "CycNum":
+        """scale * adj(x) / N(x), where x = scale * self lies in Z[zeta_d]
+        and N(x) = x * adj(x), its norm, is a nonzero rational integer."""
         if self.is_zero:
             raise ZeroDivisionError("division by zero in Q(zeta)")
-        phi = [Fraction(c) for c in _phi_coeffs(self.order)]
-        g, s = _poly_half_xgcd(list(self.coeffs), phi)
-        # Phi_d is irreducible over Q, so the gcd is a nonzero constant.
-        inv = [c / g for c in s]
-        return CycNum._canonical(self.order, _reduce_mod_phi(inv, self.order))
+        d = self.order
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        x = tuple(c.numerator * (scale // c.denominator) for c in self.coeffs)
+        adj = zadjugate(x, d)
+        norm = zmul(x, adj, d)[0]
+        return CycNum._canonical(d, tuple(Fraction(scale * a, norm) for a in adj))
 
     def __truediv__(self, other: "CycNum") -> "CycNum":
         self._check_order(other)
@@ -448,53 +453,6 @@ class CycNum:
                 else:
                     parts.append(f"{format_rational(c)}*{z}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _polydivmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = _trim(list(p))
-    dq = len(q) - 1
-    lead = q[-1]
-    quot = [Fraction(0)] * max(len(rem) - dq, 0)
-    while rem and len(rem) - 1 >= dq:
-        c = rem[-1] / lead
-        k = len(rem) - 1 - dq
-        quot[k] += c
-        for j in range(dq + 1):
-            rem[k + j] -= c * q[j]
-        rem = _trim(rem)
-    return quot, rem
-
-
-def _poly_half_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """Return (g, s) with s*a == g (mod b) and g the constant gcd of a and b.
-
-    Here b is irreducible over Q and a is nonzero of smaller degree, so the
-    Euclidean algorithm terminates with a nonzero constant g.
-    """
-    r0, s0 = _trim(list(b)), [Fraction(0)]
-    r1, s1 = _trim(list(a)), [Fraction(1)]
-    if not r1:
-        raise ZeroDivisionError("inverse of zero")
-    while len(r1) > 1:
-        q, r2 = _polydivmod(r0, r1)
-        qs1 = [Fraction(0)] * (len(q) + len(s1) - 1 if q and s1 else 0)
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    qs1[i + j] += qc * sc
-        n = max(len(s0), len(qs1))
-        s2 = [(s0[i] if i < len(s0) else Fraction(0)) - (qs1[i] if i < len(qs1) else Fraction(0))
-              for i in range(n)]
-        r0, s0, r1, s1 = r1, s1, r2, _trim(s2)
-        if not r1:
-            raise ArithmeticError("gcd degenerated; modulus not irreducible?")
-    return r1[0], s1
 
 
 def cyc_reduce(raw, d: int) -> CycNum:

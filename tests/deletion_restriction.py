@@ -43,6 +43,6 @@ def restriction(a: Arrangement, at: int) -> Arrangement:
         if all(c.is_zero for c in linear):
             continue  # parallel to the restriction hyperplane
         candidate = Hyperplane(constant, linear)
-        if not any(candidate.proportional(g) for g in restricted):
+        if candidate.line_key() not in {g.line_key() for g in restricted}:
             restricted.append(candidate)
     return _unchecked(a.ambient_dim - 1, a.cyc_order, restricted)

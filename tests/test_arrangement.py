@@ -1,5 +1,6 @@
 """Arrangements, lattices, Mobius values, cone/decone, dense edges."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,7 @@ from arrcover.arrangement import (
     intersection_lattice,
     poincare_polynomial,
 )
-from arrcover.cyclofield import CycNum, IntPoly, reduced_row_echelon
+from arrcover.cyclofield import CycNum, IntPoly, cyc_reduce, reduced_row_echelon
 from arrcover.fileformat import parse_file, serialize_arrangement
 from deletion_restriction import deletion, restriction
 from permutation import permuted
@@ -25,7 +26,6 @@ from row_span import row_in_span
 
 
 def hp(d, constant, *coeffs):
-    from arrcover.cyclofield import cyc_reduce
     return Hyperplane(cyc_reduce([constant], d), tuple(cyc_reduce(list(c), d) for c in coeffs))
 
 
@@ -109,8 +109,23 @@ def test_hash_is_cached_and_consistent_with_equality(tmp_path):
 
 
 def test_build_rejects_proportional_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate hyperplanes at indices 0 and 1$"):
         simple(1, 2, (-1, 1, 0), (-2, 2, 0), (0, 0, 1))
+    # a negative rational multiple
+    with pytest.raises(ValueError, match="indices 0 and 2$"):
+        simple(1, 2, (1, 2, -1), (0, 0, 1), (Fraction(-1, 3), Fraction(-2, 3), Fraction(1, 3)))
+    # a multiple over Q(zeta_5) by 2 - 3 zeta
+    h = Hyperplane(cyc_reduce([1, 0, 2], 5), (cyc_reduce([0, 1], 5), cyc_reduce([3, 0, 0, -1], 5)))
+    lam = cyc_reduce([2, -3], 5)
+    other = Hyperplane(CycNum.zero(5), (CycNum.one(5), CycNum.zero(5)))
+    multiple = Hyperplane(lam * h.constant, tuple(lam * c for c in h.coeffs))
+    with pytest.raises(ValueError, match="indices 0 and 2$"):
+        build(2, 5, [h, other, multiple])
+    # parallel planes that differ only in the constant are distinct
+    assert simple(1, 2, (0, 1, 1), (3, 1, 1), (0, 0, 1)).n == 3
+    # of the groups 1 = 2 and 0 = 3, the error names the least pair
+    with pytest.raises(ValueError, match="indices 0 and 3$"):
+        simple(1, 2, (1, 1, 0), (0, 0, 1), (0, 0, 5), (-2, -2, 0))
 
 
 def test_build_single_hyperplane_line():

@@ -272,9 +272,10 @@ def test_public_constructor_keeps_its_checks():
     assert all(type(c) is Fraction for c in x.coeffs)
 
 
-@pytest.mark.parametrize("d", [1, 3, 4, 5, 8, 12])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 12, 23, 31])
 def test_arithmetic_results_equal_validated_constructions(d):
-    # results of + - neg * inverse skip the constructor's checks
+    # results of + - neg * inverse skip the constructor's checks; the
+    # inverse goes through the norm, whose adjugate chain differs with d
     rng = random.Random(f"canonical-{d}")
 
     def number():
@@ -282,16 +283,21 @@ def test_arithmetic_results_equal_validated_constructions(d):
             [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(euler_phi(d))], d
         )
 
+    fractional = 0
     for _ in range(20):
         a, b = number(), number()
         results = [a + b, a - b, -a, a * b]
         if not b.is_zero:
-            results += [b.inverse(), a / b]
+            inverse = b.inverse()
+            assert b * inverse == CycNum.one(d)
+            fractional += any(c.denominator > 1 for c in b.coeffs)
+            results += [inverse, a / b]
         for r in results:
             validated = CycNum(d, r.coeffs)
             assert r == validated
             assert hash(r) == hash(validated)
             assert all(type(c) is Fraction for c in r.coeffs)
+    assert fractional > 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 8, 12])

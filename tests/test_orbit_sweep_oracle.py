@@ -78,7 +78,7 @@ def small_random(seed):
         row = [cyc_reduce([rng.randint(-1, 1)], 1) for _ in range(4)]
         if any(not v.is_zero for v in row[1:]):
             h = Hyperplane(row[0], tuple(row[1:]))
-            if not any(h.proportional(o) for o in hps):
+            if h.line_key() not in {o.line_key() for o in hps}:
                 hps.append(h)
     return build(3, 1, hps)
 
