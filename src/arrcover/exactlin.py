@@ -1,11 +1,16 @@
 """Exact integer linear algebra for the weighted complexes.
 
 Provides Smith normal form with deterministic smallest-pivot reduction,
-fraction-free rank over Q, rank over Z_p, cohomology dimensions of a weighted
-complex over Q, and minimal-generator ranks of its cohomology modules over
-Z_N.  There is one elimination routine per ring: Z_N goes through the Z_p
-ranks of the primes dividing N (universal coefficient theorem).  Everything
-is arbitrary-precision; the differentials arrive as dense integer rows
+fraction-free rank over Q, rank over Z_p on packed rows, cohomology
+dimensions of a weighted complex over Q, and minimal-generator ranks of its
+cohomology modules over Z_N.  There is one elimination routine per ring: Z_N
+goes through the Z_p ranks of the primes dividing N (universal coefficient
+theorem).  Over Q, cohomology_Q takes each differential's rank from its rank
+mod CERTIFICATE_PRIME where a certificate proves the two equal, which needs
+D_q D_{q-1} = 0: the rank mod p bounds the rank over Q from below, and
+n_q - rank D_{q-1} and the row count bound it from above.  Only where the
+bounds differ does it run the fraction-free rank.  Everything is
+arbitrary-precision; the differentials arrive as dense integer rows
 (AomotoComplex.diffs) and are copied before elimination.
 """
 
@@ -14,6 +19,11 @@ from __future__ import annotations
 from .cyclofield import factorize
 from .osalgebra import AomotoComplex
 from .record import record
+
+# The prime whose F_p ranks cohomology_Q certifies as ranks over Q.  A small
+# prime keeps the packed slots of rank_mod_p narrow; on the sweep's matrices
+# it was faster than 65521, 2^31 - 1 and 2^61 - 1.
+CERTIFICATE_PRIME = 32749
 
 
 @record
@@ -73,25 +83,53 @@ def rank_over_Q(matrix) -> int:
 
 
 def rank_mod_p(matrix, p: int) -> int:
-    """Rank over the field Z_p (p prime) by Gaussian elimination."""
-    rows = [[v % p for v in row] for row in matrix]
-    nr = len(rows)
-    nc = len(rows[0]) if rows else 0
+    """Rank over the field Z_p (p prime) by Gaussian elimination on packed rows.
+
+    Each row of an nr-row matrix is one int with a w-bit slot per column,
+    w = 2*bitlen(p) + bitlen(nr) + 1, its entries first reduced into [0, p).
+    Slots are reduced mod p only when read.  At each column the pivot is the
+    first remaining row whose lowest slot is nonzero mod p; the rest of the
+    pivot row is unpacked once, scaled by the inverse of that slot, reduced
+    and repacked, and every later row r whose slot f is nonzero becomes
+    r + (p - f)*pivot, one big-int multiply-add.  Each remaining row then
+    drops its lowest slot (zero mod p by now), so column c's slot is at the
+    bottom when column c is read.  A row gets at most one update per pivot,
+    so a slot stays below (p - 1) + nr*(p - 1)^2 < 2^w and no carry crosses
+    into the next slot.
+    """
+    nr = len(matrix)
+    nc = len(matrix[0]) if matrix else 0
+    w = 2 * p.bit_length() + nr.bit_length() + 1
+    mask = (1 << w) - 1
+    rows = []
+    for row in matrix:
+        packed = 0
+        for c, v in enumerate(row):
+            if v:
+                packed |= (v % p) << (c * w)
+        rows.append(packed)
     rank = 0
     for col in range(nc):
-        piv = next((r for r in range(rank, nr) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(inv * v) % p for v in rows[rank]]
-        for r in range(rank + 1, nr):
-            f = rows[r][col]
+        for piv in range(rank, nr):
+            f = (rows[piv] & mask) % p
             if f:
-                rows[r] = [(v - f * w) % p for v, w in zip(rows[r], rows[rank])]
+                break
+        else:
+            rows[rank:] = [r >> w for r in rows[rank:]]
+            continue
+        rest = rows[piv] >> w
+        rows[piv] = rows[rank]
         rank += 1
         if rank == nr:
             break
+        inv = pow(f, -1, p)
+        pivot = 0
+        for shift in range((nc - col - 2) * w, -1, -w):
+            pivot = (pivot << w) | ((rest >> shift) & mask) * inv % p
+        for r in range(rank, nr):
+            row = rows[r]
+            f = (row & mask) % p
+            rows[r] = (row >> w) + (p - f) * pivot if f else row >> w
     return rank
 
 
@@ -170,14 +208,27 @@ def cohomology_Q(complex_: AomotoComplex) -> CohomologyProfile:
     By chain equivalence this equals the cohomology of the complex with
     weights divided by any nonzero integer, so integer weight vectors stand
     in for rational weight systems.
+
+    Each rank r_q of D_q is certified from its rank mod CERTIFICATE_PRIME,
+    which needs D_q D_{q-1} = 0.  With r_{-1} = 0, lo = rank_p(D_q) is at
+    most r_q (a minor nonzero mod p is a nonzero integer), and r_q is at most
+    hi = min(rows of D_q, n_q - r_{q-1}) (im D_{q-1} lies in ker D_q).  So
+    lo == hi fixes r_q; only lo < hi takes the exact Bareiss rank, and
+    lo > hi raises ArithmeticError: the input is not a complex.
     """
     sizes = complex_.dims()
-    ranks = [rank_over_Q(d) for d in complex_.diffs]
     dims = []
-    for q, nq in enumerate(sizes):
-        r_out = ranks[q]
-        r_in = ranks[q - 1] if q > 0 else 0
+    r_in = 0
+    for q, (nq, d) in enumerate(zip(sizes, complex_.diffs)):
+        lo = rank_mod_p(d, CERTIFICATE_PRIME)
+        hi = min(len(d), nq - r_in)
+        if lo > hi:
+            raise ArithmeticError(
+                f"rank {lo} of the degree-{q} differential exceeds {hi}: not a complex"
+            )
+        r_out = lo if lo == hi else rank_over_Q(d)
         dims.append(nq - r_out - r_in)
+        r_in = r_out
     return CohomologyProfile(ring="rationals", dims=tuple(dims))
 
 

@@ -2,19 +2,23 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 import pytest
 
+from arrcover import catalog
+from arrcover.covers import ShiftSearchConfig, _one_per_orbit, is_nonresonant
 from arrcover.exactlin import (
+    CERTIFICATE_PRIME,
     cohomology_Q,
     cohomology_modN,
     rank_mod_p,
     rank_over_Q,
     smith_normal_form,
 )
-from arrcover.osalgebra import aomoto_matrices
+from arrcover.osalgebra import AomotoComplex, aomoto_matrices
+from test_geometry_oracle import braid_a4_decone
 from test_modn_oracle import smith_reduce_with_transforms
 
 
@@ -72,6 +76,22 @@ def rank_fraction_oracle(m):
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def bareiss_dims(complex_):
+    """n_q - r_q - r_{q-1} with every rank taken by rank_over_Q."""
+    ranks = [rank_over_Q(d) for d in complex_.diffs]
+    return tuple(
+        nq - ranks[q] - (ranks[q - 1] if q > 0 else 0)
+        for q, nq in enumerate(complex_.dims())
+    )
+
+
+def complex_of(sizes, *diffs):
+    """A complex with the given basis sizes and differentials, plus the
+    empty top differential."""
+    bases = tuple(tuple((i,) for i in range(n)) for n in sizes)
+    return AomotoComplex(bases=bases, diffs=diffs + ((),))
 
 
 def random_unimodular(rng, n):
@@ -207,6 +227,47 @@ def test_rank_mod_p_small():
 def test_cohomology_Q_zero_differential(selberg):
     complex_ = aomoto_matrices(selberg, (0,) * 5)
     assert cohomology_Q(complex_).dims == (1, 5, 6)
+
+
+def test_cohomology_Q_falls_back_when_rank_drops_mod_p():
+    # rank 0 mod the certificate prime, rank 1 over Q
+    complex_ = complex_of((1, 1), ((CERTIFICATE_PRIME,),))
+    assert cohomology_Q(complex_).dims == (0, 0)
+
+
+def test_cohomology_Q_weights_scaled_by_the_prime(catalog_arrangements):
+    # every differential vanishes mod the prime, so each rank falls back
+    for a in catalog_arrangements.values():
+        for weights in ((1,) * a.n, (1, 1, -2) + (1,) * (a.n - 3)):
+            complex_ = aomoto_matrices(a, tuple(CERTIFICATE_PRIME * w for w in weights))
+            dims = cohomology_Q(complex_).dims
+            assert dims == bareiss_dims(complex_)
+            assert dims == cohomology_Q(aomoto_matrices(a, weights)).dims
+
+
+def test_cohomology_Q_rejects_a_non_complex():
+    # D_1 D_0 = [[1]] != 0: the rank of D_1 exceeds n_1 - rank D_0 = 0
+    with pytest.raises(ArithmeticError):
+        cohomology_Q(complex_of((1, 1, 1), ((1,),), ((1,),)))
+
+
+SWEEP_ARRANGEMENTS = {
+    **{key: (lambda key=key: catalog.get(key).arrangement) for key in catalog.entries()},
+    "braid-a4-decone": braid_a4_decone,
+}
+
+
+@pytest.mark.parametrize("key", SWEEP_ARRANGEMENTS)
+def test_cohomology_Q_matches_bareiss_on_sweep_shifts(key):
+    # the first 40 orbit representatives of every resonant k
+    a = SWEEP_ARRANGEMENTS[key]()
+    for k in range(2, a.n + 1):
+        if is_nonresonant(a, k):
+            continue
+        shifts = _one_per_orbit(a, ShiftSearchConfig().candidates(a.n))
+        for shift in islice(shifts, 40):
+            complex_ = aomoto_matrices(a, tuple(1 + k * v for v in shift))
+            assert cohomology_Q(complex_).dims == bareiss_dims(complex_), (k, shift)
 
 
 def test_cohomology_Q_selberg_unit_weights(selberg):
