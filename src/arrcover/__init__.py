@@ -20,7 +20,7 @@ _HOMES = {
     ),
     **dict.fromkeys(
         ("BettiInterval", "CharpolyReport", "CoverReport", "PeriodicityReport",
-         "ShiftSearchConfig", "UnresolvedBettiError", "WeightSystem", "ZetaReport",
+         "UnresolvedBettiError", "WeightSystem", "ZetaReport",
          "cover_betti", "fast_nonresonant", "local_betti", "monodromy_charpoly",
          "periodicity", "stv_nonresonant", "zeta_coefficients"),
         "covers",

@@ -244,23 +244,23 @@ class ClosureLattice:
         closure flat off the hyperplane at infinity) onto an affine flat
         support, so it preserves the affine intersection poset, codims and
         emptiness included.  The set is a stabiliser chain found from the
-        deepest level up: at level i, for each image c > i of i that the
-        generators found so far (which all fix 0..i-1) do not reach, one
-        backtracking search looks for the first permutation fixing 0..i-1
-        with i -> c.  The search prunes a partial map on the codim-2 flat of
-        each pair of assigned hyperplanes and on the (codim, size) profile of
-        the affine flats through each one, and keeps a full permutation only
-        if it passes the support check.  There are at most n(n-1)/2
-        generators, and the group itself is never enumerated.  A search that
-        exceeds AUTOMORPHISM_NODE_BUDGET nodes gives up, which can only leave
-        a subgroup.
+        deepest level up: at level i, for each c > i whose mask 1 << c is not
+        in the orbit of 1 << i under the generators found so far (which all
+        fix 0..i-1), one backtracking search looks for the first permutation
+        fixing 0..i-1 with i -> c.  The search prunes a partial map on the
+        codim-2 flat of each pair of assigned hyperplanes and on the (codim,
+        size) profile of the affine flats through each one, and keeps a full
+        permutation only if it passes the support check.  There are at most
+        n(n-1)/2 generators, and the group itself is never enumerated.  A
+        search that exceeds AUTOMORPHISM_NODE_BUDGET nodes gives up, which can
+        only leave a subgroup.
         """
         n = len(self.join[0]) - 1
-        affine = [_mask(f.support) for f in self.flats if n not in f.support]
+        affine = [support_mask(f.support) for f in self.flats if n not in f.support]
         affine_set = set(affine)
         # line[i][j]: the closure support of H_i cap H_j; bit n is set when
         # the two are parallel
-        line = [[_mask(self.flats[self.join[self.join[0][i]][j]].support)
+        line = [[support_mask(self.flats[self.join[self.join[0][i]][j]].support)
                  for j in range(n)] for i in range(n)]
         profile = [sorted((f.codim, len(f.support)) for f in self.flats
                           if i in f.support and n not in f.support) for i in range(n)]
@@ -303,13 +303,13 @@ class ClosureLattice:
 
         generators: list[tuple[int, ...]] = []
         for i in reversed(range(n)):
-            reached = orbit(i, generators, _point_image)
+            reached = orbit(1 << i, generators)
             for c in range(i + 1, n):
-                if c not in reached:
+                if 1 << c not in reached:
                     perm = first_leaf(i, c)
                     if perm is not None:
                         generators.append(perm)
-                        reached = orbit(i, generators, _point_image)
+                        reached = orbit(1 << i, generators)
         return tuple(generators)
 
 
@@ -317,12 +317,8 @@ class ClosureLattice:
 AUTOMORPHISM_NODE_BUDGET = 4096
 
 
-def _mask(indices) -> int:
+def support_mask(indices) -> int:
     return sum(1 << i for i in indices)
-
-
-def _point_image(i: int, perm) -> int:
-    return perm[i]
 
 
 def support_image(mask: int, perm) -> int:
@@ -335,15 +331,15 @@ def support_image(mask: int, perm) -> int:
     return out
 
 
-def orbit(start, generators, act) -> set:
-    """Orbit of start under the group the generators make; act(x, perm) is
-    the image of x under one generator."""
-    found = {start}
-    frontier = [start]
+def orbit(mask: int, generators) -> set[int]:
+    """Orbit of a support bitmask under the group the generators make, each
+    generator acting by support_image."""
+    found = {mask}
+    frontier = [mask]
     while frontier:
         x = frontier.pop()
         for perm in generators:
-            y = act(x, perm)
+            y = support_image(x, perm)
             if y not in found:
                 found.add(y)
                 frontier.append(y)
@@ -452,7 +448,7 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
                 step[j] = index_of[cover]
         join.append(tuple(step))
 
-    masks = [_mask(s) for s in supports]
+    masks = [support_mask(s) for s in supports]
     mobius = [1]
     for i in range(1, len(supports)):
         mobius.append(-sum(mobius[k] for k in range(i) if masks[k] & masks[i] == masks[k]))
@@ -514,7 +510,7 @@ def dense_edges(a: Arrangement) -> IntersectionLattice:
     always dense.  The last closure index is the hyperplane at infinity.
     """
     flats = closure_lattice(a).flats
-    masks = [_mask(f.support) for f in flats]
+    masks = [support_mask(f.support) for f in flats]
 
     def marked(y: int) -> Flat:
         beta_y = sum(f.mobius * f.codim for f, m in zip(flats, masks) if m & masks[y] == m)

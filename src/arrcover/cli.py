@@ -196,7 +196,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_os(args) -> int:
-    if args.k_vector and not args.matrices:
+    if args.k_vector is not None and not args.matrices:
         raise CliError("--k-vector requires --matrices")
     from .osalgebra import aomoto_matrices, nbc_basis
 
@@ -209,7 +209,8 @@ def _cmd_os(args) -> int:
     }
     lines = [f"{name}: NBC basis counts {[len(level) for level in bases]}"]
     if args.matrices:
-        weights = _parse_integers(args.k_vector, "--k-vector") if args.k_vector else (1,) * a.n
+        weights = (_parse_integers(args.k_vector, "--k-vector")
+                   if args.k_vector is not None else (1,) * a.n)
         if len(weights) != a.n:
             raise CliError(f"expected {a.n} weights, got {len(weights)}")
         complex_ = aomoto_matrices(a, weights)
@@ -231,12 +232,11 @@ def _cmd_os(args) -> int:
 
 
 def _cmd_local_betti(args) -> int:
-    from .covers import ShiftSearchConfig, resolve
+    from .covers import resolve
 
     a, name = _load_arrangement(args)
-    search = ShiftSearchConfig(extra_shifts=_parse_shifts(args.shift))
     assertions = _parse_assertions(getattr(args, "assert"), k_fixed=args.k)
-    _, intervals, _ = next(resolve(a, (args.k,), assertions, search))
+    _, intervals, _ = next(resolve(a, (args.k,), assertions, _parse_shifts(args.shift)))
     payload = {
         "name": name,
         "k": args.k,
@@ -274,18 +274,20 @@ def _cmd_cover_betti(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    from .covers import monodromy_charpoly
+    from .covers import MAX_EXPANDED_DEGREE, monodromy_charpoly
+    from .cyclofield import euler_phi
 
     a, name = _load_arrangement(args)
     assertions = _parse_assertions(getattr(args, "assert"))
     report = monodromy_charpoly(a, args.m, args.q, assertions)
+    degree = sum(euler_phi(k) * e for k, e in report.exponents)
     payload = {
         "name": name,
         "m": args.m,
         "q": args.q,
         "exponents": [list(e) for e in report.exponents],
-        "expanded": list(report.expanded.coeffs),
-        "degree": report.expanded.degree,
+        "expanded": None if report.expanded is None else list(report.expanded.coeffs),
+        "degree": degree,
         "tk_factors": [list(e) for e in report.tk_factors] if report.tk_factors else None,
         "exact": report.exact,
     }
@@ -293,13 +295,14 @@ def _cmd_charpoly(args) -> int:
     lines = [
         f"{name}: Delta_{args.q}(t) for X_{args.m}",
         f"  cyclotomic exponents: {factored}",
-        f"  degree {report.expanded.degree}",
+        f"  degree {degree}",
     ]
     if report.tk_factors:
         pretty = " ".join(f"(t^{j} - 1)^{e}" if j > 1 else f"(t - 1)^{e}"
                           for j, e in report.tk_factors)
         lines.append(f"  = {pretty}")
-    lines.append(f"  expanded: {format_poly(report.expanded)}")
+    lines.append(f"  expanded: omitted, degree {degree} exceeds {MAX_EXPANDED_DEGREE}"
+                 if report.expanded is None else f"  expanded: {format_poly(report.expanded)}")
     _emit(payload, lines, args.format)
     return 0
 

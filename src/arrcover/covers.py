@@ -18,20 +18,23 @@ shifts have the same rational dims.  The running lower bound only goes up,
 so a shift whose orbit holds an evaluated shift can never be the first
 strict improver: skipping it changes no interval, witness, lower <= upper
 check, early stop or Euler closure.  Any subgroup of the automorphisms is
-sound, so a capped generator search only skips fewer shifts.
+sound, so a capped generator search only skips fewer shifts.  The sweep and
+the group both work on support bitmasks (bit i set where s_i = -1); a shift
+tuple is built only for a candidate that is evaluated.
 
 Assembly never walks 1..m or the residues mod lcm(1..n): the divisors of m
 come from its factorisation, the periodicity classes from the divisors of
 the period, and the monodromy polynomials are expanded through sparse
 t^d - 1 factors, so the cost grows with the number of divisors and the
-degree, not with m itself.
+degree, not with m itself.  A degree above MAX_EXPANDED_DEGREE is not
+expanded at all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 
 from .arrangement import (
@@ -43,7 +46,7 @@ from .arrangement import (
     euler_characteristic,
     orbit,
     poincare_polynomial,
-    support_image,
+    support_mask,
 )
 from .cyclofield import IntPoly, divisor_phis, divisors, euler_phi, tk_exponents, tk_product
 from .exactlin import cohomology_Q, cohomology_modN
@@ -53,6 +56,9 @@ from .record import record
 
 # Largest n whose shift sweep enumerates all of {-1, 0}^n.
 MAX_ENUMERATION = 16
+
+# Largest degree of Delta_q that monodromy_charpoly expands into coefficients.
+MAX_EXPANDED_DEGREE = 10**6
 
 
 class UnresolvedBettiError(Exception):
@@ -114,44 +120,6 @@ class BettiInterval:
 
 
 @record
-class ShiftSearchConfig:
-    """Candidate shifts for the lower bound.
-
-    Explicit extra shifts are always tried first.  Then comes every vector in
-    {-1, 0}^n (weights 1/k shifted by m stay in (-1, 1)) when
-    n <= MAX_ENUMERATION, and only the zero shift beyond that.  For
-    n <= MAX_ENUMERATION the sweep skips a {-1, 0} shift, extra or not, whose
-    orbit under the lattice automorphisms holds a shift tried before it: the
-    two have the same Aomoto dims, and the order is unchanged, so intervals
-    and witnesses are those of the full enumeration.
-    """
-
-    extra_shifts: tuple[tuple[int, ...], ...]
-
-    def __init__(self, extra_shifts=()):
-        self.__dict__["extra_shifts"] = extra_shifts
-
-    def candidates(self, n: int):
-        for shift in self.extra_shifts:
-            if len(shift) != n:
-                raise ValueError(f"shift {shift} has length {len(shift)}, expected {n}")
-            yield tuple(int(v) for v in shift)
-        if n <= MAX_ENUMERATION:
-            for size in range(n + 1):
-                for support in combinations(range(n), size):
-                    vec = [0] * n
-                    for i in support:
-                        vec[i] = -1
-                    yield tuple(vec)
-        else:
-            yield (0,) * n
-
-
-# The search of every local_betti call that names none.
-DEFAULT_SEARCH = ShiftSearchConfig()
-
-
-@record
 class CoverReport:
     """Betti numbers and eigenspace data of the cover X_m."""
 
@@ -173,7 +141,7 @@ class CharpolyReport:
     m: int
     degree: int
     exponents: tuple[tuple[int, int], ...]  # (k, d) with d > 0, k ascending
-    expanded: IntPoly
+    expanded: IntPoly | None  # None above MAX_EXPANDED_DEGREE
     tk_factors: tuple[tuple[int, int], ...] | None  # (j, e) when a product of t^j - 1 works
     exact: bool
 
@@ -291,7 +259,7 @@ def _resolved_intervals(values) -> tuple[BettiInterval, ...]:
 
 
 @lru_cache(maxsize=None)
-def _bound_intervals(a: Arrangement, k: int, search: ShiftSearchConfig) -> tuple[BettiInterval, ...]:
+def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterval, ...]:
     """Bracket b_q(L_k) between shifted rational Aomoto dims and mod-k ranks.
 
     b_0 is pinned to 0 for k > 1 (a nontrivial rank-one system on a connected
@@ -304,7 +272,7 @@ def _bound_intervals(a: Arrangement, k: int, search: ShiftSearchConfig) -> tuple
     upper[0] = 0
     lower = [0] * (ell + 1)
     witness: dict[int, tuple[int, ...]] = {}
-    for shift in _one_per_orbit(a, search.candidates(a.n)):
+    for shift in _candidates(a, extra_shifts):
         weights = tuple(1 + k * mv for mv in shift)
         dims = cohomology_Q(aomoto_matrices(a, weights)).dims
         for q in range(1, ell + 1):
@@ -335,34 +303,44 @@ def _bound_intervals(a: Arrangement, k: int, search: ShiftSearchConfig) -> tuple
     )
 
 
-def _one_per_orbit(a: Arrangement, candidates):
-    """The candidates, minus each {-1, 0} shift whose orbit under the lattice
-    automorphisms holds a shift yielded before it.
-
-    A shift is held by its support bitmask.  Its orbit is added to the seen
-    set only when the next candidate is asked for, so a sweep that stops
-    after its first candidate never builds the automorphisms.  Beyond
-    MAX_ENUMERATION every candidate is yielded.
+def _candidates(a: Arrangement, extra_shifts):
+    """The shifts the lower-bound sweep evaluates, in order: the extra shifts
+    (each checked for length n and converted with int), then every vector of
+    {-1, 0}^n by support size and then support (weights 1/k shifted by m stay
+    in (-1, 1)), or only the zero shift beyond MAX_ENUMERATION.  Up to
+    MAX_ENUMERATION a shift in {-1, 0}^n is held by its support bitmask and
+    skipped when the orbit of a shift yielded before it holds it.  An orbit
+    joins the seen set only when the next candidate is asked for, so a sweep
+    that stops after its first candidate never builds the automorphisms.
     """
+    n = a.n
+    small = n <= MAX_ENUMERATION
+
+    def extras():
+        for shift in extra_shifts:
+            if len(shift) != n:
+                raise ValueError(f"shift {shift} has length {len(shift)}, expected {n}")
+            shift = tuple(int(v) for v in shift)
+            in_cube = small and set(shift) <= {-1, 0}
+            yield shift, support_mask(i for i, v in enumerate(shift) if v) if in_cube else None
+
+    cube = ((None, support_mask(s)) for size in range(n + 1) for s in combinations(range(n), size))
     seen: set[int] = set()
     generators = None
-    for shift in candidates:
-        mask = None
-        if a.n <= MAX_ENUMERATION and set(shift) <= {-1, 0}:
-            mask = sum(1 << i for i, v in enumerate(shift) if v)
-            if mask in seen:
-                continue
-        yield shift
+    for shift, mask in chain(extras(), cube if small else [((0,) * n, None)]):
+        if mask in seen:
+            continue
+        yield tuple(-(mask >> i & 1) for i in range(n)) if shift is None else shift
         if mask is not None:
             if generators is None:
                 generators = closure_lattice(a).automorphisms
-            seen |= orbit(mask, generators, support_image)
+            seen |= orbit(mask, generators)
 
 
 def local_betti(
     a: Arrangement,
     k: int,
-    search: ShiftSearchConfig | None = None,
+    extra_shifts: tuple[tuple[int, ...], ...] = (),
     *,
     nonresonant: tuple[BettiInterval, ...] | None = None,
 ) -> tuple[BettiInterval, ...]:
@@ -371,8 +349,10 @@ def local_betti(
     k = 1 is the trivial system (constant Betti numbers); nonresonant k give
     (0, ..., 0, beta) exactly; otherwise the combinatorial bounds are
     computed and unresolved intervals are returned as data, not errors.
-    A caller that visits many k passes those (0, ..., 0, beta) intervals as
-    nonresonant, built once, instead of having them rebuilt for each k.
+    The lower-bound sweep tries the extra_shifts, a tuple of integer shift
+    tuples of length n, before {-1, 0}^n (see _candidates).  A caller that
+    visits many k passes those (0, ..., 0, beta) intervals as nonresonant,
+    built once, instead of having them rebuilt for each k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -382,14 +362,14 @@ def local_betti(
         if nonresonant is None:
             nonresonant = _nonresonant_intervals(a)
         return nonresonant
-    return _bound_intervals(a, k, DEFAULT_SEARCH if search is None else search)
+    return _bound_intervals(a, k, extra_shifts)
 
 
 def _nonresonant_intervals(a: Arrangement) -> tuple[BettiInterval, ...]:
     return _resolved_intervals([0] * a.ell + [beta(a)])
 
 
-def resolve(a: Arrangement, ks, resolution=None, search: ShiftSearchConfig | None = None):
+def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
     """Yield (k, intervals, exact) for each k of the sequence ks, in order.
 
     The one owner of the assertion rule.  resolution maps (k, q) -> asserted
@@ -415,7 +395,7 @@ def resolve(a: Arrangement, ks, resolution=None, search: ShiftSearchConfig | Non
         asserted.setdefault(k, {})[q] = value
     nonresonant = _nonresonant_intervals(a)
     for k in ks:
-        intervals = local_betti(a, k, search, nonresonant=nonresonant)
+        intervals = local_betti(a, k, extra_shifts, nonresonant=nonresonant)
         at_k = asserted.get(k)
         if not at_k:
             yield k, intervals, True
@@ -483,7 +463,9 @@ def monodromy_charpoly(a: Arrangement, m: int, q: int, resolution=None) -> Charp
     The canonical form is the cyclotomic exponent map.  The product is
     rewritten by Mobius inversion as prod over d | m of (t^d - 1)^(f_d) and
     expanded through those sparse factors; the (t^d - 1) form is attached as
-    tk_factors when every f_d is positive.
+    tk_factors when every f_d is positive.  The expansion is left out (None)
+    when the degree, sum over k of phi(k) * e_k = b_q(X_m), exceeds
+    MAX_EXPANDED_DEGREE, so its cost never grows past that bound.
     """
     if not 0 <= q <= a.ell:
         raise ValueError(f"degree {q} out of range 0..{a.ell}")
@@ -495,7 +477,7 @@ def monodromy_charpoly(a: Arrangement, m: int, q: int, resolution=None) -> Charp
         m=m,
         degree=q,
         exponents=tuple((k, e) for k, e in sorted(exps.items()) if e),
-        expanded=tk_product(factors),
+        expanded=tk_product(factors) if report.betti[q] <= MAX_EXPANDED_DEGREE else None,
         tk_factors=tuple(sorted(factors.items())) if all_positive else None,
         exact=report.exact,
     )

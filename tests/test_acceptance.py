@@ -8,11 +8,13 @@ it uses the documented assertion set for k = 3 and skips m = 9 (whose k = 9
 system is equally resonant but has no authoritative closure).
 """
 
+import io
 import json
 import random
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 from arrcover import catalog
 from arrcover.arrangement import (
@@ -312,3 +314,16 @@ def test_criterion_6_oracle_equivalence(selberg):
                 smith_normal_form(matrix).invariant_factors
                 == _determinant_divisor_factors(matrix)
             )
+
+
+def test_readme_python_api_block():
+    # the "Python API" example of the README prints what its comments say
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Python API", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1] for line in block.splitlines() if "# " in line]
+    assert expected == ["(1, 17, 232)", "[0, 2, 20]", "((1, 11), (2, 2), (4, 2))"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == expected

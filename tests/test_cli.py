@@ -229,13 +229,35 @@ def test_bad_k_vector_exits_1(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("k_vector", ["1,1", "1,x"])
+@pytest.mark.parametrize("k_vector", ["1,1", "1,x", ""])
 def test_k_vector_without_matrices_exits_1(capsys, k_vector):
     code, out, err = run(capsys, "os", "--catalog", "selberg", "--k-vector", k_vector)
     assert code == 1
     assert out == ""
     assert err == "error: --k-vector requires --matrices\n"
     assert "Traceback" not in err
+
+
+def test_empty_k_vector_with_matrices_exits_1(capsys):
+    code, out, err = run(capsys, "os", "--catalog", "selberg", "--matrices", "--k-vector", "")
+    assert (code, out) == (1, "")
+    assert err == "error: bad --k-vector '': expected comma-separated integers\n"
+
+
+def test_charpoly_above_expansion_bound(capsys):
+    argv = ("charpoly", "--catalog", "selberg", "--m", "1000000000", "--q", "2")
+    payload = run_json(capsys, *argv)
+    assert payload["degree"] == 2000000004
+    assert payload["expanded"] is None
+    assert payload["tk_factors"] == [[1, 4], [1000000000, 2]]
+    assert payload["exponents"][:3] == [[1, 6], [2, 2], [4, 2]]
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == [
+        "  degree 2000000004",
+        "  = (t - 1)^4 (t^1000000000 - 1)^2",
+        "  expanded: omitted, degree 2000000004 exceeds 1000000",
+    ]
 
 
 def test_ceva3_unresolved_exits_2(capsys):

@@ -1,22 +1,26 @@
 """Nonresonance, Betti intervals, cover reports, periodicity, zeta."""
 
+import random
+
 import pytest
 
-from arrcover import catalog, cyclofield
+from arrcover import catalog, covers, cyclofield
 from arrcover.arrangement import (
     Hyperplane,
     betti_numbers,
     beta,
     build,
+    closure_lattice,
     decone,
     euler_characteristic,
     poincare_polynomial,
 )
 from arrcover.covers import (
-    ShiftSearchConfig,
+    MAX_ENUMERATION,
     UnresolvedBettiError,
     WeightSystem,
     _bound_intervals,
+    _candidates,
     cover_betti,
     fast_nonresonant,
     local_betti,
@@ -26,7 +30,16 @@ from arrcover.covers import (
     stv_nonresonant,
     zeta_coefficients,
 )
-from arrcover.cyclofield import CycNum, IntPoly, cyclotomic_polynomial, euler_phi
+from arrcover.cyclofield import (
+    CycNum,
+    IntPoly,
+    cyc_reduce,
+    cyclotomic_polynomial,
+    divisors,
+    euler_phi,
+)
+from arrcover.exactlin import cohomology_Q
+from arrcover.osalgebra import aomoto_matrices
 
 # asserted closures for the one genuinely open catalog case (Ceva(3), k = 3);
 # the q=1 value is the known rank over Z_3, the others follow from the
@@ -130,7 +143,7 @@ def test_bounds_bracket_nonresonant_values(selberg, maclane_decone):
     # run the bound machinery even where vanishing applies; it must bracket
     for a, k in ((selberg, 2), (selberg, 4), (maclane_decone, 7)):
         expected = [0] * a.ell + [beta(a)]
-        intervals = _bound_intervals(a, k, ShiftSearchConfig())
+        intervals = _bound_intervals(a, k, ())
         for iv, value in zip(intervals, expected):
             assert iv.lower <= value <= iv.upper
             if iv.resolved:
@@ -269,6 +282,28 @@ def test_charpoly_selberg_large_m(selberg):
                 * IntPoly((-1,) + (0,) * 5039 + (1,)).pow(2))
     assert report.expanded == expected
     assert report.expanded.degree == 10086 == cover_betti(selberg, 5040).betti[2]
+
+
+def test_charpoly_beyond_expansion_bound(selberg):
+    # Delta_2 of X_(10^9) has degree 2*10^9 + 4: no coefficient list is built
+    report = monodromy_charpoly(selberg, 10**9, 2)
+    assert report.expanded is None
+    assert report.exponents == ((1, 6),) + tuple((k, 2) for k in divisors(10**9)[1:])
+    assert report.tk_factors == ((1, 4), (10**9, 2))
+    # 3 | 499998, so b_2(X_m) = 2m + 6 = 10^6 + 2, just over the bound
+    assert cover_betti(selberg, 499998).betti[2] == covers.MAX_EXPANDED_DEGREE + 2
+    assert monodromy_charpoly(selberg, 499998, 2).expanded is None
+
+
+def test_charpoly_expansion_bound_is_inclusive(selberg, monkeypatch):
+    full = monodromy_charpoly(selberg, 6, 2)
+    assert full.expanded.degree == 18
+    monkeypatch.setattr(covers, "MAX_EXPANDED_DEGREE", 18)
+    assert monodromy_charpoly(selberg, 6, 2) == full
+    monkeypatch.setattr(covers, "MAX_EXPANDED_DEGREE", 17)
+    cut = monodromy_charpoly(selberg, 6, 2)
+    assert cut.expanded is None
+    assert (cut.exponents, cut.tk_factors) == (full.exponents, full.tk_factors)
 
 
 def test_charpoly_degree_identity(selberg, maclane_decone, hessian_decone):
@@ -473,6 +508,40 @@ def test_weight_system_infinity_weight():
 
 
 def test_shift_search_accepts_extra_shifts(selberg):
-    config = ShiftSearchConfig(extra_shifts=((0, 0, -1, 0, 0),))
-    intervals = local_betti(selberg, 3, config)
+    intervals = local_betti(selberg, 3, ((0, 0, -1, 0, 0),))
     assert intervals[1].value == 1
+
+
+def seventeen_lines():
+    """x, y and x - y through one triple point, plus 14 seeded random lines
+    in C^2: one hyperplane more than MAX_ENUMERATION."""
+    def q(c):
+        return cyc_reduce([c], 1)
+
+    rng = random.Random("beyond-enumeration")
+    rows = [(0, 1, 0), (0, 0, 1), (0, 1, -1)]
+    rows += [tuple(rng.randint(-99, 99) for _ in range(3)) for _ in range(14)]
+    return build(2, 1, [Hyperplane(q(c), (q(x), q(y))) for c, x, y in rows])
+
+
+def test_sweep_beyond_max_enumeration(monkeypatch):
+    a = seventeen_lines()
+    n = a.n
+    assert n == MAX_ENUMERATION + 1
+    zero = (0,) * n
+    # the extra shifts as given, duplicates included, then the zero shift
+    extra = ((-1,) + (0,) * 16, (-1,) + (0,) * 16, (2,) + (0,) * 16, zero)
+    assert list(_candidates(a, extra)) == [*extra, zero]
+    swept = []
+    monkeypatch.setattr(covers, "cohomology_Q",
+                        lambda complex_: swept.append(complex_) or cohomology_Q(complex_))
+    intervals = _bound_intervals.__wrapped__(a, 3, ())
+    assert [(iv.lower, iv.upper) for iv in intervals] == [(0, 0), (0, 0), (119, 119)]
+    assert intervals[2].witness_shift == zero
+    assert swept == [aomoto_matrices(a, (1,) * n)]
+    # every shift closes all degrees here, so the first extra one is the last tried
+    swept.clear()
+    intervals = _bound_intervals.__wrapped__(a, 3, extra[2:])
+    assert intervals[2].witness_shift == extra[2]
+    assert swept == [aomoto_matrices(a, (7,) + (1,) * 16)]
+    assert "automorphisms" not in closure_lattice(a).__dict__

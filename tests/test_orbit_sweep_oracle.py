@@ -23,7 +23,7 @@ from arrcover.arrangement import (
     closure_lattice,
     euler_characteristic,
 )
-from arrcover.covers import ShiftSearchConfig, _bound_intervals, is_nonresonant, local_betti
+from arrcover.covers import _bound_intervals, _candidates, is_nonresonant, local_betti
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, cohomology_modN
 from arrcover.osalgebra import aomoto_matrices
@@ -31,14 +31,23 @@ from permutation import permuted
 from test_geometry_oracle import braid_a4_decone
 
 
-def bound_intervals_oracle(a, k, search):
+def every_candidate(n, extra_shifts):
+    """The extra shifts, then every vector of {-1, 0}^n by support size and
+    then by support."""
+    yield from (tuple(int(v) for v in shift) for shift in extra_shifts)
+    for size in range(n + 1):
+        for support in combinations(range(n), size):
+            yield tuple(-1 if i in support else 0 for i in range(n))
+
+
+def bound_intervals_oracle(a, k, extra_shifts=()):
     """The sweep over every candidate, with no orbit skip."""
     ell = a.ell
     upper = list(cohomology_modN(aomoto_matrices(a, (1,) * a.n), k).dims)
     upper[0] = 0
     lower = [0] * (ell + 1)
     witness = {}
-    for shift in search.candidates(a.n):
+    for shift in every_candidate(a.n, extra_shifts):
         dims = cohomology_Q(aomoto_matrices(a, tuple(1 + k * v for v in shift))).dims
         for q in range(1, ell + 1):
             assert dims[q] <= upper[q]
@@ -182,9 +191,8 @@ def cycle_count(perm):
 def test_orbit_sweep_matches_full_enumeration(key, k):
     a = arrangement_of(key)
     assert not is_nonresonant(a, k)
-    search = ShiftSearchConfig()
-    got = _bound_intervals.__wrapped__(a, k, search)
-    assert as_tuples(got) == bound_intervals_oracle(a, k, search)
+    got = _bound_intervals.__wrapped__(a, k, ())
+    assert as_tuples(got) == bound_intervals_oracle(a, k)
 
 
 def test_extra_shifts_share_the_seen_set():
@@ -194,10 +202,13 @@ def test_extra_shifts_share_the_seen_set():
     perm = closure_lattice(a).automorphisms[0]
     witness = (-1, -1, -1) + (0,) * 6
     moved = tuple(witness[perm.index(i)] for i in range(a.n))
-    search = ShiftSearchConfig(extra_shifts=(moved, witness, (1,) + (0,) * 8))
-    got = _bound_intervals.__wrapped__(a, 3, search)
-    assert as_tuples(got) == bound_intervals_oracle(a, 3, search)
+    extra_shifts = (moved, witness, (1,) + (0,) * 8)
+    got = _bound_intervals.__wrapped__(a, 3, extra_shifts)
+    assert as_tuples(got) == bound_intervals_oracle(a, 3, extra_shifts)
     assert got[1].witness_shift == moved
+    # the witness is in the orbit of moved, and 13 of the 14 orbits are left
+    stream = list(_candidates(a, extra_shifts))
+    assert stream[:2] == [moved, (1,) + (0,) * 8] and len(stream) == 15
 
 
 def test_capped_search_keeps_every_answer(monkeypatch):
@@ -211,9 +222,8 @@ def test_capped_search_keeps_every_answer(monkeypatch):
         a = CASES[key]()
         capped = arrangement.closure_lattice.__wrapped__(a).automorphisms
         assert len(capped) < len(full[key])
-        search = ShiftSearchConfig()
-        got = _bound_intervals.__wrapped__(a, k, search)
-        assert as_tuples(got) == bound_intervals_oracle(a, k, search)
+        got = _bound_intervals.__wrapped__(a, k, ())
+        assert as_tuples(got) == bound_intervals_oracle(a, k)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +251,7 @@ def test_group_orders_and_shift_orbits(key, order, orbits):
     group = group_elements(generators, a.n)
     assert len(group) == chain_order(generators, a.n) == order
     assert shift_orbits(generators, a.n) == orbits
+    assert len(list(_candidates(a, ()))) == orbits
     # Burnside: the orbit count is the mean number of fixed shifts
     assert sum(2 ** cycle_count(g) for g in group) == orbits * order
 

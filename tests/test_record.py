@@ -29,7 +29,6 @@ from arrcover.covers import (
     CoverReport,
     PeriodicityClass,
     PeriodicityReport,
-    ShiftSearchConfig,
     WeightSystem,
     ZetaReport,
 )
@@ -59,7 +58,6 @@ def samples():
         (WeightSystem, {"k_vector": (1, 2, -1), "modulus": 4}),
         (BettiInterval, {"degree": 1, "lower": 1, "upper": 2, "resolved": False,
                          "witness_shift": (0, -1)}),
-        (ShiftSearchConfig, {"extra_shifts": ((0, -1, 0),)}),
         (CoverReport, {"m": 6, "betti": (1, 7, 18),
                        "charpoly_exponents": ((1, (1, 5, 6)), (3, (0, 1, 2))), "exact": True}),
         (CharpolyReport, {"m": 12, "degree": 1, "exponents": ((1, 9), (4, 2)),
@@ -89,7 +87,7 @@ def test_samples_cover_every_record_class():
                 declared.add((path.stem, node.name))
     sampled = {(cls.__module__.rpartition(".")[2], cls.__name__) for cls, _ in samples()}
     assert sampled == declared
-    assert len(declared) == 20
+    assert len(declared) == 19
 
 
 @pytest.mark.parametrize("cls, fields", samples(), ids=lambda v: getattr(v, "__name__", ""))
@@ -137,8 +135,6 @@ def test_equality_against_another_record_class_is_not_implemented():
 def test_defaults():
     assert BettiInterval(0, 1, 1, True).witness_shift is None
     assert BettiInterval(0, 1, 1, True) == BettiInterval(0, 1, 1, True, None)
-    assert ShiftSearchConfig().extra_shifts == ()
-    assert ShiftSearchConfig() == ShiftSearchConfig(())
 
 
 def test_validation_in_init():
