@@ -274,13 +274,11 @@ def _cmd_cover_betti(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    from .covers import MAX_EXPANDED_DEGREE, monodromy_charpoly
-    from .cyclofield import euler_phi
+    from .covers import MAX_EXPANDED_DEGREE, charpoly_and_degree
 
     a, name = _load_arrangement(args)
     assertions = _parse_assertions(getattr(args, "assert"))
-    report = monodromy_charpoly(a, args.m, args.q, assertions)
-    degree = sum(euler_phi(k) * e for k, e in report.exponents)
+    report, degree = charpoly_and_degree(a, args.m, args.q, assertions)
     payload = {
         "name": name,
         "m": args.m,

@@ -26,8 +26,12 @@ Assembly never walks 1..m or the residues mod lcm(1..n): the divisors of m
 come from its factorisation, the periodicity classes from the divisors of
 the period, and the monodromy polynomials are expanded through sparse
 t^d - 1 factors, so the cost grows with the number of divisors and the
-degree, not with m itself.  A degree above MAX_EXPANDED_DEGREE is not
-expanded at all.
+degree, not with m itself.  m is factorised once per call: that one
+factorisation gives the divisors and their phi, the cover Betti numbers,
+the degree of Delta_q and the primes of the Mobius step, which makes one
+pass over the keys per prime and factorises nothing.  The expansion
+multiplies and divides one coefficient list by t^d - 1 in C-level list
+passes.  A degree above MAX_EXPANDED_DEGREE is not expanded at all.
 """
 
 from __future__ import annotations
@@ -465,22 +469,36 @@ def monodromy_charpoly(a: Arrangement, m: int, q: int, resolution=None) -> Charp
     expanded through those sparse factors; the (t^d - 1) form is attached as
     tk_factors when every f_d is positive.  The expansion is left out (None)
     when the degree, sum over k of phi(k) * e_k = b_q(X_m), exceeds
-    MAX_EXPANDED_DEGREE, so its cost never grows past that bound.
+    MAX_EXPANDED_DEGREE, so its cost never grows past that bound.  m is
+    factorised once, into the divisors k of m with their phi(k); the primes
+    of the Mobius step are read off that map, so nothing else is factorised.
     """
+    return charpoly_and_degree(a, m, q, resolution)[0]
+
+
+def charpoly_and_degree(a: Arrangement, m: int, q: int,
+                        resolution=None) -> tuple[CharpolyReport, int]:
+    """monodromy_charpoly's report and the degree b_q(X_m) of Delta_q, both
+    from the one factorisation of m."""
     if not 0 <= q <= a.ell:
         raise ValueError(f"degree {q} out of range 0..{a.ell}")
-    report = cover_betti(a, m, resolution)
-    exps = report.exponents_for_degree(q)
-    factors = tk_exponents(exps)
-    all_positive = all(f > 0 for f in factors.values())
-    return CharpolyReport(
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    phis = divisor_phis(m)
+    values, exact = _local_values(a, list(phis), resolution)
+    exps = {k: v[q] for k, v in values.items()}
+    degree = sum(phis[k] * e for k, e in exps.items())
+    # a divisor k > 1 of m is prime exactly when phi(k) = k - 1
+    factors = tk_exponents(exps, [k for k, phi in phis.items() if k > 1 and phi == k - 1])
+    report = CharpolyReport(
         m=m,
         degree=q,
-        exponents=tuple((k, e) for k, e in sorted(exps.items()) if e),
-        expanded=tk_product(factors) if report.betti[q] <= MAX_EXPANDED_DEGREE else None,
-        tk_factors=tuple(sorted(factors.items())) if all_positive else None,
-        exact=report.exact,
+        exponents=tuple((k, e) for k, e in exps.items() if e),
+        expanded=tk_product(factors) if degree <= MAX_EXPANDED_DEGREE else None,
+        tk_factors=tuple(factors.items()) if all(f > 0 for f in factors.values()) else None,
+        exact=exact,
     )
+    return report, degree
 
 
 def periodicity(a: Arrangement, resolution=None) -> PeriodicityReport:

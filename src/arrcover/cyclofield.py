@@ -19,7 +19,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
+from operator import neg, sub
 
 from .record import record
 
@@ -151,7 +153,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs):
-        c = tuple(int(v) for v in coeffs)
+        c = tuple(map(int, coeffs))
         while c and c[-1] == 0:
             c = c[:-1]
         self.__dict__["coeffs"] = c
@@ -253,41 +255,57 @@ def format_poly(p: IntPoly, var: str = "t") -> str:
     return " ".join(parts)
 
 
-def tk_exponents(exponents) -> dict[int, int]:
+def tk_exponents(exponents, primes=None) -> dict[int, int]:
     """Rewrite prod Phi_k^(e_k) as prod (t^d - 1)^(f_d).
 
     exponents maps k -> e_k.  Since t^d - 1 = prod over k | d of Phi_k, Mobius
-    inversion gives f_d = sum over k with d | k of mu(k/d) * e_k.  The
-    representation is unique; only nonzero f_d are returned, and some may be
+    inversion gives f_d = sum over k with d | k of mu(k/d) * e_k.  mu(j) is
+    zero unless j is squarefree, so the sum runs over the sets S of primes of
+    k / d, with sign (-1)^|S|: it is the product over the primes p of
+    (f_d -> f_d - f_(dp)), one pass per prime, and no key or quotient is
+    factorised.  A pass visits its keys in ascending order, so each f_(dp)
+    is read before the pass changes it.  primes lists the primes that divide
+    the keys (extra primes are harmless); by default they come from
+    factorising the lcm of the keys with e_k != 0.  The representation is
+    unique; only nonzero f_d are returned, d ascending, and some may be
     negative.
     """
-    f: dict[int, int] = {}
-    for k, e in exponents.items():
-        if e:
-            for d in divisors(k):
-                f[d] = f.get(d, 0) + mobius(k // d) * e
-    return {d: v for d, v in f.items() if v}
+    f = {k: e for k, e in exponents.items() if e}
+    if primes is None:
+        primes = [p for p, _ in factorize(lcm(*f))]
+    for p in primes:
+        for k in sorted(k for k in f if k % p == 0):
+            f[k // p] = f.get(k // p, 0) - f[k]
+    return {d: v for d, v in sorted(f.items()) if v}
 
 
 def tk_product(factors) -> IntPoly:
     """Expand prod (t^d - 1)^(f_d) for a map d -> f_d with integer f_d.
 
-    The factors with f_d > 0 are multiplied in first and those with f_d < 0
-    are divided out after, exactly; each step touches the two terms of
-    t^d - 1 only, so the cost is O(degree * sum |f_d|).
+    The work is done on one coefficient list c, low degree first, and the
+    IntPoly is built once at the end.  The factors with f_d > 0 are
+    multiplied in first: c * (t^d - 1) is c shifted up by d minus c, one map
+    over two zero-padded copies.  Those with f_d < 0 are divided out after:
+    c = g * (t^d - 1) means g_i = g_(i-d) - c_i, so g is minus the running
+    sums of c along each residue class mod d, one accumulate per class.  The
+    division is exact iff every class sums to zero, which also rejects a
+    nonzero c of degree below d.  Each step is a few C-level passes over c,
+    so the cost is O(degree * sum |f_d|).
     """
-    result = IntPoly((1,))
+    c = [1]
     for d, f in sorted(factors.items()):
         for _ in range(f):
-            result = result * _tk_minus_one(d)
+            c = list(map(sub, [0] * d + c, c + [0] * d))
     for d, f in sorted(factors.items()):
         for _ in range(-f):
-            result = result.divexact(_tk_minus_one(d))
-    return result
-
-
-def _tk_minus_one(d: int) -> IntPoly:
-    return IntPoly((-1,) + (0,) * (d - 1) + (1,))
+            g = [0] * max(len(c) - d, 0)
+            for r in range(min(d, len(c))):
+                sums = list(accumulate(map(neg, c[r::d])))
+                if sums[-1]:
+                    raise ValueError("inexact polynomial division")
+                g[r::d] = sums[:-1]
+            c = g
+    return IntPoly(c)
 
 
 @lru_cache(maxsize=None)

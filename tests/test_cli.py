@@ -505,6 +505,8 @@ def test_output_is_deterministic(capsys):
 # --k-vector` with mixed_weights per catalog entry: pins the flat order and the
 # matrix bytes, which the value tests leave free.  `local-betti --k k` for
 # every k <= n pins the intervals and witness shifts of every divisor.
+# `charpoly` at m = 2520 pins a degree-45376 expansion, and at the prime
+# m = 10^18 + 3 the (t^d - 1) form and the degree line above the bound.
 STDOUT_SHA256 = {
     ("lattice", "selberg", "json"): "72bf131d12222b4a55e162ff7ecbc5701e05c1e9620691f76213374f9333a260",
     ("lattice", "selberg", "text"): "5d8fd66dda5e1e0cb85c39b9459b77b95b0818483762394c05884e4995ca1971",
@@ -562,6 +564,10 @@ STDOUT_SHA256 = {
     ("local-betti --k 7", "ceva3", "json"): "6fd18e47faa059fd9ac5a9f68c74c9c433896f49ab0b10d17100dd4be17a18a3",
     ("local-betti --k 8", "ceva3", "json"): "8f96c35b2d5266e2b0fce9e74801adea41b5c2f288f30fc8d7d9fb9d7fb586a5",
     ("local-betti --k 9", "ceva3", "json"): "fe35b57999a4f265cbb93985416c29625c21ca2b39fef0a7ca50202ebb9c9037",
+    ("charpoly --m 2520 --q 2", "hessian-decone", "json"): "bd6cd4aa627ad52b9117686c955f40d6f95d6eb0d28ade7d7f1f20134b5e1a0a",
+    ("charpoly --m 2520 --q 2", "hessian-decone", "text"): "b077f385310bd541cb75170018ba4d71b00c3abd7f42c912a88209ac0b388400",
+    ("charpoly --m 1000000000000000003 --q 2", "selberg", "json"): "d6e80a80fcab2ff6a5ca9bb5ef7d29efc6064fe09b212c5ea8346978c0d70716",
+    ("charpoly --m 1000000000000000003 --q 2", "selberg", "text"): "e5579d92e9eeb78644afebf6d0a9c2c01bd86e4457497a98875f4a0b1db746ef",
 }
 # the commands above that exit with a nonzero code (open intervals)
 STDOUT_EXIT = {("local-betti --k 3", "ceva3"): 2, ("local-betti --k 9", "ceva3"): 2}

@@ -12,7 +12,6 @@ from math import lcm
 from arrcover import covers
 from arrcover.arrangement import beta
 from arrcover.covers import (
-    CoverReport,
     PeriodicityClass,
     PeriodicityReport,
     _local_values,
@@ -175,19 +174,16 @@ def test_charpoly_ceva3_asserted(ceva3):
 def test_charpoly_mixed_sign_tk_exponents(monkeypatch, selberg):
     """Exponent maps whose (t^d - 1) form needs negative powers.
 
-    No catalog cover has one, so cover_betti is replaced by seeded maps on
-    the divisors of 12 (degree 1 of a two-degree report).
+    No catalog cover has one, so the local values are replaced by seeded
+    maps on the divisors of 12 (degree 1 of two-degree values).
     """
     rng = random.Random(12)
     ks = divisors_oracle(12)
     seen_none = 0
     for _ in range(60):
         exps = {k: rng.randrange(4) for k in ks}
-        fake = CoverReport(
-            m=12, betti=(1, 0), charpoly_exponents=tuple((k, (0, e)) for k, e in exps.items()),
-            exact=True,
-        )
-        monkeypatch.setattr(covers, "cover_betti", lambda *args: fake)
+        fake = ({k: (0, e) for k, e in exps.items()}, True)
+        monkeypatch.setattr(covers, "_local_values", lambda *args: fake)
         report = monodromy_charpoly(selberg, 12, 1)
         assert report.expanded.coeffs == charpoly_oracle(exps)
         assert report.tk_factors == greedy_tk_oracle(exps)

@@ -1,5 +1,6 @@
 """Nonresonance, Betti intervals, cover reports, periodicity, zeta."""
 
+import json
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from arrcover.cyclofield import (
     divisors,
     euler_phi,
 )
+from arrcover.cli import main
 from arrcover.exactlin import cohomology_Q
 from arrcover.osalgebra import aomoto_matrices
 
@@ -444,19 +446,46 @@ def test_cover_betti_selberg_large_prime_m(selberg):
     assert cover_betti(selberg, m).betti == (1, 5, 2 * m + 4)
 
 
-def test_cover_betti_factors_m_once(selberg, monkeypatch):
-    # phi of every divisor comes from the one factorisation of m
-    m = 10**18 + 3
-    factored = []
+@pytest.fixture
+def factored(monkeypatch):
+    """The arguments of every factorize call made while the test runs."""
+    calls = []
     original = cyclofield.factorize
 
     def counting(k):
-        factored.append(k)
+        calls.append(k)
         return original(k)
 
     monkeypatch.setattr(cyclofield, "factorize", counting)
+    return calls
+
+
+def test_cover_betti_factors_m_once(selberg, factored):
+    # phi of every divisor comes from the one factorisation of m
+    m = 10**18 + 3
     assert cover_betti(selberg, m).betti == (1, 5, 2 * m + 4)
     assert factored.count(m) == 1
+
+
+def test_charpoly_factors_m_once(selberg, factored):
+    # the divisors, phi, the Mobius step and the degree share one factorisation
+    m = 10**18 + 3
+    report = monodromy_charpoly(selberg, m, 2)
+    assert factored.count(m) == 1
+    assert report.exponents == ((1, 6), (m, 2))
+    assert report.tk_factors == ((1, 4), (m, 2))
+    assert report.expanded is None
+
+
+def test_charpoly_cli_factors_m_once(selberg, factored, capsys):
+    m = 10**18 + 3
+    assert main(["charpoly", "--catalog", "selberg", "--m", str(m), "--q", "2"]) == 0
+    assert factored.count(m) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exponents"] == [[1, 6], [m, 2]]
+    assert payload["tk_factors"] == [[1, 4], [m, 2]]
+    assert payload["expanded"] is None
+    assert payload["degree"] == cover_betti(selberg, m).betti[2]
 
 
 def test_euler_identity_for_covers(catalog_arrangements):
