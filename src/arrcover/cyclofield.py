@@ -130,14 +130,6 @@ def divisors(m: int) -> list[int]:
     return list(divisor_phis(m))
 
 
-def mobius(k: int) -> int:
-    """Number-theoretic Mobius function: 0 unless k is squarefree, else (-1)^(#primes)."""
-    factors = factorize(k)
-    if any(e > 1 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials, coefficients low degree first.
 # ---------------------------------------------------------------------------

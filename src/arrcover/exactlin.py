@@ -1,7 +1,7 @@
 """Exact integer linear algebra for the weighted complexes.
 
 Provides Smith normal form with deterministic smallest-pivot reduction,
-fraction-free rank over Q, rank over Z_p on packed rows, cohomology
+fraction-free rank over Q, rank over Z_p on packed vectors, cohomology
 dimensions of a weighted complex over Q, and minimal-generator ranks of its
 cohomology modules over Z_N.  There is one elimination routine per ring: Z_N
 goes through the Z_p ranks of the primes dividing N (universal coefficient
@@ -10,8 +10,11 @@ mod CERTIFICATE_PRIME where a certificate proves the two equal, which needs
 D_q D_{q-1} = 0: the rank mod p bounds the rank over Q from below, and
 n_q - rank D_{q-1} and the row count bound it from above.  Only where the
 bounds differ does it run the fraction-free rank.  Everything is
-arbitrary-precision; the differentials arrive as dense integer rows
-(AomotoComplex.diffs) and are copied before elimination.
+arbitrary-precision.  The ranks mod p of a whole complex come from the
+generators of its algebra, packed once per prime (OSAlgebra.packed): each
+column of D_q is a short sum of packed generator columns, and the columns at
+the pivot rows of D_{q-1} are left out.  Dense integer rows
+(AomotoComplex.diffs) are built only for the fraction-free rank.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from .osalgebra import AomotoComplex
 from .record import record
 
 # The prime whose F_p ranks cohomology_Q certifies as ranks over Q.  A small
-# prime keeps the packed slots of rank_mod_p narrow; on the sweep's matrices
-# it was faster than 65521, 2^31 - 1 and 2^61 - 1.
+# prime keeps the packed slots of _eliminate narrow.  On one shift-sweep pass
+# 65521 was as fast, 2^31 - 1 and 2^61 - 1 were 15% and 28% slower, and 251
+# was 6% faster with the same Bareiss fallbacks; but the smaller the prime,
+# the likelier a rank drops mod p and falls back to Bareiss.
 CERTIFICATE_PRIME = 32749
 
 
@@ -82,55 +87,118 @@ def rank_over_Q(matrix) -> int:
     return rank
 
 
-def rank_mod_p(matrix, p: int) -> int:
-    """Rank over the field Z_p (p prime) by Gaussian elimination on packed rows.
+def _eliminate(vectors, slots: int, width: int, p: int):
+    """(rank over Z_p, pivot slots) of packed vectors, by Gaussian elimination.
 
-    Each row of an nr-row matrix is one int with a w-bit slot per column,
-    w = 2*bitlen(p) + bitlen(nr) + 1, its entries first reduced into [0, p).
-    Slots are reduced mod p only when read.  At each column the pivot is the
-    first remaining row whose lowest slot is nonzero mod p; the rest of the
-    pivot row is unpacked once, scaled by the inverse of that slot, reduced
-    and repacked, and every later row r whose slot f is nonzero becomes
-    r + (p - f)*pivot, one big-int multiply-add.  Each remaining row then
-    drops its lowest slot (zero mod p by now), so column c's slot is at the
-    bottom when column c is read.  A row gets at most one update per pivot,
-    so a slot stays below (p - 1) + nr*(p - 1)^2 < 2^w and no carry crosses
-    into the next slot.
+    Each vector is one int with `slots` width-bit slots, slot s at bit
+    s*width, holding nonnegative integers read mod p; vectors is consumed.
+    The caller picks width so that every slot stays below 2^(width - 1)
+    throughout; then no carry crosses into the next slot.
+
+    Slots are taken in order.  At each slot the pivot is the first remaining
+    vector whose lowest slot `lead` is nonzero mod p, and every later vector
+    v whose lowest slot f is nonzero becomes v + g*rest, with rest the other
+    slots of the pivot reduced mod p and g = -f/lead mod p: one big-int
+    multiply-add that adds less than p^2 to each slot.  A vector gets at most
+    one update per pivot.  Each remaining vector then drops its lowest slot
+    (zero mod p by now), so slot s is at the bottom when slot s is read.  The
+    pivot slots are the first slots, in order, on which the vectors have
+    full rank.
+
+    rest is reduced once per pivot, when the first vector needs it, in a few
+    big-int operations whatever the slot count: its even and odd slots are
+    taken apart, 2*width bits from each other, so a slot x < 2^(width - 1)
+    times magic = floor(2^shift/p) + 1, shift = width - 1 + bitlen(p), stays
+    inside its 2*width bits, and (x*magic) >> shift = floor(x/p) (Granlund
+    and Montgomery, Division by invariant integers using multiplication,
+    1994); the quotient has at most width - bitlen(p) bits.
     """
-    nr = len(matrix)
-    nc = len(matrix[0]) if matrix else 0
-    w = 2 * p.bit_length() + nr.bit_length() + 1
-    mask = (1 << w) - 1
-    rows = []
-    for row in matrix:
-        packed = 0
-        for c, v in enumerate(row):
-            if v:
-                packed |= (v % p) << (c * w)
-        rows.append(packed)
-    rank = 0
-    for col in range(nc):
-        for piv in range(rank, nr):
-            f = (rows[piv] & mask) % p
-            if f:
+    n = len(vectors)
+    mask = (1 << width) - 1
+    bits = p.bit_length()
+    shift = width - 1 + bits
+    magic = (1 << shift) // p + 1
+    pairs = (slots + 1) // 2
+    ones = ((1 << (2 * width * pairs)) - 1) // ((1 << (2 * width)) - 1)
+    even = ones * mask
+    quotient = ones * ((1 << (width - bits)) - 1)
+    pivots = []
+    for slot in range(slots):
+        rank = len(pivots)
+        if rank == n:
+            break
+        for piv in range(rank, n):
+            lead = (vectors[piv] & mask) % p
+            if lead:
                 break
         else:
-            rows[rank:] = [r >> w for r in rows[rank:]]
+            vectors[rank:] = [v >> width for v in vectors[rank:]]
             continue
-        rest = rows[piv] >> w
-        rows[piv] = rows[rank]
-        rank += 1
-        if rank == nr:
-            break
-        inv = pow(f, -1, p)
-        pivot = 0
-        for shift in range((nc - col - 2) * w, -1, -w):
-            pivot = (pivot << w) | ((rest >> shift) & mask) * inv % p
-        for r in range(rank, nr):
-            row = rows[r]
-            f = (row & mask) % p
-            rows[r] = (row >> w) + (p - f) * pivot if f else row >> w
-    return rank
+        pivots.append(slot)
+        rest = vectors[piv] >> width
+        vectors[piv] = vectors[rank]
+        inv = None
+        for r in range(rank + 1, n):
+            v = vectors[r]
+            f = (v & mask) % p
+            if not f:
+                vectors[r] = v >> width
+                continue
+            if inv is None:
+                inv = pow(lead, -1, p)
+                lo = rest & even
+                hi = (rest >> width) & even
+                lo -= p * (((lo * magic) >> shift) & quotient)
+                hi -= p * (((hi * magic) >> shift) & quotient)
+                rest = lo | (hi << width)
+            vectors[r] = (v >> width) + (p - f) * inv % p * rest
+    return len(pivots), pivots
+
+
+def rank_mod_p(matrix, p: int) -> int:
+    """Rank over the field Z_p (p prime) of an integer matrix.
+
+    The nc columns are packed for _eliminate, one int per column with a
+    w-bit slot per row, w = 2*bitlen(p) + bitlen(nc) + 1, the entries first
+    reduced into [0, p): a slot then stays below (p - 1) + nc*(p - 1)^2,
+    less than nc*p^2 < 2^(w - 1).
+    """
+    nc = len(matrix[0]) if matrix else 0
+    w = 2 * p.bit_length() + nc.bit_length() + 1
+    columns = [0] * nc
+    for r, row in enumerate(matrix):
+        for c, v in enumerate(row):
+            columns[c] |= (v % p) << (r * w)
+    return _eliminate(columns, len(matrix), w, p)[0]
+
+
+def _ranks_mod_p(complex_: AomotoComplex, p: int) -> list[int]:
+    """[rank_p D_q for every degree q] of a complex, top differential (0)
+    included, from the generators packed mod p (OSAlgebra.packed).
+
+    Column c of D_q is base[c] + sum of f_h*gens[h][c] over the h with
+    f_h = (w_h - 1) mod p nonzero; a sweep shift moves few weights off 1, so
+    the sum is short.  The columns at the pivot slots P of D_{q-1} are left
+    out.  That keeps the rank: D_{q-1} has rank |P| on the rows P, so its
+    image holds, for each j in P, a vector e_j + u with u zero on P, and
+    D_q D_{q-1} = 0 (proved by OSAlgebra.packed) gives D_q e_j = -D_q u, a
+    combination of the columns outside P.
+    """
+    sizes = complex_.dims()
+    terms = [(h, (w - 1) % p) for h, w in enumerate(complex_.weights) if (w - 1) % p]
+    ranks = []
+    pivots = ()
+    for q, (width, base, gens) in enumerate(complex_.algebra.packed(p)):
+        skip = set(pivots)
+        keep = [c for c in range(sizes[q]) if c not in skip]
+        vectors = [base[c] for c in keep]
+        for h, f in terms:
+            g = gens[h]
+            vectors = [v + f * g[c] for v, c in zip(vectors, keep)]
+        rank, pivots = _eliminate(vectors, sizes[q + 1], width, p)
+        ranks.append(rank)
+    ranks.append(0)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +278,25 @@ def cohomology_Q(complex_: AomotoComplex) -> CohomologyProfile:
     in for rational weight systems.
 
     Each rank r_q of D_q is certified from its rank mod CERTIFICATE_PRIME,
-    which needs D_q D_{q-1} = 0.  With r_{-1} = 0, lo = rank_p(D_q) is at
-    most r_q (a minor nonzero mod p is a nonzero integer), and r_q is at most
-    hi = min(rows of D_q, n_q - r_{q-1}) (im D_{q-1} lies in ker D_q).  So
-    lo == hi fixes r_q; only lo < hi takes the exact Bareiss rank, and
-    lo > hi raises ArithmeticError: the input is not a complex.
+    which needs D_q D_{q-1} = 0; OSAlgebra.packed proves that once per
+    algebra, for every weight vector, and raises ArithmeticError if not.
+    With r_{-1} = 0, lo = rank_p(D_q) is at most r_q (a minor nonzero mod p
+    is a nonzero integer), and r_q is at most hi = min(rows of D_q,
+    n_q - r_{q-1}) (im D_{q-1} lies in ker D_q).  So lo == hi fixes r_q;
+    only lo < hi takes the exact Bareiss rank of the dense D_q, and lo > hi
+    raises ArithmeticError: the input is not a complex.
     """
     sizes = complex_.dims()
+    rows = sizes[1:] + (0,)
     dims = []
     r_in = 0
-    for q, (nq, d) in enumerate(zip(sizes, complex_.diffs)):
-        lo = rank_mod_p(d, CERTIFICATE_PRIME)
-        hi = min(len(d), nq - r_in)
+    for q, (nq, lo) in enumerate(zip(sizes, _ranks_mod_p(complex_, CERTIFICATE_PRIME))):
+        hi = min(rows[q], nq - r_in)
         if lo > hi:
             raise ArithmeticError(
                 f"rank {lo} of the degree-{q} differential exceeds {hi}: not a complex"
             )
-        r_out = lo if lo == hi else rank_over_Q(d)
+        r_out = lo if lo == hi else rank_over_Q(complex_.diffs[q])
         dims.append(nq - r_out - r_in)
         r_in = r_out
     return CohomologyProfile(ring="rationals", dims=tuple(dims))
@@ -247,7 +317,7 @@ def cohomology_modN(complex_: AomotoComplex, N: int) -> CohomologyProfile:
     sizes = complex_.dims()
     dims = [0] * len(sizes)
     for p, _ in factorize(N):
-        ranks = [rank_mod_p(d, p) for d in complex_.diffs]
+        ranks = _ranks_mod_p(complex_, p)
         for q, nq in enumerate(sizes):
             dims[q] = max(dims[q], nq - ranks[q] - (ranks[q - 1] if q > 0 else 0))
     return CohomologyProfile(ring=f"integers-mod-{N}", dims=tuple(dims))

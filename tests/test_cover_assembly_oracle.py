@@ -18,7 +18,8 @@ from arrcover.covers import (
     monodromy_charpoly,
     periodicity,
 )
-from arrcover.cyclofield import divisors, euler_phi, mobius
+from arrcover.cyclofield import divisors, euler_phi
+from mobius import mobius
 
 CEVA3_K3 = {(3, 1): 2, (3, 2): 13, (3, 3): 11}
 

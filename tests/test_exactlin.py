@@ -11,13 +11,14 @@ from arrcover import catalog
 from arrcover.covers import _candidates, is_nonresonant
 from arrcover.exactlin import (
     CERTIFICATE_PRIME,
+    _ranks_mod_p,
     cohomology_Q,
     cohomology_modN,
     rank_mod_p,
     rank_over_Q,
     smith_normal_form,
 )
-from arrcover.osalgebra import AomotoComplex, aomoto_matrices
+from arrcover.osalgebra import AomotoComplex, OSAlgebra, aomoto_matrices, os_algebra
 from test_geometry_oracle import braid_a4_decone
 from test_modn_oracle import smith_reduce_with_transforms
 
@@ -89,9 +90,14 @@ def bareiss_dims(complex_):
 
 def complex_of(sizes, *diffs):
     """A complex with the given basis sizes and differentials, plus the
-    empty top differential."""
+    empty top differential: one generator whose degree-q entries are those
+    of diffs[q], at weight 1."""
     bases = tuple(tuple((i,) for i in range(n)) for n in sizes)
-    return AomotoComplex(bases=bases, diffs=diffs + ((),))
+    generator = tuple(
+        tuple((r, c, v) for r, row in enumerate(d) for c, v in enumerate(row) if v)
+        for d in diffs
+    )
+    return AomotoComplex(OSAlgebra(bases, (generator,)), (1,))
 
 
 def random_unimodular(rng, n):
@@ -246,15 +252,63 @@ def test_cohomology_Q_weights_scaled_by_the_prime(catalog_arrangements):
 
 
 def test_cohomology_Q_rejects_a_non_complex():
-    # D_1 D_0 = [[1]] != 0: the rank of D_1 exceeds n_1 - rank D_0 = 0
+    # D_1 D_0 = [[1]] != 0: OSAlgebra.packed's proof that the algebra gives a
+    # complex finds e_0 e_0 != 0 before any rank is taken
     with pytest.raises(ArithmeticError):
         cohomology_Q(complex_of((1, 1, 1), ((1,),), ((1,),)))
+
+
+@pytest.mark.parametrize("key", catalog.entries())
+def test_flipped_generator_entry_is_not_a_complex(key):
+    # one sign flipped in a copy of the algebra breaks e_h e_h' + e_h' e_h = 0
+    a = catalog.get(key).arrangement
+    algebra = os_algebra(a)
+    rng = random.Random(key)
+    for _ in range(5):
+        h = rng.randrange(a.n)
+        q = rng.randrange(len(algebra.bases) - 1)
+        entries = list(algebra.generators[h][q])
+        i = rng.randrange(len(entries))
+        r, c, v = entries[i]
+        entries[i] = (r, c, -v)
+        generators = list(algebra.generators)
+        generators[h] = generators[h][:q] + (tuple(entries),) + generators[h][q + 1:]
+        mutant = AomotoComplex(OSAlgebra(algebra.bases, tuple(generators)), (1,) * a.n)
+        with pytest.raises(ArithmeticError, match="not a complex"):
+            cohomology_Q(mutant)
+        with pytest.raises(ArithmeticError, match="not a complex"):
+            cohomology_modN(mutant, 6)
+    # the catalog algebra itself is untouched and still certifies
+    assert cohomology_Q(aomoto_matrices(a, (1,) * a.n)).dims
 
 
 SWEEP_ARRANGEMENTS = {
     **{key: (lambda key=key: catalog.get(key).arrangement) for key in catalog.entries()},
     "braid-a4-decone": braid_a4_decone,
 }
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, CERTIFICATE_PRIME))
+@pytest.mark.parametrize("key", SWEEP_ARRANGEMENTS)
+def test_ranks_mod_p_match_dense_ranks(key, p):
+    # the first 40 sweep shifts of every resonant k, then random weights
+    # with zeros, negatives and multiples of p
+    a = SWEEP_ARRANGEMENTS[key]()
+    weight_vectors = [
+        tuple(1 + k * v for v in shift)
+        for k in range(2, a.n + 1) if not is_nonresonant(a, k)
+        for shift in islice(_candidates(a, ()), 40)
+    ]
+    rng = random.Random(f"{key}-{p}")
+    values = (0, 1, -1, p, -p, p + 1, 1 - 2 * p)
+    weight_vectors += [
+        tuple(rng.choice((rng.choice(values), rng.randint(-9, 9), p * rng.randint(-3, 3)))
+              for _ in range(a.n))
+        for _ in range(20)
+    ]
+    for weights in weight_vectors:
+        complex_ = aomoto_matrices(a, weights)
+        assert _ranks_mod_p(complex_, p) == [rank_mod_p(d, p) for d in complex_.diffs], weights
 
 
 @pytest.mark.parametrize("key", SWEEP_ARRANGEMENTS)

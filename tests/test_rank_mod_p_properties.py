@@ -1,4 +1,4 @@
-"""rank_mod_p (packed rows) against plain row-list elimination over F_p."""
+"""rank_mod_p (packed columns) against plain row-list elimination over F_p."""
 
 import random
 
@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
-from arrcover.exactlin import rank_mod_p  # noqa: E402
+from arrcover.exactlin import _eliminate, rank_mod_p  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 32749)
 
@@ -61,6 +61,25 @@ def test_rank_mod_p_of_stacked_copies(case, copies):
     # repeated rows add nothing to the rank but rows the kernel updates
     matrix, p = case
     assert rank_mod_p(matrix * copies, p) == rank_mod_p_oracle(matrix, p)
+
+
+@given(matrices(), st.integers(1, 3))
+def test_eliminate_with_slots_near_their_bound(case, copies):
+    # each slot starts as the largest value congruent to its entry that
+    # leaves room for one update below p^2 per column, so the updates and
+    # the reduction of each pivot run at the top of the range _eliminate
+    # allows (every slot below 2^(width - 1))
+    matrix, p = case
+    matrix = matrix * copies
+    nc = len(matrix[0]) if matrix else 0
+    width = 2 * p.bit_length() + nc.bit_length() + 3
+    top = (1 << (width - 1)) - nc * p * p - 1
+    columns = [0] * nc
+    for r, row in enumerate(matrix):
+        for c, v in enumerate(row):
+            columns[c] |= (top - (top - v) % p) << (r * width)
+    rank, pivots = _eliminate(columns, len(matrix), width, p)
+    assert rank == len(pivots) == rank_mod_p_oracle(matrix, p)
 
 
 def test_rank_mod_p_worst_carry():

@@ -71,7 +71,8 @@ def samples():
         (SnfResult, {"invariant_factors": (1, 2, 0)}),
         (CohomologyProfile, {"ring": "rationals", "dims": (1, 2, 1)}),
         (OSAlgebra, {"bases": (((),), ((0,), (1,))), "generators": (((((0, 0, 1),),),),)}),
-        (AomotoComplex, {"bases": (((),), ((0,),)), "diffs": (((1,),), ())}),
+        (AomotoComplex, {"algebra": OSAlgebra((((),), ((0,),)), (((((0, 0, 1),),),),)),
+                         "weights": (1,)}),
         (CatalogEntry, {"key": "selberg", "arrangement": selberg, "notes": "five lines"}),
     ]
 

@@ -1,8 +1,8 @@
 """tk_exponents, tk_product and cyclotomic_polynomial against plain loops.
 
 The oracles here share nothing with arrcover.cyclofield: mu by trial
-division, dense products of coefficient lists, and schoolbook long division
-that reports its remainder.
+division (tests/mobius.py), dense products of coefficient lists, and
+schoolbook long division that reports its remainder.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from arrcover.cyclofield import (  # noqa: E402
     tk_exponents,
     tk_product,
 )
+from mobius import mobius  # noqa: E402
 
 
 def primes_of(n):
@@ -28,19 +29,6 @@ def primes_of(n):
                 n //= p
         p += 1
     return primes + [n] if n > 1 else primes
-
-
-def mu(n):
-    """Mobius by trial division: 0 on a square factor, else (-1)^(#primes)."""
-    sign, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    return -sign if n > 1 else sign
 
 
 def multiply(a, b):
@@ -98,7 +86,7 @@ exponent_maps = st.dictionaries(st.integers(1, 120), st.integers(-4, 4), max_siz
 def test_tk_exponents_is_mobius_inversion(exps):
     expected = {}
     for d in range(1, 121):
-        f = sum(mu(k // d) * e for k, e in exps.items() if k % d == 0)
+        f = sum(mobius(k // d) * e for k, e in exps.items() if k % d == 0)
         if f:
             expected[d] = f
     assert tk_exponents(exps) == expected
