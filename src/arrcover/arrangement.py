@@ -22,7 +22,9 @@ cone, flagged by Crapo's beta invariant of their localizations.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import gcd, lcm
+from threading import Lock
 
 from .cyclofield import CycNum, IntPoly, reduced_row_echelon, zadjugate, zmul
 from .record import record
@@ -227,13 +229,21 @@ class ClosureLattice:
     flats lists every closure flat in level order, codim 0 first; support
     index n is the hyperplane at infinity.  join[f][j] is the index of the
     flat flats[f] cap H_j, the closure of support(f) + {j}.
+
+    It also owns what every weight sweep of its arrangement shares: the
+    automorphisms and their byte tables, built on first use, and cube_orbits,
+    the first support mask of each orbit of the shift cube {-1, 0}^n in sweep
+    order (by size, then combinations order).  That list is append-only; one
+    walk of the cube extends it when a reader of cube_representatives gets
+    past its end.
     """
 
     flats: tuple[Flat, ...]
     join: tuple[tuple[int, ...], ...]
 
     def __init__(self, flats, join):
-        self.__dict__.update(flats=flats, join=join)
+        self.__dict__.update(flats=flats, join=join, cube_orbits=[], _cube_lock=Lock())
+        self.__dict__["_cube_walk"] = self._walk_cube()
 
     @cached_property
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
@@ -244,9 +254,9 @@ class ClosureLattice:
         closure flat off the hyperplane at infinity) onto an affine flat
         support, so it preserves the affine intersection poset, codims and
         emptiness included.  The set is a stabiliser chain found from the
-        deepest level up: at level i, for each c > i whose mask 1 << c is not
-        in the orbit of 1 << i under the generators found so far (which all
-        fix 0..i-1), one backtracking search looks for the first permutation
+        deepest level up: at level i, for each c > i not in the orbit of i
+        under the generators found so far (which all fix 0..i-1), one
+        backtracking search looks for the first permutation
         fixing 0..i-1 with i -> c.  The search prunes a partial map on the
         codim-2 flat of each pair of assigned hyperplanes and on the (codim,
         size) profile of the affine flats through each one, and keeps a full
@@ -301,16 +311,63 @@ class ClosureLattice:
 
             return tuple(image) if extend(i) else None
 
+        def point_orbit(i: int) -> set[int]:
+            reached, frontier = {i}, [i]
+            while frontier:
+                x = frontier.pop()
+                for perm in generators:
+                    if perm[x] not in reached:
+                        reached.add(perm[x])
+                        frontier.append(perm[x])
+            return reached
+
         generators: list[tuple[int, ...]] = []
         for i in reversed(range(n)):
-            reached = orbit(1 << i, generators)
+            reached = point_orbit(i)
             for c in range(i + 1, n):
-                if 1 << c not in reached:
+                if c not in reached:
                     perm = first_leaf(i, c)
                     if perm is not None:
                         generators.append(perm)
-                        reached = orbit(1 << i, generators)
+                        reached = point_orbit(i)
         return tuple(generators)
+
+    @cached_property
+    def generator_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The automorphisms as lookup tables on support bitmasks, one
+        byte_tables(perm) per generator, built once per lattice."""
+        return tuple(map(byte_tables, self.automorphisms))
+
+    def cube_representatives(self):
+        """Yield cube_orbits in order, resuming the shared walk only past the
+        representatives some reader already found.  The walk advances under
+        a lock, so readers in several threads can share it."""
+        found = self.cube_orbits
+        i = 0
+        while True:
+            if i == len(found):
+                with self._cube_lock:
+                    if i == len(found) and next(self._cube_walk, None) is None:
+                        return
+            yield found[i]
+            i += 1
+
+    def _walk_cube(self):
+        """Append each orbit representative to cube_orbits and yield it.
+        A representative's orbit joins the seen set only when the walk is
+        resumed, so a reader that stops at the first one (the zero mask)
+        never builds the automorphisms.  A finished walk drops its frame,
+        and the last seen set with it."""
+        bits = [1 << i for i in range(len(self.join[0]) - 1)]
+        for size in range(len(bits) + 1):
+            # an orbit keeps the support size, so seen holds one size only
+            seen: set[int] = set()
+            # the sums of size bits, in the combinations order of the supports
+            for mask in map(sum, combinations(bits, size)):
+                if mask not in seen:
+                    self.cube_orbits.append(mask)
+                    yield mask
+                    seen |= orbit(mask, self.generator_tables)
 
 
 # Nodes one backtracking search of ClosureLattice.automorphisms may visit.
@@ -331,15 +388,35 @@ def support_image(mask: int, perm) -> int:
     return out
 
 
-def orbit(mask: int, generators) -> set[int]:
-    """Orbit of a support bitmask under the group the generators make, each
-    generator acting by support_image."""
+def byte_tables(perm) -> tuple[tuple[int, ...], ...]:
+    """support_image(mask, perm) as lookup tables, one per byte of the mask:
+    tables[b][v] is the image of v << 8*b.  There are ceil(n/8) tables of at
+    most 256 entries, each filled by doubling, one bit at a time."""
+    n = len(perm)
+    tables = []
+    for base in range(0, n, 8):
+        table = [0]
+        for i in range(base, min(base + 8, n)):
+            image = 1 << perm[i]
+            table += [t | image for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def orbit(mask: int, tables) -> set[int]:
+    """Orbit of a support bitmask under the group some permutations make,
+    each given by its byte_tables: the image of x is the union of the
+    tables' entries at the bytes of x."""
     found = {mask}
     frontier = [mask]
     while frontier:
         x = frontier.pop()
-        for perm in generators:
-            y = support_image(x, perm)
+        for perm in tables:
+            y = 0
+            rest = x
+            for table in perm:
+                y |= table[rest & 255]
+                rest >>= 8
             if y not in found:
                 found.add(y)
                 frontier.append(y)

@@ -20,7 +20,11 @@ strict improver: skipping it changes no interval, witness, lower <= upper
 check, early stop or Euler closure.  Any subgroup of the automorphisms is
 sound, so a capped generator search only skips fewer shifts.  The sweep and
 the group both work on support bitmasks (bit i set where s_i = -1); a shift
-tuple is built only for a candidate that is evaluated.
+tuple is built only for a candidate that is evaluated.  The orbits depend on
+the lattice, not on k, so the stream of orbit representatives belongs to the
+closure lattice: it walks the cube once per arrangement, as far as some
+sweep has asked, and every resonant k reads the same list.  Each generator
+acts through per-byte lookup tables built once per lattice.
 
 Assembly never walks 1..m or the residues mod lcm(1..n): the divisors of m
 come from its factorisation, the periodicity classes from the divisors of
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
 from math import gcd, lcm
 
 from .arrangement import (
@@ -227,14 +230,15 @@ def stv_nonresonant(a: Arrangement, w: WeightSystem) -> bool:
     """Vanishing test: no dense edge of the closure has weight in Z_{>=0}.
 
     The hyperplane at infinity (last closure index) carries -sum(lambda_H).
+    The test runs on the numerators: a flat's weight is s / N with s the sum
+    of k_H over its affine support, less sum(k_H) when it lies at infinity.
     """
     if len(w.k_vector) != a.n:
         raise ValueError(f"expected {a.n} weights, got {len(w.k_vector)}")
-    weights = [Fraction(k, w.modulus) for k in w.k_vector]
-    weights.append(w.infinity_weight)
+    numerators = w.k_vector + (-sum(w.k_vector),)
     for flat in _dense_closure_flats(a):
-        total = sum((weights[i] for i in flat.support), Fraction(0))
-        if total.denominator == 1 and total >= 0:
+        s = sum(numerators[i] for i in flat.support)
+        if s % w.modulus == 0 and s >= 0:
             return False
     return True
 
@@ -313,32 +317,37 @@ def _candidates(a: Arrangement, extra_shifts):
     {-1, 0}^n by support size and then support (weights 1/k shifted by m stay
     in (-1, 1)), or only the zero shift beyond MAX_ENUMERATION.  Up to
     MAX_ENUMERATION a shift in {-1, 0}^n is held by its support bitmask and
-    skipped when the orbit of a shift yielded before it holds it.  An orbit
-    joins the seen set only when the next candidate is asked for, so a sweep
-    that stops after its first candidate never builds the automorphisms.
+    skipped when the orbit of a shift yielded before it holds it.
+
+    The enumeration is the lattice's: ClosureLattice.cube_representatives
+    gives the first mask of each orbit, from one list that every k of the
+    arrangement shares and that grows only as far as some sweep has asked.
+    A representative is skipped exactly when the orbit of an extra shift
+    holds it; every other mask of the cube lies in the orbit of an earlier
+    representative.  An orbit is built only when the next candidate is asked
+    for, so a sweep that stops after its first candidate never builds the
+    automorphisms.
     """
     n = a.n
     small = n <= MAX_ENUMERATION
-
-    def extras():
-        for shift in extra_shifts:
-            if len(shift) != n:
-                raise ValueError(f"shift {shift} has length {len(shift)}, expected {n}")
-            shift = tuple(int(v) for v in shift)
-            in_cube = small and set(shift) <= {-1, 0}
-            yield shift, support_mask(i for i, v in enumerate(shift) if v) if in_cube else None
-
-    cube = ((None, support_mask(s)) for size in range(n + 1) for s in combinations(range(n), size))
     seen: set[int] = set()
-    generators = None
-    for shift, mask in chain(extras(), cube if small else [((0,) * n, None)]):
+    for shift in extra_shifts:
+        if len(shift) != n:
+            raise ValueError(f"shift {shift} has length {len(shift)}, expected {n}")
+        shift = tuple(int(v) for v in shift)
+        in_cube = small and set(shift) <= {-1, 0}
+        mask = support_mask(i for i, v in enumerate(shift) if v) if in_cube else None
         if mask in seen:
             continue
-        yield tuple(-(mask >> i & 1) for i in range(n)) if shift is None else shift
+        yield shift
         if mask is not None:
-            if generators is None:
-                generators = closure_lattice(a).automorphisms
-            seen |= orbit(mask, generators)
+            seen |= orbit(mask, closure_lattice(a).generator_tables)
+    if not small:
+        yield (0,) * n
+        return
+    for mask in closure_lattice(a).cube_representatives():
+        if mask not in seen:
+            yield tuple(-(mask >> i & 1) for i in range(n))
 
 
 def local_betti(

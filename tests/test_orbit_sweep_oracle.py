@@ -10,7 +10,10 @@ reordering of the hyperplanes.
 """
 
 import random
+import sys
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from math import factorial
 
@@ -122,24 +125,41 @@ def image(support, perm):
     return frozenset(perm[i] for i in support)
 
 
+def support_orbit(support, generators):
+    found, frontier = {support}, [support]
+    while frontier:
+        s = frontier.pop()
+        for perm in generators:
+            t = image(s, perm)
+            if t not in found:
+                found.add(t)
+                frontier.append(t)
+    return found
+
+
 def shift_orbits(generators, n):
     """Orbits of {-1, 0}^n, as supports, under the group the generators make."""
     seen, orbits = set(), 0
     for size in range(n + 1):
         for support in map(frozenset, combinations(range(n), size)):
+            if support not in seen:
+                orbits += 1
+                seen |= support_orbit(support, generators)
+    return orbits
+
+
+def candidates_oracle(a, extra_shifts):
+    """every_candidate, less each shift of {-1, 0}^n whose orbit holds a
+    shift listed before it."""
+    generators = closure_lattice(a).automorphisms
+    seen = set()
+    for shift in every_candidate(a.n, extra_shifts):
+        if set(shift) <= {-1, 0}:
+            support = frozenset(i for i, v in enumerate(shift) if v)
             if support in seen:
                 continue
-            orbits += 1
-            frontier = [support]
-            seen.add(support)
-            while frontier:
-                s = frontier.pop()
-                for perm in generators:
-                    t = image(s, perm)
-                    if t not in seen:
-                        seen.add(t)
-                        frontier.append(t)
-    return orbits
+            seen |= support_orbit(support, generators)
+        yield shift
 
 
 def group_elements(generators, n):
@@ -224,6 +244,101 @@ def test_capped_search_keeps_every_answer(monkeypatch):
         assert len(capped) < len(full[key])
         got = _bound_intervals.__wrapped__(a, k, ())
         assert as_tuples(got) == bound_intervals_oracle(a, k)
+
+
+# ---------------------------------------------------------------------------
+# The shared walk of the cube.
+# ---------------------------------------------------------------------------
+
+def mixed_extras(a):
+    """A shift of the cube, its image under a generator that moves it, a
+    shift outside the cube, and the zero shift twice."""
+    n = a.n
+    inside = (0, -1, -1) + (0,) * (n - 3)
+    images = (tuple(inside[perm.index(i)] for i in range(n))
+              for perm in closure_lattice(a).automorphisms)
+    moved = next(shift for shift in images if shift != inside)
+    return (moved, (0,) * n, inside, (2,) + (0,) * (n - 1), (0,) * n)
+
+
+def test_every_k_reads_one_walk(monkeypatch):
+    # the k = 3 sweep of Ceva(3) walks all 14 orbits; k = 9 builds none
+    a = CASES["ceva3"]()
+    lattice = arrangement.closure_lattice.__wrapped__(a)
+    monkeypatch.setattr(covers, "closure_lattice", lambda _: lattice)
+    built = []
+    real_orbit = arrangement.orbit
+    monkeypatch.setattr(arrangement, "orbit",
+                        lambda mask, tables: built.append(mask) or real_orbit(mask, tables))
+    at_3 = _bound_intervals.__wrapped__(a, 3, ())
+    assert built == lattice.cube_orbits and len(built) == 14
+    at_9 = _bound_intervals.__wrapped__(a, 9, ())
+    assert len(built) == 14
+    assert as_tuples(at_3) == bound_intervals_oracle(a, 3)
+    assert as_tuples(at_9) == bound_intervals_oracle(a, 9)
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_stream_does_not_depend_on_the_walk_state(key, monkeypatch):
+    a = CASES[key]()
+    extras = mixed_extras(a)
+    lattice = None
+    monkeypatch.setattr(covers, "closure_lattice", lambda _: lattice)
+
+    def stream(extra_shifts, fresh):
+        nonlocal lattice
+        if fresh:
+            lattice = arrangement.closure_lattice.__wrapped__(a)
+        return list(_candidates(a, extra_shifts))
+
+    cold = {extra: stream(extra, fresh=True) for extra in ((), extras)}
+    assert cold == {extra: list(candidates_oracle(a, extra)) for extra in cold}
+    assert extras[2] not in cold[extras]
+    # after a full walk of the shared list
+    assert {extra: stream(extra, fresh=False) for extra in cold} == cold
+    # two readers of one fresh list, taking turns
+    lattice = arrangement.closure_lattice.__wrapped__(a)
+    readers = {extra: _candidates(a, extra) for extra in cold}
+    taken = {extra: [] for extra in cold}
+    while readers:
+        for extra, reader in list(readers.items()):
+            shift = next(reader, None)
+            if shift is None:
+                del readers[extra]
+            else:
+                taken[extra].append(shift)
+    assert taken == cold
+
+
+def test_finished_walk_releases_its_seen_set():
+    a = CASES["ceva3"]()
+    lattice = arrangement.closure_lattice.__wrapped__(a)
+    reps = lattice.cube_representatives()
+    assert next(reps) == 0
+    assert "automorphisms" not in lattice.__dict__
+    assert [next(reps) for _ in range(4)] == [0b1, 0b11, 0b111, 0b1011]
+    # the walk is suspended at the second size-3 representative; its seen
+    # set holds the orbit of the first
+    seen = weakref.ref(lattice._cube_walk.gi_frame.f_locals["seen"])
+    assert 0b111 in seen() and 0b1011 not in seen()
+    assert len(list(reps)) == 9
+    assert seen() is None and lattice._cube_walk.gi_frame is None
+    assert len(lattice.cube_orbits) == 14
+
+
+def test_threads_share_one_walk():
+    # four threads read one fresh list while the interpreter switches often
+    a = CASES["hessian-decone"]()
+    want = list(arrangement.closure_lattice.__wrapped__(a).cube_representatives())
+    lattice = arrangement.closure_lattice.__wrapped__(a)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda _: list(lattice.cube_representatives()), range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 4 and lattice.cube_orbits == want
 
 
 # ---------------------------------------------------------------------------
