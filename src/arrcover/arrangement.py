@@ -9,14 +9,17 @@ the projective closure.
 All exact linear algebra happens in one pass, the lattice of the projective
 closure (the affine rows plus the hyperplane at infinity).  Its flats are
 keyed by their supports, so the flat set does not depend on hyperplane
-order; the pass finds each flat's covers with one reduction of every row
-modulo that flat and records the join table flat -> flat cap H_j.  That
-pass works in integer arithmetic over Z[zeta_d]: each row is scaled by the
-lcm of its denominators, reduced fraction-free, and keyed by the primitive
-integer point on its residue's line, reached through the norm of the leading
-entry.  The affine flats are the closure flats off the hyperplane at
-infinity, and the dense edges are the closure flats below the center of the
-cone, flagged by Crapo's beta invariant of their localizations.
+order; the pass finds each flat's covers from the residues of the rows
+modulo that flat and records the join table flat -> flat cap H_j.  A flat's
+residues are those of the flat it was found from, each reduced by one
+fraction-free step with the flat's one new equation, and a flat of codim
+ell, whose quotient is one-dimensional, is not reduced at all.  That pass
+works in integer arithmetic over Z[zeta_d]: each row is scaled by the lcm of
+its denominators, and each residue is keyed by the primitive integer point
+on its line, reached through the norm of the leading entry.  The affine
+flats are the closure flats off the hyperplane at infinity, and the dense
+edges are the closure flats below the center of the cone, flagged by Crapo's
+beta invariant of their localizations, summed over the lower levels only.
 """
 
 from __future__ import annotations
@@ -432,6 +435,16 @@ def _by_codim(flats) -> IntersectionLattice:
     return IntersectionLattice(levels=tuple(map(tuple, levels)), rank=len(levels) - 1)
 
 
+def _level_starts(codims) -> list[int]:
+    """start[c]: the index of the first codim-c flat in a list of flats in
+    level order, given by their codims; flats[:start[c]] are those below c."""
+    start: list[int] = []
+    for i, c in enumerate(codims):
+        if c == len(start):
+            start.append(i)
+    return start
+
+
 def _integer_row(row) -> tuple[tuple[int, ...], ...]:
     """A row over Q(zeta_d) scaled by the lcm of its denominators: a row over
     Z[zeta_d], each entry a power-basis tuple of ints."""
@@ -486,33 +499,52 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
     is built level by level: each row outside a flat's support is reduced
     modulo the flat's equations, and rows j, k give the same cover
     flat cap H_j exactly when their residues are proportional over
-    Q(zeta_d).  The reduction is fraction-free (Bareiss, Math. Comp. 22,
-    1968), and each residue is keyed by the primitive integer point on its
+    Q(zeta_d).  Each residue is keyed by the primitive integer point on its
     line, reached through the norm of its leading entry (see _residue).  So
     the rows grouped by key are the covers of the flat, each with support
     support(flat) plus its group, and the groups fill the flat's row of the
     join table.
+    A flat's equations are the keys that found it, one per level, each zero
+    in the leading columns of those before it.  A cover found from flat f
+    reduces f's residues by its one new equation E, one fraction-free step
+    each (Bareiss, Math. Comp. 22, 1968).  That is exact: the span of row j
+    and the equations meets the zero pattern on their leading columns in
+    one line, and the reduced residue and row j reduced from scratch are
+    both nonzero points on it, so they share the primitive point.  A
+    codim-ell flat, whose quotient is one-dimensional, is not reduced.
     Mobius values follow the recursion mu(Y) = -sum(mu(Z)) over flats Z with
-    support(Z) strictly inside support(Y).
+    support(Z) strictly inside support(Y), all on lower levels.
     """
     d = a.cyc_order
     rows = [_integer_row(h.affine_row()) for h in a.hyperplanes]
     rows.append(_integer_row((CycNum.zero(d),) * a.ambient_dim + (CycNum.one(d),)))
+    ell = a.ambient_dim
     supports: list[tuple[int, ...]] = [()]
     codims = [0]
     index_of = {(): 0}
-    # bases[f]: flat f's equations as (leading column, key) pairs, each key
-    # with a positive rational integer leading entry and zero in the leading
-    # columns of the rows before it; dropped once the covers of f are found
-    bases: list = [()]
+    # found_from[f]: the residue of each row j off the flat f was found from,
+    # by j (the rows themselves for flat 0), and f's new equation as a
+    # one-row basis; dropped once f is scanned, so a residue map lives until
+    # the last flat found from it is scanned
+    found_from: list = [(rows, ())]
     join: list[tuple[int, ...]] = []
     # supports grows while it is scanned, one level after the other
     for f, support in enumerate(supports):
-        basis, bases[f] = bases[f], None
+        (above, equation), found_from[f] = found_from[f], None
         groups: dict[tuple, list[int]] = {}
-        for j, row in enumerate(rows):
-            if j not in support:
-                groups.setdefault(_residue(row, basis, d), []).append(j)
+        if codims[f] < ell:
+            residues = {}
+            for j in range(len(rows)):
+                if j not in support:
+                    residue = _residue(above[j], equation, d)
+                    residues[j] = residue[1]
+                    groups.setdefault(residue, []).append(j)
+        else:
+            # the quotient by a codim-ell flat is one-dimensional, so every
+            # row off the flat lies in its one cover
+            groups[None] = [j for j in range(len(rows)) if j not in support]
+        if codims[f] + 1 >= ell:
+            residues = None  # covers of codim ell or more reduce nothing
         step = [f] * len(rows)
         for residue, members in groups.items():
             cover = tuple(sorted(support + tuple(members)))
@@ -520,15 +552,18 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
                 index_of[cover] = len(supports)
                 supports.append(cover)
                 codims.append(codims[f] + 1)
-                bases.append(basis + (residue,))
+                found_from.append((residues, (residue,)))
             for j in members:
                 step[j] = index_of[cover]
         join.append(tuple(step))
 
+    # flats of one codim never nest, so only lower levels lie below a flat
+    start = _level_starts(codims)
     masks = [support_mask(s) for s in supports]
     mobius = [1]
     for i in range(1, len(supports)):
-        mobius.append(-sum(mobius[k] for k in range(i) if masks[k] & masks[i] == masks[k]))
+        below = range(start[codims[i]])
+        mobius.append(-sum(mobius[k] for k in below if masks[k] & masks[i] == masks[k]))
     return ClosureLattice(
         flats=tuple(Flat(s, c, mu, None) for s, c, mu in zip(supports, codims, mobius)),
         join=tuple(join),
@@ -588,10 +623,14 @@ def dense_edges(a: Arrangement) -> IntersectionLattice:
     """
     flats = closure_lattice(a).flats
     masks = [support_mask(f.support) for f in flats]
+    terms = [f.mobius * f.codim for f in flats]
+    start = _level_starts(f.codim for f in flats)
 
     def marked(y: int) -> Flat:
-        beta_y = sum(f.mobius * f.codim for f, m in zip(flats, masks) if m & masks[y] == m)
         flat = flats[y]
+        # every Z < Y lies on a lower level, so only those are scanned
+        below = range(start[flat.codim])
+        beta_y = terms[y] + sum(terms[k] for k in below if masks[k] & masks[y] == masks[k])
         return Flat(flat.support, flat.codim, flat.mobius, beta_y != 0)
 
     return _by_codim(

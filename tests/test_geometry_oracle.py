@@ -20,7 +20,7 @@ from itertools import combinations, cycle
 
 import pytest
 
-from arrcover import catalog
+from arrcover import arrangement, catalog
 from arrcover.arrangement import (
     Hyperplane,
     build,
@@ -133,7 +133,22 @@ RANDOM_CASES = {
     f"random-d{d}-l{ell}-n{n}-s1": (d, ell, n, 1)
     for d in (5, 8)
     for ell, n in ((2, 6), (3, 6))
+} | {
+    # ell = 4: a basis three rows deep is extended by one step, and the
+    # codim-4 flats of the closure are not reduced
+    f"random-d{d}-l4-n7-s1": (d, 4, 7, 1)
+    for d in (1, 3)
 }
+
+
+def generic_lines(n):
+    """The n lines 1 + x X + x^2 Y = 0 for x = 1..n: duals of points on a
+    conic, so no three meet and no two are parallel, and the last level of
+    the closure holds only double points."""
+    def q(x):
+        return CycNum.from_rational(Fraction(x), 1)
+
+    return build(2, 1, [Hyperplane(q(1), (q(x), q(x * x))) for x in range(1, n + 1)])
 
 
 CASES = {
@@ -145,6 +160,7 @@ CASES = {
     "maclane-central": catalog.maclane_central,
     "hessian-central": catalog.hessian_central,
     "braid-a4-decone": braid_a4_decone,
+    "generic-8": lambda: generic_lines(8),
 } | {key: (lambda args=args: random_arrangement(*args)) for key, args in RANDOM_CASES.items()}
 
 
@@ -260,3 +276,27 @@ def test_closure_lattice_ignores_equation_scaling(key):
     assert b != a
     assert closure_lattice(b) == closure_lattice(a)
     assert dense_edges(b) == dense_edges(a)
+
+
+@pytest.mark.parametrize("key", ["hessian-decone", "generic-8", "braid-a4-decone"])
+def test_lattice_reduces_one_step_per_residue(key, monkeypatch):
+    """Each residue is its parent's residue reduced by the one new equation,
+    and no row is reduced modulo a codim-ell flat.  At ell = 3 a reduction
+    from scratch would pass a basis of two rows."""
+    a = CASES[key]()
+    bases = []
+    residue = arrangement._residue
+
+    def counting(row, basis, d):
+        bases.append(len(basis))
+        return residue(row, basis, d)
+
+    monkeypatch.setattr(arrangement, "_residue", counting)
+    lattice = closure_lattice.__wrapped__(a)
+    assert lattice == closure_lattice(a)
+    assert max(bases) == 1
+    assert len(bases) == sum(
+        a.n + 1 - len(f.support) for f in lattice.flats if f.codim < a.ell
+    )
+    if key == "generic-8":
+        assert len(bases) == 9 + 9 * 8
