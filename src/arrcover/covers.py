@@ -26,6 +26,18 @@ closure lattice: it walks the cube once per arrangement, as far as some
 sweep has asked, and every resonant k reads the same list.  Each generator
 acts through per-byte lookup tables built once per lattice.
 
+The sweep also skips every shift of {-1, 0}^n whose Aomoto complex the dense
+edges prove acyclic below the top degree (Yuzvinsky, Comm. Algebra 23,
+1995; Orlik-Terao, Arrangements and Hypergeometric Integrals, MSJ Memoirs
+9, 2001): with w_inf = -sum(w_H) on the hyperplane at infinity, if
+w_X = sum(w_H, H >= X) is nonzero on every dense edge X of the projective
+closure, the dims are (0, ..., 0, beta).  Once the running lower bound holds
+beta at the top, such a shift is below it in every degree, so it can be
+neither the first strict improver nor a lower <= upper violation.  At
+weights 1 + k*s every w_X is a bit count: with S the support mask of s, w_X
+vanishes exactly when (mask & S).bit_count() == quota, for one
+(mask, quota) pair per dense edge, built once per (arrangement, k).
+
 Assembly never walks 1..m or the residues mod lcm(1..n): the divisors of m
 come from its factorisation, the periodicity classes from the divisors of
 the period, and the monodromy polynomials are expanded through sparse
@@ -273,14 +285,22 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
     b_0 is pinned to 0 for k > 1 (a nontrivial rank-one system on a connected
     space has no invariants).  The shift sweep stops early once every degree
     is resolved; the Euler-characteristic constraint closes a single leftover
-    gap.
+    gap.  Once lower holds beta at the top degree, a shift of {-1, 0}^n whose
+    dense edges all have nonzero weight is skipped unranked: its dims are
+    (0, ..., 0, beta), which cannot raise lower (see the module docstring).
     """
     ell = a.ell
     upper = list(cohomology_modN(aomoto_matrices(a, (1,) * a.n), k).dims)
     upper[0] = 0
     lower = [0] * (ell + 1)
     witness: dict[int, tuple[int, ...]] = {}
+    generic_top = beta(a)
+    quotas = _dense_edge_quotas(a, k)
     for shift in _candidates(a, extra_shifts):
+        if lower[ell] >= generic_top and set(shift) <= {-1, 0}:
+            support = support_mask(i for i, v in enumerate(shift) if v)
+            if _acyclic_below_top(quotas, support):
+                continue
         weights = tuple(1 + k * mv for mv in shift)
         dims = cohomology_Q(aomoto_matrices(a, weights)).dims
         for q in range(1, ell + 1):
@@ -309,6 +329,35 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
         BettiInterval(q, lower[q], upper[q], lower[q] == upper[q], witness.get(q))
         for q in range(ell + 1)
     )
+
+
+def _dense_edge_quotas(a: Arrangement, k: int) -> list[tuple[int, int]]:
+    """(mask, quota) per dense edge X of the closure whose weight can vanish
+    at weights 1 + k*s, s in {-1, 0}^n.
+
+    With S the support of s, an affine X with affine support X_a has weight
+    |X_a| - k*|X_a & S|, and an X at infinity has -((n - |X_a|) - k*|S - X_a|),
+    w_inf = -sum(w_H).  So with mask = X_a (affine) or its complement in the
+    affine hyperplanes (at infinity), w_X = 0 exactly when
+    (mask & S).bit_count() == quota, and a pair is kept only when k divides
+    the mask's size, quota = size // k.
+    """
+    n = a.n
+    quotas = []
+    for flat in _dense_closure_flats(a):
+        mask = support_mask(i for i in flat.support if i < n)
+        if n in flat.support:
+            mask ^= (1 << n) - 1
+        size = mask.bit_count()
+        if size % k == 0:
+            quotas.append((mask, size // k))
+    return quotas
+
+
+def _acyclic_below_top(quotas, support: int) -> bool:
+    """True when no dense edge weight vanishes on the shift with this support
+    bitmask (see _dense_edge_quotas): its Aomoto dims are (0, ..., 0, beta)."""
+    return all((mask & support).bit_count() != quota for mask, quota in quotas)
 
 
 def _candidates(a: Arrangement, extra_shifts):

@@ -1,0 +1,156 @@
+"""The dense-edge skip of the shift sweep.
+
+Yuzvinsky (Comm. Algebra 23, 1995; also Orlik-Terao, MSJ Memoirs 9, 2001):
+give the hyperplane at infinity the weight w_inf = -sum(w_H); if
+w_X = sum(w_H, H >= X) is nonzero on every dense edge X of the projective
+closure, the Aomoto complex of w is acyclic below the top degree, so its dims
+are (0, ..., 0, beta).  The sweep skips such a shift of {-1, 0}^n once its
+running lower bound holds beta at the top.  The checks below: the rule
+against exact ranks on every orbit representative, the bit-count predicate
+against plain weight sums, and the number of ranks the skip saves.
+"""
+
+from itertools import product
+
+import pytest
+
+from arrcover import catalog, covers
+from arrcover.arrangement import Hyperplane, beta, build, closure_lattice, dense_edges
+from arrcover.covers import _acyclic_below_top, _bound_intervals, _dense_edge_quotas
+from arrcover.cyclofield import cyc_reduce
+from arrcover.exactlin import cohomology_Q
+from arrcover.osalgebra import aomoto_matrices
+from test_geometry_oracle import braid_a4_decone
+from test_orbit_sweep_oracle import SWEEPS, arrangement_of, as_tuples, bound_intervals_oracle
+
+
+def cube_weights(n, k, support):
+    return tuple(1 - k * (support >> i & 1) for i in range(n))
+
+
+def test_certified_representatives_are_acyclic():
+    # every orbit representative the rule certifies has the generic dims;
+    # dropping the dense edges of codim >= 2 from the rule breaks this
+    certified, violations = 0, []
+    for key, k in SWEEPS:
+        a = arrangement_of(key)
+        quotas = _dense_edge_quotas(a, k)
+        generic = (0,) * a.ell + (beta(a),)
+        for support in closure_lattice(a).cube_representatives():
+            if _acyclic_below_top(quotas, support):
+                certified += 1
+                dims = cohomology_Q(aomoto_matrices(a, cube_weights(a.n, k, support))).dims
+                if dims != generic:
+                    violations.append((key, k, support, dims))
+    assert violations == []
+    assert certified == 574
+
+
+# ---------------------------------------------------------------------------
+# The predicate against plain weight sums.
+# ---------------------------------------------------------------------------
+
+def lines(*rows):
+    """Lines c + x*X + y*Y = 0 in C^2 over Q, one (c, x, y) per row."""
+    def q(c):
+        return cyc_reduce([c], 1)
+
+    return build(2, 1, [Hyperplane(q(c), (q(x), q(y))) for c, x, y in rows])
+
+
+def square():
+    """x = 0, x = 1, y = 0, y = 1: each parallel pair meets H_inf in a
+    triple point at infinity, {0, 1, inf} and {2, 3, inf}."""
+    return lines((0, 1, 0), (-1, 1, 0), (0, 0, 1), (-1, 0, 1))
+
+
+def triple_point():
+    """x = 0, y = 0 and x = y through the origin, plus x + y = 1: the origin
+    {0, 1, 2} is the one dense point, and every point at infinity is double."""
+    return lines((0, 1, 0), (0, 0, 1), (0, 1, -1), (-1, 1, 1))
+
+
+def vanishing_edges(a, weights):
+    """Supports of the dense closure flats whose weight sum is zero, with
+    w_inf = -sum(weights) at closure index n."""
+    w = weights + (-sum(weights),)
+    return {f.support for f in dense_edges(a).flats()
+            if f.dense and sum(w[i] for i in f.support) == 0}
+
+
+@pytest.mark.parametrize(
+    "make,k,support,vanishing",
+    [
+        # weights (-1, 1, 1, 1), w_inf = -2: only {2, 3, inf} sums to 0
+        (square, 2, 0b0001, {(2, 3, 4)}),
+        # weights (-2, 1, 1, 1), w_inf = -1: only the origin sums to 0
+        (triple_point, 3, 0b0001, {(0, 1, 2)}),
+        # weights (-1, -1, 1, 1), w_inf = 0: only H_inf itself sums to 0
+        (square, 2, 0b0011, {(4,)}),
+        # weights (-1, 1, -1, 1), w_inf = 0: H_inf and both points at infinity
+        (square, 2, 0b0101, {(4,), (0, 1, 4), (2, 3, 4)}),
+        # the zero shift: every affine edge is positive and every edge at
+        # infinity negative
+        (square, 2, 0b0000, set()),
+        (triple_point, 3, 0b0000, set()),
+    ],
+)
+def test_predicate_matches_weight_sums(make, k, support, vanishing):
+    a = make()
+    assert vanishing_edges(a, cube_weights(a.n, k, support)) == vanishing
+    assert _acyclic_below_top(_dense_edge_quotas(a, k), support) == (not vanishing)
+
+
+@pytest.mark.parametrize("make,k", [(square, 2), (square, 4), (triple_point, 3)])
+def test_predicate_matches_weight_sums_on_the_whole_cube(make, k):
+    a = make()
+    quotas = _dense_edge_quotas(a, k)
+    for bits in product((0, 1), repeat=a.n):
+        support = sum(bit << i for i, bit in enumerate(bits))
+        expect = not vanishing_edges(a, cube_weights(a.n, k, support))
+        assert _acyclic_below_top(quotas, support) == expect
+
+
+# ---------------------------------------------------------------------------
+# The ranks the skip saves, and when it starts.
+# ---------------------------------------------------------------------------
+
+def swept_weights(a, k, monkeypatch):
+    """The weights of each complex the sweep ranks over Q, in order."""
+    weights = []
+    monkeypatch.setattr(covers, "cohomology_Q",
+                        lambda complex_: weights.append(complex_.weights) or cohomology_Q(complex_))
+    got = _bound_intervals.__wrapped__(a, k, ())
+    assert as_tuples(got) == bound_intervals_oracle(a, k)
+    return weights
+
+
+@pytest.mark.parametrize(
+    "make,k,calls",
+    [
+        # Ceva(3) is central, beta = 0: the skip applies from the zero shift
+        # on, and of the 14 orbit representatives only the one with dims
+        # (0, 0, 9, 9) is ranked; the other 13 give (0, 0, 0, 0)
+        (lambda: catalog.get("ceva3").arrangement, 9, 1),
+        # 13 of the 74 representatives are ranked; all 74 give (0, 0, 0, 6)
+        (braid_a4_decone, 6, 13),
+    ],
+)
+def test_ranks_made_by_the_sweep(make, k, calls, monkeypatch):
+    assert len(swept_weights(make(), k, monkeypatch)) == calls
+
+
+@pytest.mark.parametrize("key,k", [("hessian-decone", 2), ("braid-a4-decone", 6)])
+def test_zero_shift_is_ranked_first_while_lower_is_below_beta(key, k, monkeypatch):
+    # the zero shift always passes the rule, but nothing is skipped before
+    # the top lower bound reaches beta > 0
+    a = arrangement_of(key)
+    assert beta(a) > 0
+    assert _acyclic_below_top(_dense_edge_quotas(a, k), 0)
+    assert swept_weights(a, k, monkeypatch)[0] == (1,) * a.n
+
+
+def test_central_sweep_skips_the_zero_shift(monkeypatch):
+    a = catalog.get("ceva3").arrangement
+    assert beta(a) == 0
+    assert (1,) * a.n not in swept_weights(a, 9, monkeypatch)
