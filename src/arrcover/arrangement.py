@@ -221,9 +221,6 @@ class IntersectionLattice:
         for level in self.levels:
             yield from level
 
-    def of_codim(self, c: int) -> tuple[Flat, ...]:
-        return self.levels[c] if 0 <= c < len(self.levels) else ()
-
 
 @record
 class ClosureLattice:

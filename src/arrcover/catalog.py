@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .arrangement import Arrangement, Hyperplane, build, decone
-from .cyclofield import CycNum, cyc_reduce
+from .cyclofield import cyc_reduce
 from .record import record
 
 

@@ -52,7 +52,6 @@ passes.  A degree above MAX_EXPANDED_DEGREE is not expanded at all.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -64,7 +63,6 @@ from .arrangement import (
     dense_edges,
     euler_characteristic,
     orbit,
-    poincare_polynomial,
     support_mask,
 )
 from .cyclofield import IntPoly, divisor_phis, divisors, euler_phi, tk_exponents, tk_product
@@ -108,10 +106,6 @@ class WeightSystem:
             raise ValueError("modulus must be >= 1")
         self.__dict__.update(k_vector=tuple(int(v) for v in k_vector), modulus=modulus)
 
-    @property
-    def infinity_weight(self) -> Fraction:
-        return Fraction(-sum(self.k_vector), self.modulus)
-
     @staticmethod
     def uniform(n: int, k: int) -> "WeightSystem":
         return WeightSystem((1,) * n, k)
@@ -150,9 +144,6 @@ class CoverReport:
     def __init__(self, m, betti, charpoly_exponents, exact):
         self.__dict__.update(m=m, betti=betti, charpoly_exponents=charpoly_exponents,
                              exact=exact)
-
-    def exponents_for_degree(self, q: int) -> dict[int, int]:
-        return {k: dims[q] for k, dims in self.charpoly_exponents}
 
 
 @record
@@ -362,7 +353,7 @@ def _acyclic_below_top(quotas, support: int) -> bool:
 
 def _candidates(a: Arrangement, extra_shifts):
     """The shifts the lower-bound sweep evaluates, in order: the extra shifts
-    (each checked for length n and converted with int), then every vector of
+    (integer tuples of length n, checked by local_betti), then every vector of
     {-1, 0}^n by support size and then support (weights 1/k shifted by m stay
     in (-1, 1)), or only the zero shift beyond MAX_ENUMERATION.  Up to
     MAX_ENUMERATION a shift in {-1, 0}^n is held by its support bitmask and
@@ -381,9 +372,6 @@ def _candidates(a: Arrangement, extra_shifts):
     small = n <= MAX_ENUMERATION
     seen: set[int] = set()
     for shift in extra_shifts:
-        if len(shift) != n:
-            raise ValueError(f"shift {shift} has length {len(shift)}, expected {n}")
-        shift = tuple(int(v) for v in shift)
         in_cube = small and set(shift) <= {-1, 0}
         mask = support_mask(i for i, v in enumerate(shift) if v) if in_cube else None
         if mask in seen:
@@ -412,12 +400,18 @@ def local_betti(
     (0, ..., 0, beta) exactly; otherwise the combinatorial bounds are
     computed and unresolved intervals are returned as data, not errors.
     The lower-bound sweep tries the extra_shifts, a tuple of integer shift
-    tuples of length n, before {-1, 0}^n (see _candidates).  A caller that
-    visits many k passes those (0, ..., 0, beta) intervals as nonresonant,
-    built once, instead of having them rebuilt for each k.
+    tuples of length n, before {-1, 0}^n (see _candidates); each is checked
+    at every k, even where no sweep runs.  A caller that visits many k
+    passes those (0, ..., 0, beta) intervals as nonresonant, built once,
+    instead of having them rebuilt for each k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if extra_shifts:
+        for shift in extra_shifts:
+            if len(shift) != a.n:
+                raise ValueError(f"shift {shift} has length {len(shift)}, expected {a.n}")
+        extra_shifts = tuple(tuple(int(v) for v in shift) for shift in extra_shifts)
     if k == 1:
         return _resolved_intervals(betti_numbers(a))
     if is_nonresonant(a, k):

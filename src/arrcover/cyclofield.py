@@ -10,7 +10,7 @@ stdlib ``fractions.Fraction`` (always reduced, positive denominator).  The
 module also provides integer polynomials, the cyclotomic polynomials
 themselves and products of them written through the sparse factors
 t^d - 1, the number theory those rest on (bounded trial-division
-factorisation, divisors with their Euler phi, Mobius), and exact Gaussian
+factorisation, divisors with their Euler phi), and exact Gaussian
 elimination over Q(zeta_d).
 """
 
@@ -158,10 +158,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def coefficient(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -185,8 +181,8 @@ class IntPoly:
         return IntPoly(tuple(out))
 
     def _terms(self) -> list[tuple[int, int]]:
-        """The nonzero (exponent, coefficient) pairs, so that multiplying by or
-        dividing by a sparse polynomial such as t^d - 1 costs O(degree)."""
+        """The nonzero (exponent, coefficient) pairs, so that multiplying by a
+        sparse polynomial such as t^d - 1 costs O(degree)."""
         return [(j, b) for j, b in enumerate(self.coeffs) if b]
 
     def pow(self, e: int) -> "IntPoly":
@@ -195,36 +191,11 @@ class IntPoly:
             result = result * self
         return result
 
-    def divexact(self, divisor: "IntPoly") -> "IntPoly":
-        """Exact division; raises if the remainder is nonzero."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        lead = divisor.coeffs[-1]
-        dd = divisor.degree
-        q = [0] * max(len(rem) - dd, 0)
-        terms = divisor._terms()
-        for i in range(len(rem) - 1, dd - 1, -1):
-            if rem[i] == 0:
-                continue
-            if rem[i] % lead != 0:
-                raise ValueError("inexact polynomial division")
-            c = rem[i] // lead
-            q[i - dd] = c
-            for j, b in terms:
-                rem[i - dd + j] -= c * b
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return IntPoly(tuple(q))
-
     def evaluate(self, x):
         acc = 0
         for a in reversed(self.coeffs):
             acc = acc * x + a
         return acc
-
-    def __str__(self):
-        return format_poly(self, "t")
 
 
 def format_poly(p: IntPoly, var: str = "t") -> str:
@@ -388,14 +359,6 @@ class CycNum:
     def one(d: int) -> "CycNum":
         return cyc_reduce([Fraction(1)], d)
 
-    @staticmethod
-    def from_rational(x, d: int = 1) -> "CycNum":
-        return cyc_reduce([Fraction(x)], d)
-
-    @staticmethod
-    def zeta(d: int) -> "CycNum":
-        return cyc_reduce([Fraction(0), Fraction(1)], d)
-
     # -- predicates --------------------------------------------------------
 
     @property
@@ -440,29 +403,6 @@ class CycNum:
         adj = zadjugate(x, d)
         norm = zmul(x, adj, d)[0]
         return CycNum._canonical(d, tuple(Fraction(scale * a, norm) for a in adj))
-
-    def __truediv__(self, other: "CycNum") -> "CycNum":
-        self._check_order(other)
-        return self * other.inverse()
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(format_rational(c))
-            else:
-                z = "z" if i == 1 else f"z^{i}"
-                if c == 1:
-                    parts.append(z)
-                elif c == -1:
-                    parts.append(f"-{z}")
-                else:
-                    parts.append(f"{format_rational(c)}*{z}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def cyc_reduce(raw, d: int) -> CycNum:

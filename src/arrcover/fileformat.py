@@ -65,6 +65,8 @@ def parse_file(data) -> Arrangement:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ArrangementFileError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise ArrangementFileError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ArrangementFileError("top level must be an object")
     for key in ("ambient_dim", "cyclotomic_order", "hyperplanes"):

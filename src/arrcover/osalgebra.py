@@ -128,10 +128,10 @@ class AomotoComplex:
     vector k: D_q maps degree q to degree q+1 by sum(k_h e_h) wedge.
 
     diffs[q] is D_q as a dense tuple of integer rows, one row per monomial of
-    bases[q+1], one column per monomial of bases[q]; the top differential has
-    no rows.  It is built on first use: the ranks mod p read the packed
-    generators instead, and only the CLI's matrices, the Bareiss fallback
-    and the tests read diffs.
+    algebra.bases[q+1], one column per monomial of algebra.bases[q]; the top
+    differential has no rows.  It is built on first use: the ranks mod p
+    read the packed generators instead, and only the CLI's matrices, the
+    Bareiss fallback and the tests read diffs.
     """
 
     algebra: OSAlgebra
@@ -139,10 +139,6 @@ class AomotoComplex:
 
     def __init__(self, algebra, weights):
         self.__dict__.update(algebra=algebra, weights=weights)
-
-    @property
-    def bases(self) -> tuple[tuple[Monomial, ...], ...]:
-        return self.algebra.bases
 
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.algebra.bases)

@@ -212,7 +212,7 @@ def test_decone_choice_invariance_maclane():
 
 def test_selberg_codim2_flats(selberg):
     flats = {
-        f.support: f.mobius for f in intersection_lattice(selberg).of_codim(2)
+        f.support: f.mobius for f in intersection_lattice(selberg).levels[2]
     }
     assert flats == {(0, 1, 2): 2, (2, 3, 4): 2, (0, 4): 1, (1, 3): 1}
 
@@ -228,7 +228,7 @@ def test_boolean_pair_lattice(boolean_pair):
     lattice = intersection_lattice(boolean_pair)
     flats = list(lattice.flats())
     assert len(flats) == 4
-    point = lattice.of_codim(2)[0]
+    point = lattice.levels[2][0]
     assert point.mobius == 1
 
 
@@ -321,11 +321,11 @@ def test_deletion_restriction_identity(catalog_arrangements):
 def test_selberg_dense_edges(selberg):
     closure = dense_edges(selberg)
     assert closure.rank == 2
-    hyperplane_flats = closure.of_codim(1)
+    hyperplane_flats = closure.levels[1]
     assert len(hyperplane_flats) == 6
     assert all(f.dense for f in hyperplane_flats)
-    dense_points = [f for f in closure.of_codim(2) if f.dense]
-    sparse_points = [f for f in closure.of_codim(2) if not f.dense]
+    dense_points = [f for f in closure.levels[2] if f.dense]
+    sparse_points = [f for f in closure.levels[2] if not f.dense]
     assert len(dense_points) == 4
     assert all(f.multiplicity == 3 for f in dense_points)
     assert all(f.multiplicity == 2 for f in sparse_points)
@@ -333,7 +333,7 @@ def test_selberg_dense_edges(selberg):
 
 def test_hessian_dense_edges(hessian_decone):
     closure = dense_edges(hessian_decone)
-    dense_points = [f for f in closure.of_codim(2) if f.dense]
+    dense_points = [f for f in closure.levels[2] if f.dense]
     assert len(dense_points) == 9
     assert all(f.multiplicity == 4 for f in dense_points)
 

@@ -424,6 +424,27 @@ def test_usage_error_exits_1(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--k", "2", "--shift", "1,2"),
+    ("--k", "1", "--shift", "1,2"),
+    ("--k", "3", "--shift", "0,0,-1,0,0", "--shift", "1,2"),
+])
+def test_wrong_length_shift_exits_1(capsys, argv):
+    code, out, err = run(capsys, "local-betti", "--catalog", "selberg", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: shift (1, 2) has length 2, expected 5\n"
+
+
+def test_deeply_nested_json_exits_1(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, out, err = run(capsys, "info", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_unfactorable_m_exits_1(capsys):
     code, out, err = run(capsys, "cover-betti", "--catalog", "selberg", "--m", "1000036000099")
     assert (code, out) == (1, "")

@@ -32,7 +32,6 @@ from arrcover.covers import (
     zeta_coefficients,
 )
 from arrcover.cyclofield import (
-    CycNum,
     IntPoly,
     cyc_reduce,
     cyclotomic_polynomial,
@@ -239,11 +238,9 @@ def test_cover_report_exponent_sum(selberg, maclane_decone):
     for a, m in ((selberg, 6), (selberg, 12), (maclane_decone, 8)):
         report = cover_betti(a, m)
         for q in range(a.ell + 1):
-            total = sum(
-                euler_phi(k) * d for k, d in report.exponents_for_degree(q).items()
-            )
+            total = sum(euler_phi(k) * dims[q] for k, dims in report.charpoly_exponents)
             assert total == report.betti[q]
-        assert report.exponents_for_degree(1)[1] == betti_numbers(a)[1]
+        assert dict(report.charpoly_exponents)[1][1] == betti_numbers(a)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +341,9 @@ def test_periodicity_maclane(maclane_decone):
 
 def test_periodicity_generic_sixteen_lines():
     # 1 + x X + x^2 Y for x = 1..16: duals of points on a conic, so generic
-    one = CycNum.from_rational(1)
+    one = cyc_reduce([1], 1)
     lines = [
-        Hyperplane(one, (CycNum.from_rational(x), CycNum.from_rational(x * x)))
+        Hyperplane(one, (cyc_reduce([x], 1), cyc_reduce([x * x], 1)))
         for x in range(1, 17)
     ]
     report = periodicity(build(2, 1, lines))
@@ -529,16 +526,21 @@ def test_hessian_decone_choice_invariant_intervals():
         assert profiles[0] == profiles[1] == (0, 2, 20)
 
 
-def test_weight_system_infinity_weight():
-    from fractions import Fraction
-
-    w = WeightSystem.uniform(5, 3)
-    assert w.infinity_weight == Fraction(-5, 3)
-
-
 def test_shift_search_accepts_extra_shifts(selberg):
     intervals = local_betti(selberg, 3, ((0, 0, -1, 0, 0),))
     assert intervals[1].value == 1
+
+
+# k = 2 is nonresonant and k = 1 trivial, so no sweep runs there; at k = 3
+# the first shift resolves every degree before the second is reached
+@pytest.mark.parametrize("k, shifts", [
+    (2, ((1, 2),)),
+    (1, ((1, 2),)),
+    (3, ((0, 0, -1, 0, 0), (1, 2))),
+])
+def test_wrong_length_shift_is_rejected_at_every_k(selberg, k, shifts):
+    with pytest.raises(ValueError, match=r"^shift \(1, 2\) has length 2, expected 5$"):
+        local_betti(selberg, k, shifts)
 
 
 def seventeen_lines():

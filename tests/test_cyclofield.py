@@ -174,7 +174,7 @@ def test_cyclotomic_rejects_zero():
 def test_cyclotomic_product_identity_up_to_64():
     for k in range(1, 65):
         phi_k = cyclotomic_polynomial(k)
-        assert phi_k.is_monic
+        assert phi_k.coeffs[-1] == 1
         assert phi_k.degree == euler_phi(k)
         product = IntPoly((1,))
         for d in range(1, k + 1):
@@ -232,11 +232,11 @@ def test_cyc_reduce_idempotent():
 
 
 def test_cyc_arithmetic_examples():
-    z4 = CycNum.zeta(4)
-    minus_one = CycNum.from_rational(-1, 4)
+    z4 = cyc_reduce([0, 1], 4)
+    minus_one = cyc_reduce([-1], 4)
     assert z4 * z4 == minus_one
-    assert CycNum.one(4) / z4 == -z4
-    z3 = CycNum.zeta(3)
+    assert CycNum.one(4) * z4.inverse() == -z4
+    z3 = cyc_reduce([0, 1], 3)
     z3sq = z3 * z3
     assert (CycNum.one(3) + z3 + z3sq).is_zero
     assert (z3sq - z3sq).is_zero
@@ -244,8 +244,8 @@ def test_cyc_arithmetic_examples():
 
 def test_cyc_arithmetic_errors():
     with pytest.raises(ZeroDivisionError):
-        CycNum.one(3) / CycNum.zero(3)
-    for op in (CycNum.__add__, CycNum.__sub__, CycNum.__mul__, CycNum.__truediv__):
+        CycNum.zero(3).inverse()
+    for op in (CycNum.__add__, CycNum.__sub__, CycNum.__mul__):
         with pytest.raises(ValueError):
             op(CycNum.one(3), CycNum.one(4))
 
@@ -260,7 +260,7 @@ def test_cyc_field_axioms_sampled():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         if not b.is_zero:
-            assert (a * b) / b == a
+            assert (a * b) * b.inverse() == a
 
 
 def test_public_constructor_keeps_its_checks():
@@ -291,7 +291,7 @@ def test_arithmetic_results_equal_validated_constructions(d):
             inverse = b.inverse()
             assert b * inverse == CycNum.one(d)
             fractional += any(c.denominator > 1 for c in b.coeffs)
-            results += [inverse, a / b]
+            results += [inverse, a * inverse]
         for r in results:
             validated = CycNum(d, r.coeffs)
             assert r == validated
@@ -345,7 +345,7 @@ def test_adjugate_is_the_product_of_the_other_conjugates(d):
 
 def test_zeta_power_order():
     for d in (3, 4, 5, 12):
-        z = CycNum.zeta(d)
+        z = cyc_reduce([0, 1], d)
         acc = CycNum.one(d)
         for _ in range(d):
             acc = acc * z

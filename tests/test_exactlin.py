@@ -14,11 +14,11 @@ from arrcover.exactlin import (
     _ranks_mod_p,
     cohomology_Q,
     cohomology_modN,
-    rank_mod_p,
     rank_over_Q,
     smith_normal_form,
 )
 from arrcover.osalgebra import AomotoComplex, OSAlgebra, aomoto_matrices, os_algebra
+from rank_mod_p import rank_mod_p
 from test_geometry_oracle import braid_a4_decone
 from test_modn_oracle import smith_reduce_with_transforms
 

@@ -29,9 +29,10 @@ from arrcover.arrangement import (
     decone,
     dense_edges,
 )
-from arrcover.cyclofield import CycNum, IntPoly, cyc_reduce, euler_phi, reduced_row_echelon
+from arrcover.cyclofield import CycNum, cyc_reduce, euler_phi, reduced_row_echelon
 from arrcover.osalgebra import nbc_basis
 from row_span import row_in_span
+from test_cover_assembly_oracle import dense_divexact
 
 
 def braid_a4_decone():
@@ -146,7 +147,7 @@ def generic_lines(n):
     conic, so no three meet and no two are parallel, and the last level of
     the closure holds only double points."""
     def q(x):
-        return CycNum.from_rational(Fraction(x), 1)
+        return cyc_reduce([x], 1)
 
     return build(2, 1, [Hyperplane(q(1), (q(x), q(x * x))) for x in range(1, n + 1)])
 
@@ -231,7 +232,8 @@ def oracle_dense(flats, support):
     for below, (codim, mu) in flats.items():
         if set(below) <= set(support):
             coeffs[codim] += mu * (-1) ** codim
-    return IntPoly(tuple(coeffs)).divexact(IntPoly((1, 1))).evaluate(-1) != 0
+    quotient = dense_divexact(coeffs, [1, 1])
+    return sum(c * (-1) ** i for i, c in enumerate(quotient)) != 0
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
@@ -261,7 +263,7 @@ def rescaled(a):
     non-units and negatives among them: 2 - 3 zeta has norm 19 over Q(zeta_3)
     and 13 over Q(i), and 7/3 is not an integer."""
     d = a.cyc_order
-    base = [cyc_reduce([2, -3], d), CycNum.from_rational(Fraction(-7, 3), d)]
+    base = [cyc_reduce([2, -3], d), cyc_reduce([Fraction(-7, 3)], d)]
     scalars = base + [base[0] * base[1], -base[0]]
     return build(a.ell, d, [
         Hyperplane(s * h.constant, tuple(s * c for c in h.coeffs))

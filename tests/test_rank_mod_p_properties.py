@@ -8,7 +8,8 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
-from arrcover.exactlin import _eliminate, rank_mod_p  # noqa: E402
+from arrcover.exactlin import _eliminate  # noqa: E402
+from rank_mod_p import rank_mod_p  # noqa: E402
 
 PRIMES = (2, 3, 5, 7, 32749)
 

@@ -47,7 +47,7 @@ def test_byte_tables_are_support_image(n, data):
 def stv_by_fractions(a, w):
     """The rule on rational weights: some dense edge of the closure has
     weight in Z_{>=0}, where infinity carries -sum(lambda_H)."""
-    weights = [Fraction(k, w.modulus) for k in w.k_vector] + [w.infinity_weight]
+    weights = [Fraction(k, w.modulus) for k in w.k_vector + (-sum(w.k_vector),)]
     for flat in dense_edges(a).flats():
         if flat.dense:
             total = sum((weights[i] for i in flat.support), Fraction(0))
