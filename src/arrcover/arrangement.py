@@ -79,10 +79,6 @@ class Arrangement:
     hyperplanes: tuple[Hyperplane, ...]
     is_central: bool
 
-    def __init__(self, ambient_dim, cyc_order, hyperplanes, is_central):
-        self.__dict__.update(ambient_dim=ambient_dim, cyc_order=cyc_order,
-                             hyperplanes=hyperplanes, is_central=is_central)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -199,9 +195,6 @@ class Flat:
     mobius: int
     dense: bool | None
 
-    def __init__(self, support, codim, mobius, dense):
-        self.__dict__.update(support=support, codim=codim, mobius=mobius, dense=dense)
-
     @property
     def multiplicity(self) -> int:
         return len(self.support)
@@ -213,9 +206,6 @@ class IntersectionLattice:
 
     levels: tuple[tuple[Flat, ...], ...]
     rank: int
-
-    def __init__(self, levels, rank):
-        self.__dict__.update(levels=levels, rank=rank)
 
     def flats(self):
         for level in self.levels:

@@ -21,9 +21,6 @@ class CatalogEntry:
     arrangement: Arrangement
     notes: str
 
-    def __init__(self, key, arrangement, notes):
-        self.__dict__.update(key=key, arrangement=arrangement, notes=notes)
-
 
 def _q(d, *values):
     # one cyclotomic number from power-basis rationals
@@ -34,7 +31,6 @@ def _hp(d, constant, *coeffs):
     return Hyperplane(_q(d, constant), tuple(_q(d, *c) for c in coeffs))
 
 
-@lru_cache(maxsize=None)
 def selberg() -> Arrangement:
     """x y (x-y) (x-1) (y-1) in C^2."""
     d = 1
@@ -47,7 +43,6 @@ def selberg() -> Arrangement:
     ])
 
 
-@lru_cache(maxsize=None)
 def maclane_central() -> Arrangement:
     """MacLane (8_3) realization: x y (y-x) z (z-x-w^2 y) (z+w y) (z-x) (z+w^2 x+w y),
     w a primitive cube root of unity."""
@@ -68,7 +63,6 @@ def maclane_central() -> Arrangement:
     ])
 
 
-@lru_cache(maxsize=None)
 def hessian_central() -> Arrangement:
     """Hessian configuration: x1 x2 x3 prod_(i,j) (x1 + w^i x2 + w^j x3)."""
     d = 3
@@ -85,7 +79,6 @@ def hessian_central() -> Arrangement:
     return build(3, d, hps)
 
 
-@lru_cache(maxsize=None)
 def ceva3() -> Arrangement:
     """Ceva(3): (x^3-y^3)(x^3-z^3)(y^3-z^3) in C^3, central."""
     d = 3
@@ -102,7 +95,7 @@ def ceva3() -> Arrangement:
     return build(3, d, hps)
 
 
-# key -> (builder, notes); get builds only the entry asked for
+# key -> (builder, notes); get builds only the entry asked for, once
 _ENTRIES = {
     "selberg": (
         selberg,
@@ -133,6 +126,5 @@ def get(key: str) -> CatalogEntry:
     return CatalogEntry(key=key, arrangement=builder(), notes=notes)
 
 
-@lru_cache(maxsize=None)
 def entries() -> dict[str, CatalogEntry]:
     return {key: get(key) for key in _ENTRIES}

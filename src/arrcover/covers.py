@@ -141,10 +141,6 @@ class CoverReport:
     charpoly_exponents: tuple[tuple[int, tuple[int, ...]], ...]  # (k, per-degree d)
     exact: bool
 
-    def __init__(self, m, betti, charpoly_exponents, exact):
-        self.__dict__.update(m=m, betti=betti, charpoly_exponents=charpoly_exponents,
-                             exact=exact)
-
 
 @record
 class CharpolyReport:
@@ -155,10 +151,6 @@ class CharpolyReport:
     tk_factors: tuple[tuple[int, int], ...] | None  # (j, e) when a product of t^j - 1 works
     exact: bool
 
-    def __init__(self, m, degree, exponents, expanded, tk_factors, exact):
-        self.__dict__.update(m=m, degree=degree, exponents=exponents, expanded=expanded,
-                             tk_factors=tk_factors, exact=exact)
-
 
 @record
 class PeriodicityClass:
@@ -166,10 +158,6 @@ class PeriodicityClass:
     constants: tuple[int, ...]  # p_q for 1 <= q <= ell-1
     top_slope: int
     top_constant: int
-
-    def __init__(self, divisors, constants, top_slope, top_constant):
-        self.__dict__.update(divisors=divisors, constants=constants, top_slope=top_slope,
-                             top_constant=top_constant)
 
     def betti(self, m: int, ell: int) -> tuple[int, ...]:
         values = [1, *self.constants, self.top_slope * m + self.top_constant]
@@ -186,9 +174,6 @@ class PeriodicityReport:
     ell: int
     classes: tuple[PeriodicityClass, ...]
     exact: bool
-
-    def __init__(self, period, ell, classes, exact):
-        self.__dict__.update(period=period, ell=ell, classes=classes, exact=exact)
 
     def class_for(self, m: int) -> PeriodicityClass:
         residue = ((m - 1) % self.period) + 1
@@ -214,10 +199,6 @@ class ZetaReport:
     finite_terms: tuple[tuple[int, int], ...]  # (k, phi(k) * b_q(L_k)) nonzero
     tail_beta: int
     exact: bool
-
-    def __init__(self, degree, finite_terms, tail_beta, exact):
-        self.__dict__.update(degree=degree, finite_terms=finite_terms, tail_beta=tail_beta,
-                             exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -580,14 +561,8 @@ def periodicity(a: Arrangement, resolution=None) -> PeriodicityReport:
         )
         alternating = sum((-1) ** q * c for q, c in enumerate(constants, start=1))
         top_constant = (-1) ** (ell + 1) * (1 + alternating)
-        classes.append(
-            PeriodicityClass(
-                divisors=pattern,
-                constants=constants,
-                top_slope=b,
-                top_constant=top_constant,
-            )
-        )
+        # by position: record's __init__ is fastest on that call
+        classes.append(PeriodicityClass(pattern, constants, b, top_constant))
     return PeriodicityReport(period=period, ell=ell, classes=tuple(classes), exact=exact)
 
 

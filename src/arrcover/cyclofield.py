@@ -198,7 +198,7 @@ class IntPoly:
         return acc
 
 
-def format_poly(p: IntPoly, var: str = "t") -> str:
+def format_poly(p: IntPoly) -> str:
     if p.is_zero:
         return "0"
     parts = []
@@ -210,7 +210,7 @@ def format_poly(p: IntPoly, var: str = "t") -> str:
             term = str(abs(a))
         else:
             mag = "" if abs(a) == 1 else f"{abs(a)}*"
-            term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+            term = f"{mag}t" + (f"^{i}" if i > 1 else "")
         if not parts:
             parts.append(("-" if a < 0 else "") + term)
         else:

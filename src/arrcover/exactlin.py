@@ -37,9 +37,6 @@ class SnfResult:
 
     invariant_factors: tuple[int, ...]
 
-    def __init__(self, invariant_factors):
-        self.__dict__["invariant_factors"] = invariant_factors
-
     @property
     def rank(self) -> int:
         return sum(1 for d in self.invariant_factors if d != 0)
@@ -51,9 +48,6 @@ class CohomologyProfile:
 
     ring: str
     dims: tuple[int, ...]
-
-    def __init__(self, ring, dims):
-        self.__dict__.update(ring=ring, dims=dims)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,10 @@ def _format_cyc(value: CycNum) -> list[str]:
 def parse_file(data) -> Arrangement:
     """Parse and validate an arrangement file (bytes, str, or parsed dict)."""
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ArrangementFileError(f"not UTF-8 text at byte {exc.start}") from exc
     if isinstance(data, str):
         try:
             data = json.loads(data)

@@ -137,9 +137,6 @@ class AomotoComplex:
     algebra: OSAlgebra
     weights: tuple[int, ...]
 
-    def __init__(self, algebra, weights):
-        self.__dict__.update(algebra=algebra, weights=weights)
-
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.algebra.bases)
 

@@ -445,6 +445,15 @@ def test_deeply_nested_json_exits_1(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_file_that_is_not_utf8_exits_1_with_its_path(capsys, tmp_path):
+    path = tmp_path / "x.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "info", "--file", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: not UTF-8 text at byte 0\n"
+    assert "Traceback" not in err
+
+
 def test_unfactorable_m_exits_1(capsys):
     code, out, err = run(capsys, "cover-betti", "--catalog", "selberg", "--m", "1000036000099")
     assert (code, out) == (1, "")
@@ -485,17 +494,21 @@ def test_file_workflow(capsys, tmp_path, selberg):
 
 
 def test_catalog_get_builds_only_the_requested_entry():
-    # a fresh process: the catalog caches of this one are already filled
+    # a fresh process: the catalog cache of this one is already filled.  Every
+    # entry's builder calls catalog.build once, so counting those calls
+    # counts the arrangements built.
     code = (
-        "from arrcover import catalog; catalog.get('selberg'); "
-        "print(catalog.hessian_central.cache_info().currsize, "
-        "catalog.maclane_central.cache_info().currsize, catalog.ceva3.cache_info().currsize)"
+        "from arrcover import catalog; built = []; build = catalog.build; "
+        "catalog.build = lambda *args: built.append(args) or build(*args); "
+        "catalog.get('selberg'); first = len(built); catalog.get('selberg'); "
+        "print(first, len(built), built[0][0], len(built[0][2]))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(arrcover.__file__).parent.parent))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
-    assert (proc.returncode, proc.stdout.split()) == (0, ["0", "0", "0"])
+    # one build, of the five lines of Selberg in C^2, and none on the second get
+    assert (proc.returncode, proc.stdout.split()) == (0, ["1", "1", "2", "5"])
 
 
 def test_catalog_show_round_trip(capsys):

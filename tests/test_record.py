@@ -3,7 +3,9 @@
 Every immutable class of the package is a ``record``: construction by
 position or keyword, field-wise equality within one class, the hash of the
 field tuple, a ``Name(field=value, ...)`` repr and no assignment or
-deletion.  Each class validates its own arguments in ``__init__``.
+deletion.  ``record`` supplies the ``__init__`` of a class that defines
+none; only the classes that validate or normalise their arguments, or hold
+private per-instance state, write their own.
 """
 
 import ast
@@ -180,10 +182,30 @@ def test_record_on_a_new_class():
         left: int
         right: int
 
-        def __init__(self, left, right):
-            self.__dict__.update(left=left, right=right)
-
+    assert "__init__" in vars(Pair)
     assert Pair(1, 2) == Pair(left=1, right=2) != Pair(2, 1)
     assert hash(Pair(1, 2)) == hash((1, 2))
     assert repr(Pair(1, [2])).endswith("Pair(left=1, right=[2])")
     assert {Pair(1, 2): "x"}[Pair(1, 2)] == "x"
+    # keywords are stored in field order, as by position
+    assert list(vars(Pair(right=2, left=1)).items()) == [("left", 1), ("right", 2)]
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1,), {}, "Pair() takes 2 fields, 1 given by position; missing 'right'"),
+    ((), {}, "Pair() takes 2 fields, 0 given by position; missing 'left'; missing 'right'"),
+    ((1, 2), {"middle": 3}, "Pair() takes 2 fields, 2 given by position; unexpected 'middle'"),
+    ((1,), {"left": 2}, "Pair() takes 2 fields, 1 given by position; repeated 'left'; "
+                        "missing 'right'"),
+    ((1, 2), {"left": 3}, "Pair() takes 2 fields, 2 given by position; repeated 'left'"),
+    ((1, 2, 3), {}, "Pair() takes 2 fields, 3 given by position"),
+], ids=["missing", "missing-all", "unknown", "repeated", "repeated-after-all", "too-many"])
+def test_generated_init_rejects_bad_arguments(args, kwargs, message):
+    @record
+    class Pair:
+        left: int
+        right: int
+
+    with pytest.raises(TypeError) as raised:
+        Pair(*args, **kwargs)
+    assert str(raised.value) == message

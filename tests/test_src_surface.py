@@ -2,7 +2,8 @@
 
 A function, method or class that no module of the package names is code
 only tests run; it belongs in a test helper or nowhere.  The exported names
-of ``arrcover._HOMES`` are the API and count as used.
+of ``arrcover._HOMES`` are the API and count as used.  A record class writes
+an ``__init__`` only to do more than ``record``'s own, which stores the fields.
 """
 
 import ast
@@ -55,3 +56,46 @@ def test_every_import_is_used():
                     if bound not in used:
                         unused.append(f"{name}:{node.lineno} {bound}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def copies_parameters_only(init):
+    """True when every statement of init stores one of its parameters, as
+    itself, in self.__dict__: by update(name=name, ...) or by item."""
+    params = {arg.arg for arg in init.args.args[1:]}
+
+    def is_self_dict(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+    def is_param(node):
+        return isinstance(node, ast.Name) and node.id in params
+
+    for stmt in init.body:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+            continue  # docstring
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+            call = stmt.value
+            if (isinstance(call.func, ast.Attribute) and call.func.attr == "update"
+                    and is_self_dict(call.func.value) and not call.args
+                    and all(is_param(kw.value) for kw in call.keywords)):
+                continue
+        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Subscript)
+                and is_self_dict(stmt.targets[0].value) and is_param(stmt.value)):
+            continue
+        return False
+    return True
+
+
+def test_no_record_writes_the_init_record_makes():
+    redundant = sorted(
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(dec, ast.Name) and dec.id == "record" for dec in node.decorator_list)
+        for init in node.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        and copies_parameters_only(init)
+    )
+    assert not redundant, f"__init__ that record would generate: {redundant}"
