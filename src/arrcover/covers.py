@@ -9,6 +9,13 @@ coefficients are all assembled from those per-divisor values.  Asserted
 values for open intervals enter through resolve, the one owner of the
 assertion rule: it checks every assertion against the k a command visits.
 
+The local values that do not depend on a sweep are derived once per
+arrangement, in one table (_local_table): the resonant k, read off the sizes
+of the affine dense edges in one pass (see is_nonresonant), the k = 1
+intervals and the (0, ..., 0, beta) intervals that every nonresonant k
+shares.  So once the resonant k are swept, assembling any cover invariant
+reads no dense edge and builds no interval.
+
 The lower-bound sweep evaluates one shift per orbit of the lattice
 automorphisms.  A permutation sigma of the hyperplanes that maps affine flat
 supports onto affine flat supports induces the graded automorphism
@@ -47,7 +54,9 @@ factorisation gives the divisors and their phi, the cover Betti numbers,
 the degree of Delta_q and the primes of the Mobius step, which makes one
 pass over the keys per prime and factorises nothing.  The expansion
 multiplies and divides one coefficient list by t^d - 1 in C-level list
-passes.  A degree above MAX_EXPANDED_DEGREE is not expanded at all.
+passes.  A degree above MAX_EXPANDED_DEGREE is not expanded at all.  The
+periodicity classes form phi(k) * b_q(L_k) below the top degree once per k,
+and each class sums only the k where those terms are not all zero.
 """
 
 from __future__ import annotations
@@ -238,8 +247,35 @@ def fast_nonresonant(a: Arrangement, m: int) -> bool:
 
 
 def is_nonresonant(a: Arrangement, k: int) -> bool:
-    """fast_nonresonant, sharpened by the dense-edge weight test."""
-    return fast_nonresonant(a, k) or stv_nonresonant(a, WeightSystem.uniform(a.n, k))
+    """True when weights 1/k are nonresonant: no affine dense edge X of the
+    closure has k | |X| (k = 1 is always nonresonant).
+
+    This is exactly fast_nonresonant or stv_nonresonant at uniform weights.
+    At weights 1/k an affine dense edge has weight |X|/k >= 0, an integer
+    exactly when k | |X|.  An edge at infinity has weight -(n - |X_a|)/k < 0,
+    as no edge at infinity of an essential arrangement holds every affine
+    hyperplane.  Each clause of fast_nonresonant implies that no affine dense
+    edge has k | |X|.  The resonant k are read once per arrangement
+    (_local_table).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return k not in _local_table(a)[0]
+
+
+@lru_cache(maxsize=None)
+def _local_table(a: Arrangement) -> tuple[frozenset[int], tuple[BettiInterval, ...],
+                                          tuple[BettiInterval, ...]]:
+    """(resonant k, k = 1 intervals, nonresonant intervals) of a, built once.
+
+    The resonant k are the k >= 2 dividing the size of some affine dense edge
+    of the closure (see is_nonresonant); every other k >= 2 has the intervals
+    (0, ..., 0, beta) exactly, shared by every caller.
+    """
+    sizes = {len(f.support) for f in _dense_closure_flats(a) if a.n not in f.support}
+    resonant = frozenset(k for size in sizes for k in range(2, size + 1) if size % k == 0)
+    return (resonant, _resolved_intervals(betti_numbers(a)),
+            _resolved_intervals([0] * a.ell + [beta(a)]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +296,9 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
     gap.  Once lower holds beta at the top degree, a shift of {-1, 0}^n whose
     dense edges all have nonzero weight is skipped unranked: its dims are
     (0, ..., 0, beta), which cannot raise lower (see the module docstring).
+    A shift whose F_p ranks already bound its dims by lower is not ranked
+    over Q either (cohomology_Q): it can neither raise lower nor exceed
+    upper, as lower <= upper holds throughout.
     """
     ell = a.ell
     upper = list(cohomology_modN(aomoto_matrices(a, (1,) * a.n), k).dims)
@@ -274,7 +313,10 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
             if _acyclic_below_top(quotas, support):
                 continue
         weights = tuple(1 + k * mv for mv in shift)
-        dims = cohomology_Q(aomoto_matrices(a, weights)).dims
+        profile = cohomology_Q(aomoto_matrices(a, weights), lower)
+        if profile is None:  # dims proved at most lower: nothing to raise
+            continue
+        dims = profile.dims
         for q in range(1, ell + 1):
             if dims[q] > upper[q]:
                 raise ArithmeticError(
@@ -372,8 +414,6 @@ def local_betti(
     a: Arrangement,
     k: int,
     extra_shifts: tuple[tuple[int, ...], ...] = (),
-    *,
-    nonresonant: tuple[BettiInterval, ...] | None = None,
 ) -> tuple[BettiInterval, ...]:
     """Per-degree intervals for b_q(L_k), weights 1/k.
 
@@ -382,9 +422,9 @@ def local_betti(
     computed and unresolved intervals are returned as data, not errors.
     The lower-bound sweep tries the extra_shifts, a tuple of integer shift
     tuples of length n, before {-1, 0}^n (see _candidates); each is checked
-    at every k, even where no sweep runs.  A caller that visits many k
-    passes those (0, ..., 0, beta) intervals as nonresonant, built once,
-    instead of having them rebuilt for each k.
+    at every k, even where no sweep runs.  The k = 1 and nonresonant
+    intervals come from the arrangement's one table (_local_table), so every
+    call returns the same tuples.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -393,17 +433,10 @@ def local_betti(
             if len(shift) != a.n:
                 raise ValueError(f"shift {shift} has length {len(shift)}, expected {a.n}")
         extra_shifts = tuple(tuple(int(v) for v in shift) for shift in extra_shifts)
-    if k == 1:
-        return _resolved_intervals(betti_numbers(a))
-    if is_nonresonant(a, k):
-        if nonresonant is None:
-            nonresonant = _nonresonant_intervals(a)
-        return nonresonant
-    return _bound_intervals(a, k, extra_shifts)
-
-
-def _nonresonant_intervals(a: Arrangement) -> tuple[BettiInterval, ...]:
-    return _resolved_intervals([0] * a.ell + [beta(a)])
+    if not is_nonresonant(a, k):
+        return _bound_intervals(a, k, extra_shifts)
+    _, trivial, nonresonant = _local_table(a)
+    return trivial if k == 1 else nonresonant
 
 
 def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
@@ -430,9 +463,8 @@ def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
                 f"asserted b_{q}(L_{k}) = {value}: degree out of range 0..{a.ell}"
             )
         asserted.setdefault(k, {})[q] = value
-    nonresonant = _nonresonant_intervals(a)
     for k in ks:
-        intervals = local_betti(a, k, extra_shifts, nonresonant=nonresonant)
+        intervals = local_betti(a, k, extra_shifts)
         at_k = asserted.get(k)
         if not at_k:
             yield k, intervals, True
@@ -464,11 +496,18 @@ def _local_values(a: Arrangement, ks, resolution) -> tuple[dict[int, tuple[int, 
     """Resolved b_q(L_k) values for each k of ks, plus an exactness flag.
 
     The values come from resolve; the first k, in the order of ks, with an
-    open interval and no assertion raises UnresolvedBettiError.
+    open interval and no assertion raises UnresolvedBettiError.  The
+    nonresonant k share the table's intervals, so they share one tuple of
+    values too.
     """
+    nonresonant = _local_table(a)[2]
+    shared = tuple(iv.lower for iv in nonresonant)
     values = {}
     exact = True
     for k, intervals, k_exact in resolve(a, ks, resolution):
+        if intervals is nonresonant:
+            values[k] = shared
+            continue
         open_intervals = [iv for iv in intervals if not iv.resolved]
         if open_intervals:
             raise UnresolvedBettiError(k, open_intervals)
@@ -490,7 +529,7 @@ def cover_betti(a: Arrangement, m: int, resolution=None) -> CoverReport:
     betti = tuple(
         sum(phis[k] * v[q] for k, v in values.items()) for q in range(a.ell + 1)
     )
-    return CoverReport(m=m, betti=betti, charpoly_exponents=tuple(values.items()), exact=exact)
+    return CoverReport(m, betti, tuple(values.items()), exact)
 
 
 def monodromy_charpoly(a: Arrangement, m: int, q: int, resolution=None) -> CharpolyReport:
@@ -524,12 +563,12 @@ def charpoly_and_degree(a: Arrangement, m: int, q: int,
     # a divisor k > 1 of m is prime exactly when phi(k) = k - 1
     factors = tk_exponents(exps, [k for k, phi in phis.items() if k > 1 and phi == k - 1])
     report = CharpolyReport(
-        m=m,
-        degree=q,
-        exponents=tuple((k, e) for k, e in exps.items() if e),
-        expanded=tk_product(factors) if degree <= MAX_EXPANDED_DEGREE else None,
-        tk_factors=tuple(factors.items()) if all(f > 0 for f in factors.values()) else None,
-        exact=exact,
+        m,
+        q,
+        tuple((k, e) for k, e in exps.items() if e),
+        tk_product(factors) if degree <= MAX_EXPANDED_DEGREE else None,
+        tuple(factors.items()) if all(f > 0 for f in factors.values()) else None,
+        exact,
     )
     return report, degree
 
@@ -541,29 +580,33 @@ def periodicity(a: Arrangement, resolution=None) -> PeriodicityReport:
     k <= n; residues i share a class exactly when they share the divisor
     pattern {k <= n : k | i}.  That pattern only depends on gcd(i, N), so the
     classes are read off the divisors g of N (each its own gcd) instead of
-    all N residues.  Degrees q < ell get constants b_q(X_i); the top degree
-    gets beta * x plus the Euler-characteristic correction.
+    all N residues; distinct g have distinct patterns, as g is the lcm of
+    its own.  Degrees q < ell get constants b_q(X_i); the top degree gets
+    beta * x plus the Euler-characteristic correction.  The terms
+    phi(k) * b_q(L_k) below the top degree are formed once per k, and a
+    class sums only the k whose terms are not all zero.
     """
     n = a.n
     ell = a.ell
     period = lcm(*range(1, n + 1))
     values, exact = _local_values(a, range(1, n + 1), resolution)
     b = beta(a)
-    patterns = sorted(
-        {tuple(k for k in range(1, n + 1) if g % k == 0) for g in divisors(period)}
-    )
-    phis = {k: euler_phi(k) for k in values}
+    terms = {k: [euler_phi(k) * x for x in v[1:ell]]
+             for k, v in values.items() if any(v[1:ell])}
+    ks = range(1, n + 1)
+    by_terms = {}  # the k of terms that divide g -> (constants, top constant)
     classes = []
-    for pattern in patterns:
-        constants = tuple(
-            sum(phis[k] * values[k][q] for k in pattern)
-            for q in range(1, ell)
-        )
-        alternating = sum((-1) ** q * c for q, c in enumerate(constants, start=1))
-        top_constant = (-1) ** (ell + 1) * (1 + alternating)
+    for pattern, g in sorted((tuple([k for k in ks if g % k == 0]), g)
+                             for g in divisors(period)):
+        summed = tuple([k for k in terms if g % k == 0])
+        if summed not in by_terms:
+            constants = tuple(sum(terms[k][i] for k in summed) for i in range(ell - 1))
+            alternating = sum((-1) ** q * c for q, c in enumerate(constants, start=1))
+            by_terms[summed] = constants, (-1) ** (ell + 1) * (1 + alternating)
+        constants, top_constant = by_terms[summed]
         # by position: record's __init__ is fastest on that call
         classes.append(PeriodicityClass(pattern, constants, b, top_constant))
-    return PeriodicityReport(period=period, ell=ell, classes=tuple(classes), exact=exact)
+    return PeriodicityReport(period, ell, tuple(classes), exact)
 
 
 def zeta_coefficients(a: Arrangement, q: int, resolution=None) -> ZetaReport:
@@ -576,8 +619,8 @@ def zeta_coefficients(a: Arrangement, q: int, resolution=None) -> ZetaReport:
         raise ValueError(f"degree {q} out of range 0..{a.ell}")
     values, exact = _local_values(a, range(1, a.n + 1), resolution)
     return ZetaReport(
-        degree=q,
-        finite_terms=tuple((k, euler_phi(k) * v[q]) for k, v in values.items() if v[q]),
-        tail_beta=beta(a) if q == a.ell else 0,
-        exact=exact,
+        q,
+        tuple((k, euler_phi(k) * v[q]) for k, v in values.items() if v[q]),
+        beta(a) if q == a.ell else 0,
+        exact,
     )

@@ -150,6 +150,14 @@ class IntPoly:
             c = c[:-1]
         self.__dict__["coeffs"] = c
 
+    @classmethod
+    def _trimmed(cls, coeffs: list[int]) -> "IntPoly":
+        """The IntPoly of a list of ints that is empty or ends in a nonzero
+        entry, without __init__'s per-coefficient pass."""
+        poly = object.__new__(cls)
+        poly.__dict__["coeffs"] = tuple(coeffs)
+        return poly
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -247,18 +255,25 @@ def tk_product(factors) -> IntPoly:
 
     The work is done on one coefficient list c, low degree first, and the
     IntPoly is built once at the end.  The factors with f_d > 0 are
-    multiplied in first: c * (t^d - 1) is c shifted up by d minus c, one map
-    over two zero-padded copies.  Those with f_d < 0 are divided out after:
-    c = g * (t^d - 1) means g_i = g_(i-d) - c_i, so g is minus the running
-    sums of c along each residue class mod d, one accumulate per class.  The
-    division is exact iff every class sums to zero, which also rejects a
-    nonzero c of degree below d.  Each step is a few C-level passes over c,
-    so the cost is O(degree * sum |f_d|).
+    multiplied in first: c * (t^d - 1) is c shifted up by d minus c, so its
+    first d coefficients are -c, its last d are c's top d, and only the
+    overlap between, if any, subtracts.  Those with f_d < 0 are divided out
+    after: c = g * (t^d - 1) means g_i = g_(i-d) - c_i, so g is minus the
+    running sums of c along each residue class mod d, one accumulate per
+    class.  The division is exact iff every class sums to zero, which also
+    rejects a nonzero c of degree below d.  Each step is a few C-level
+    passes over c, so the cost is O(degree * sum |f_d|).  The list holds
+    ints and ends in the leading coefficient 1, so it becomes the IntPoly as
+    it is.
     """
     c = [1]
     for d, f in sorted(factors.items()):
         for _ in range(f):
-            c = list(map(sub, [0] * d + c, c + [0] * d))
+            n = len(c)
+            if n <= d:
+                c = list(map(neg, c)) + [0] * (d - n) + c
+            else:
+                c = list(map(neg, c[:d])) + list(map(sub, c[:n - d], c[d:])) + c[n - d:]
     for d, f in sorted(factors.items()):
         for _ in range(-f):
             g = [0] * max(len(c) - d, 0)
@@ -268,7 +283,7 @@ def tk_product(factors) -> IntPoly:
                     raise ValueError("inexact polynomial division")
                 g[r::d] = sums[:-1]
             c = g
-    return IntPoly(c)
+    return IntPoly._trimmed(c)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,8 @@ the pivot rows of D_{q-1} are left out.  Dense integer rows
 
 from __future__ import annotations
 
+from operator import le
+
 from .cyclofield import factorize
 from .osalgebra import AomotoComplex
 from .record import record
@@ -247,7 +249,7 @@ def smith_normal_form(matrix) -> SnfResult:
 # Cohomology of weighted complexes.
 # ---------------------------------------------------------------------------
 
-def cohomology_Q(complex_: AomotoComplex) -> CohomologyProfile:
+def cohomology_Q(complex_: AomotoComplex, lower=None) -> CohomologyProfile | None:
     """dim H^q over Q: basis size minus the two adjacent differential ranks.
 
     By chain equivalence this equals the cohomology of the complex with
@@ -262,9 +264,17 @@ def cohomology_Q(complex_: AomotoComplex) -> CohomologyProfile:
     n_q - r_{q-1}) (im D_{q-1} lies in ker D_q).  So lo == hi fixes r_q;
     only lo < hi takes the exact Bareiss rank of the dense D_q, and lo > hi
     raises ArithmeticError: the input is not a complex.
+
+    With lower, a sequence of per-degree dims, a complex whose dims are
+    proved at most lower in every degree gives None.  That is tried where
+    the last differential with rows, D_{ell-1}, is left open: with lo in place
+    of its rank every earlier rank is exact and the two dims it touches can
+    only shrink, so when those dims are at most lower the Bareiss rank is
+    not taken.  Every other complex gives its dims, as without lower.
     """
     sizes = complex_.dims()
     rows = sizes[1:] + (0,)
+    last = len(sizes) - 2
     dims = []
     r_in = 0
     for q, (nq, lo) in enumerate(zip(sizes, _ranks_mod_p(complex_, CERTIFICATE_PRIME))):
@@ -273,10 +283,14 @@ def cohomology_Q(complex_: AomotoComplex) -> CohomologyProfile:
             raise ArithmeticError(
                 f"rank {lo} of the degree-{q} differential exceeds {hi}: not a complex"
             )
+        if lo < hi and q == last and lower is not None:
+            estimate = dims + [nq - lo - r_in, rows[q] - lo]
+            if all(map(le, estimate, lower)):
+                return None
         r_out = lo if lo == hi else rank_over_Q(complex_.diffs[q])
         dims.append(nq - r_out - r_in)
         r_in = r_out
-    return CohomologyProfile(ring="rationals", dims=tuple(dims))
+    return CohomologyProfile("rationals", tuple(dims))
 
 
 def cohomology_modN(complex_: AomotoComplex, N: int) -> CohomologyProfile:
@@ -297,4 +311,4 @@ def cohomology_modN(complex_: AomotoComplex, N: int) -> CohomologyProfile:
         ranks = _ranks_mod_p(complex_, p)
         for q, nq in enumerate(sizes):
             dims[q] = max(dims[q], nq - ranks[q] - (ranks[q - 1] if q > 0 else 0))
-    return CohomologyProfile(ring=f"integers-mod-{N}", dims=tuple(dims))
+    return CohomologyProfile(f"integers-mod-{N}", tuple(dims))

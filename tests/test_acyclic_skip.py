@@ -7,10 +7,14 @@ closure, the Aomoto complex of w is acyclic below the top degree, so its dims
 are (0, ..., 0, beta).  The sweep skips such a shift of {-1, 0}^n once its
 running lower bound holds beta at the top.  The checks below: the rule
 against exact ranks on every orbit representative, the bit-count predicate
-against plain weight sums, and the number of ranks the skip saves.
+against plain weight sums, and the number of ranks the skip saves.  Last,
+the sweep's other skip: cohomology_Q leaves out the Bareiss rank of a
+candidate whose F_p ranks bound its dims by the running lower bound, and
+every candidate so skipped must have exact dims at most that bound.
 """
 
 from itertools import product
+from operator import le
 
 import pytest
 
@@ -18,7 +22,7 @@ from arrcover import catalog, covers
 from arrcover.arrangement import Hyperplane, beta, build, closure_lattice, dense_edges
 from arrcover.covers import _acyclic_below_top, _bound_intervals, _dense_edge_quotas
 from arrcover.cyclofield import cyc_reduce
-from arrcover.exactlin import cohomology_Q
+from arrcover.exactlin import cohomology_Q, rank_over_Q
 from arrcover.osalgebra import aomoto_matrices
 from test_geometry_oracle import braid_a4_decone
 from test_orbit_sweep_oracle import SWEEPS, arrangement_of, as_tuples, bound_intervals_oracle
@@ -119,7 +123,8 @@ def swept_weights(a, k, monkeypatch):
     """The weights of each complex the sweep ranks over Q, in order."""
     weights = []
     monkeypatch.setattr(covers, "cohomology_Q",
-                        lambda complex_: weights.append(complex_.weights) or cohomology_Q(complex_))
+                        lambda complex_, lower=None:
+                        weights.append(complex_.weights) or cohomology_Q(complex_, lower))
     got = _bound_intervals.__wrapped__(a, k, ())
     assert as_tuples(got) == bound_intervals_oracle(a, k)
     return weights
@@ -154,3 +159,44 @@ def test_central_sweep_skips_the_zero_shift(monkeypatch):
     a = catalog.get("ceva3").arrangement
     assert beta(a) == 0
     assert (1,) * a.n not in swept_weights(a, 9, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# The Bareiss rank cohomology_Q leaves out when F_p ranks bound the dims.
+# ---------------------------------------------------------------------------
+
+def exact_dims(complex_):
+    """Aomoto dims from the Bareiss rank of every differential."""
+    sizes = complex_.dims()
+    ranks = [rank_over_Q(d) for d in complex_.diffs] + [0]
+    return tuple(n - ranks[q] - (ranks[q - 1] if q else 0) for q, n in enumerate(sizes))
+
+
+def test_skipped_candidates_raise_no_degree(monkeypatch):
+    skipped = {}
+
+    def spy(complex_, lower=None):
+        profile = cohomology_Q(complex_, lower)
+        if profile is None:
+            skipped.setdefault((key, k), []).append((complex_, tuple(lower)))
+        return profile
+
+    monkeypatch.setattr(covers, "cohomology_Q", spy)
+    for key, k in SWEEPS:
+        _bound_intervals.__wrapped__(arrangement_of(key), k, ())
+    for complex_, lower in sum(skipped.values(), []):
+        dims = exact_dims(complex_)
+        assert all(map(le, dims, lower)), (complex_.weights, dims, lower)
+    # Ceva(3) at k = 3: a shift with dims (0, 0, 9, 9) leaves D_2 open
+    ceva = skipped[("ceva3", 3)]
+    assert [exact_dims(complex_) for complex_, _ in ceva] == [(0, 0, 9, 9)]
+
+
+def test_lower_only_decides_whether_to_rank():
+    # the Ceva(3) shift above: its D_2 is not certified mod p
+    complex_ = aomoto_matrices(catalog.get("ceva3").arrangement, (-2, -2, 1, -2, 1, 1, 1, 1, 1))
+    assert cohomology_Q(complex_).dims == exact_dims(complex_) == (0, 0, 9, 9)
+    assert cohomology_Q(complex_, (0, 1, 11, 10)) is None
+    assert cohomology_Q(complex_, (0, 0, 9, 9)) is None
+    assert cohomology_Q(complex_, (0, 0, 8, 9)).dims == (0, 0, 9, 9)
+    assert cohomology_Q(complex_, (0, 0, 9, 8)).dims == (0, 0, 9, 9)

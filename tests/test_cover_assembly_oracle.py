@@ -19,6 +19,7 @@ from arrcover.covers import (
     periodicity,
 )
 from arrcover.cyclofield import divisors, euler_phi
+from bench_inputs import braid_decone
 from mobius import mobius
 
 CEVA3_K3 = {(3, 1): 2, (3, 2): 13, (3, 3): 11}
@@ -135,11 +136,24 @@ def test_mobius_sums_over_divisors():
 # Periodicity classes.
 # ---------------------------------------------------------------------------
 
-def test_periodicity_matches_every_residue(selberg, maclane_decone, hessian_decone):
-    for a, period in ((selberg, 60), (maclane_decone, 420), (hessian_decone, 27720)):
-        report = periodicity(a)
+def test_periodicity_matches_every_residue(selberg, maclane_decone, hessian_decone, ceva3):
+    cases = [(selberg, None, 60), (maclane_decone, None, 420), (hessian_decone, None, 27720)]
+    # resonant k with values below the top degree: Ceva(3) at k = 3 (the
+    # README's assertions) and k = 9 (open too, asserted at its lower
+    # bounds), and the braid A4 decone at k = 2 and 3 (resolved) and k = 6
+    # (open, asserted at each value of its interval)
+    cases.append((ceva3, {**CEVA3_K3, (9, 1): 0, (9, 2): 9, (9, 3): 9}, 2520))
+    braid = braid_decone(5, 7)
+    cases += [(braid, {(6, 2): b2, (6, 3): b2 + 6}, 2520) for b2 in (0, 1, 2)]
+    for a, resolution, period in cases:
+        report = periodicity(a, resolution)
         assert report.period == period
-        assert report == periodicity_oracle(a)
+        assert report == periodicity_oracle(a, resolution)
+        assert not report.exact or resolution is None
+    # the last braid case: phi(k) * b_2(L_k) at k = 2, 3 and 6 is 2, 2 and 4
+    assert report.betti(6)[2] - report.betti(1)[2] == 1 * 2 + 2 * 1 + 2 * 2
+    # Ceva(3) at k = 3 adds phi(3) * (b_1, b_2)(L_3) = (4, 26)
+    assert periodicity(ceva3, cases[3][1]).betti(3)[1:3] == (9 + 4, 24 + 26)
 
 
 # ---------------------------------------------------------------------------

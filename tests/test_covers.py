@@ -134,10 +134,12 @@ def test_resolve_shares_one_set_of_nonresonant_intervals(selberg):
     visited = list(resolve(selberg, (1, 6, 7, 10)))
     shared = visited[1][1]
     assert all(intervals is shared for _, intervals, _ in visited[2:])
-    assert shared == local_betti(selberg, 7)
-    assert visited[0][1] == local_betti(selberg, 1) != shared
-    # a resonant k ignores the given intervals
-    assert local_betti(selberg, 3, nonresonant=shared) == local_betti(selberg, 3)
+    assert [iv.value for iv in shared] == [0, 0, beta(selberg)]
+    # separate calls, and k = 2 and 4 below n, read the same tuples
+    assert local_betti(selberg, 2) is shared
+    assert next(resolve(selberg, (4,)))[1] is shared
+    assert local_betti(selberg, 1) is visited[0][1] != shared
+    assert local_betti(selberg, 3) != shared
 
 
 def test_bounds_bracket_nonresonant_values(selberg, maclane_decone):
@@ -565,7 +567,8 @@ def test_sweep_beyond_max_enumeration(monkeypatch):
     assert list(_candidates(a, extra)) == [*extra, zero]
     swept = []
     monkeypatch.setattr(covers, "cohomology_Q",
-                        lambda complex_: swept.append(complex_) or cohomology_Q(complex_))
+                        lambda complex_, lower=None:
+                        swept.append(complex_) or cohomology_Q(complex_, lower))
     intervals = _bound_intervals.__wrapped__(a, 3, ())
     assert [(iv.lower, iv.upper) for iv in intervals] == [(0, 0), (0, 0), (119, 119)]
     assert intervals[2].witness_shift == zero

@@ -2,7 +2,9 @@
 
 A function, method or class that no module of the package names is code
 only tests run; it belongs in a test helper or nowhere.  The exported names
-of ``arrcover._HOMES`` are the API and count as used.  A record class writes
+of ``arrcover._HOMES`` are the API and count as used, and so does every name
+the benchmark's programs under ``perfbench/`` read: they call the package as
+a user does.  A record class writes
 an ``__init__`` only to do more than ``record``'s own, which stores the fields.
 """
 
@@ -14,6 +16,7 @@ import arrcover
 PACKAGE_DIR = Path(arrcover.__file__).parent
 SOURCES = sorted(PACKAGE_DIR.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+BENCHMARK = sorted((PACKAGE_DIR.parent.parent / "perfbench").glob("*.py"))
 
 
 def used_names(tree):
@@ -27,9 +30,12 @@ def used_names(tree):
 
 def test_every_definition_is_exported_or_used():
     assert len(TREES) > 1
+    assert BENCHMARK
     used = set(arrcover._HOMES)
     for tree in TREES.values():
         used.update(used_names(tree))
+    for path in BENCHMARK:
+        used.update(used_names(ast.parse(path.read_text(), filename=str(path))))
     unused = sorted(
         f"{name}:{node.lineno} {node.name}"
         for name, tree in TREES.items()
