@@ -297,8 +297,8 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
     dense edges all have nonzero weight is skipped unranked: its dims are
     (0, ..., 0, beta), which cannot raise lower (see the module docstring).
     A shift whose F_p ranks already bound its dims by lower is not ranked
-    over Q either (cohomology_Q): it can neither raise lower nor exceed
-    upper, as lower <= upper holds throughout.
+    over Q either: cohomology_Q gives those bounds, which can neither raise
+    lower nor exceed upper, as lower <= upper holds throughout.
     """
     ell = a.ell
     upper = list(cohomology_modN(aomoto_matrices(a, (1,) * a.n), k).dims)
@@ -313,10 +313,7 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
             if _acyclic_below_top(quotas, support):
                 continue
         weights = tuple(1 + k * mv for mv in shift)
-        profile = cohomology_Q(aomoto_matrices(a, weights), lower)
-        if profile is None:  # dims proved at most lower: nothing to raise
-            continue
-        dims = profile.dims
+        dims = cohomology_Q(aomoto_matrices(a, weights), lower).dims
         for q in range(1, ell + 1):
             if dims[q] > upper[q]:
                 raise ArithmeticError(
@@ -496,18 +493,11 @@ def _local_values(a: Arrangement, ks, resolution) -> tuple[dict[int, tuple[int, 
     """Resolved b_q(L_k) values for each k of ks, plus an exactness flag.
 
     The values come from resolve; the first k, in the order of ks, with an
-    open interval and no assertion raises UnresolvedBettiError.  The
-    nonresonant k share the table's intervals, so they share one tuple of
-    values too.
+    open interval and no assertion raises UnresolvedBettiError.
     """
-    nonresonant = _local_table(a)[2]
-    shared = tuple(iv.lower for iv in nonresonant)
     values = {}
     exact = True
     for k, intervals, k_exact in resolve(a, ks, resolution):
-        if intervals is nonresonant:
-            values[k] = shared
-            continue
         open_intervals = [iv for iv in intervals if not iv.resolved]
         if open_intervals:
             raise UnresolvedBettiError(k, open_intervals)

@@ -255,25 +255,19 @@ def tk_product(factors) -> IntPoly:
 
     The work is done on one coefficient list c, low degree first, and the
     IntPoly is built once at the end.  The factors with f_d > 0 are
-    multiplied in first: c * (t^d - 1) is c shifted up by d minus c, so its
-    first d coefficients are -c, its last d are c's top d, and only the
-    overlap between, if any, subtracts.  Those with f_d < 0 are divided out
-    after: c = g * (t^d - 1) means g_i = g_(i-d) - c_i, so g is minus the
-    running sums of c along each residue class mod d, one accumulate per
-    class.  The division is exact iff every class sums to zero, which also
-    rejects a nonzero c of degree below d.  Each step is a few C-level
-    passes over c, so the cost is O(degree * sum |f_d|).  The list holds
-    ints and ends in the leading coefficient 1, so it becomes the IntPoly as
-    it is.
+    multiplied in first: c * (t^d - 1) is c shifted up by d minus c, one map
+    over two zero-padded copies.  Those with f_d < 0 are divided out after:
+    c = g * (t^d - 1) means g_i = g_(i-d) - c_i, so g is minus the running
+    sums of c along each residue class mod d, one accumulate per class.  The
+    division is exact iff every class sums to zero, which also rejects a
+    nonzero c of degree below d.  Each step is a few C-level passes over c,
+    so the cost is O(degree * sum |f_d|).  The list holds ints and ends in
+    the leading coefficient 1, so it becomes the IntPoly as it is.
     """
     c = [1]
     for d, f in sorted(factors.items()):
         for _ in range(f):
-            n = len(c)
-            if n <= d:
-                c = list(map(neg, c)) + [0] * (d - n) + c
-            else:
-                c = list(map(neg, c[:d])) + list(map(sub, c[:n - d], c[d:])) + c[n - d:]
+            c = list(map(sub, [0] * d + c, c + [0] * d))
     for d, f in sorted(factors.items()):
         for _ in range(-f):
             g = [0] * max(len(c) - d, 0)

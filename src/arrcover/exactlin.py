@@ -249,7 +249,7 @@ def smith_normal_form(matrix) -> SnfResult:
 # Cohomology of weighted complexes.
 # ---------------------------------------------------------------------------
 
-def cohomology_Q(complex_: AomotoComplex, lower=None) -> CohomologyProfile | None:
+def cohomology_Q(complex_: AomotoComplex, lower=None) -> CohomologyProfile:
     """dim H^q over Q: basis size minus the two adjacent differential ranks.
 
     By chain equivalence this equals the cohomology of the complex with
@@ -266,7 +266,8 @@ def cohomology_Q(complex_: AomotoComplex, lower=None) -> CohomologyProfile | Non
     raises ArithmeticError: the input is not a complex.
 
     With lower, a sequence of per-degree dims, a complex whose dims are
-    proved at most lower in every degree gives None.  That is tried where
+    proved at most lower in every degree gives those upper bounds instead,
+    in a profile over the ring "rationals-upper-bound".  That is tried where
     the last differential with rows, D_{ell-1}, is left open: with lo in place
     of its rank every earlier rank is exact and the two dims it touches can
     only shrink, so when those dims are at most lower the Bareiss rank is
@@ -286,7 +287,7 @@ def cohomology_Q(complex_: AomotoComplex, lower=None) -> CohomologyProfile | Non
         if lo < hi and q == last and lower is not None:
             estimate = dims + [nq - lo - r_in, rows[q] - lo]
             if all(map(le, estimate, lower)):
-                return None
+                return CohomologyProfile("rationals-upper-bound", tuple(estimate))
         r_out = lo if lo == hi else rank_over_Q(complex_.diffs[q])
         dims.append(nq - r_out - r_in)
         r_in = r_out

@@ -9,8 +9,9 @@ running lower bound holds beta at the top.  The checks below: the rule
 against exact ranks on every orbit representative, the bit-count predicate
 against plain weight sums, and the number of ranks the skip saves.  Last,
 the sweep's other skip: cohomology_Q leaves out the Bareiss rank of a
-candidate whose F_p ranks bound its dims by the running lower bound, and
-every candidate so skipped must have exact dims at most that bound.
+candidate whose F_p ranks bound its dims by the running lower bound, gives
+those bounds, and every candidate so skipped must have exact dims at most
+that bound.
 """
 
 from itertools import product
@@ -177,7 +178,8 @@ def test_skipped_candidates_raise_no_degree(monkeypatch):
 
     def spy(complex_, lower=None):
         profile = cohomology_Q(complex_, lower)
-        if profile is None:
+        if profile.ring == "rationals-upper-bound":
+            assert all(map(le, profile.dims, lower))
             skipped.setdefault((key, k), []).append((complex_, tuple(lower)))
         return profile
 
@@ -195,8 +197,10 @@ def test_skipped_candidates_raise_no_degree(monkeypatch):
 def test_lower_only_decides_whether_to_rank():
     # the Ceva(3) shift above: its D_2 is not certified mod p
     complex_ = aomoto_matrices(catalog.get("ceva3").arrangement, (-2, -2, 1, -2, 1, 1, 1, 1, 1))
-    assert cohomology_Q(complex_).dims == exact_dims(complex_) == (0, 0, 9, 9)
-    assert cohomology_Q(complex_, (0, 1, 11, 10)) is None
-    assert cohomology_Q(complex_, (0, 0, 9, 9)) is None
-    assert cohomology_Q(complex_, (0, 0, 8, 9)).dims == (0, 0, 9, 9)
-    assert cohomology_Q(complex_, (0, 0, 9, 8)).dims == (0, 0, 9, 9)
+    exact = ("rationals", (0, 0, 9, 9))
+    bounded = ("rationals-upper-bound", (0, 0, 9, 9))
+    assert exact_dims(complex_) == exact[1]
+    for lower, profile in [(None, exact), ((0, 1, 11, 10), bounded), ((0, 0, 9, 9), bounded),
+                           ((0, 0, 8, 9), exact), ((0, 0, 9, 8), exact)]:
+        got = cohomology_Q(complex_, lower)
+        assert (got.ring, got.dims) == profile, lower
