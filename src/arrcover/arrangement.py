@@ -4,7 +4,8 @@ An arrangement is an ordered list of affine hyperplanes c0 + sum(c_i x_i) = 0
 with coefficients in one cyclotomic field.  This module provides validated
 construction, the cone/decone pair, the intersection lattice with its Mobius
 function, the Poincare polynomial, the beta invariant, and dense-edge flags on
-the projective closure.
+the projective closure.  What is derived from an arrangement, here and in
+osalgebra and covers, lives as long as the arrangement (see derived).
 
 All exact linear algebra happens in one pass, the lattice of the projective
 closure (the affine rows plus the hyperplane at infinity).  Its flats are
@@ -24,10 +25,12 @@ beta invariant of their localizations, summed over the lower levels only.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, update_wrapper
 from itertools import combinations
 from math import gcd, lcm
 from threading import Lock
+from types import SimpleNamespace
+from weakref import finalize
 
 from .cyclofield import CycNum, IntPoly, reduced_row_echelon, zadjugate, zmul
 from .record import record
@@ -66,25 +69,12 @@ class Hyperplane:
 
 @record
 class Arrangement:
-    """Ordered, duplicate-free arrangement of n hyperplanes in C^ambient_dim.
-
-    The hash is computed once and kept on the instance outside the fields, so
-    equality and repr are the field-wise ones of every record; it equals the
-    hash of the field tuple.  Every cache keyed on an arrangement would
-    otherwise rehash all of its Fraction coefficients on each lookup.
-    """
+    """Ordered, duplicate-free arrangement of n hyperplanes in C^ambient_dim."""
 
     ambient_dim: int
     cyc_order: int
     hyperplanes: tuple[Hyperplane, ...]
     is_central: bool
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.ambient_dim, self.cyc_order, self.hyperplanes, self.is_central))
 
     @property
     def n(self) -> int:
@@ -93,6 +83,33 @@ class Arrangement:
     @property
     def ell(self) -> int:
         return self.ambient_dim
+
+
+_derived: dict[int, dict] = {}  # id(a) -> {(fn, args): fn(a, *args)}
+_derived_lock = Lock()
+
+
+def derived(fn):
+    """fn(a, *args), computed once per live arrangement a and args and kept
+    in _derived, not on a, so a pickles without it; weakref.finalize drops
+    a's values when a is collected, before its id is reused.  Threads that
+    miss together each compute, and all get the first value stored."""
+    info = SimpleNamespace(misses=0)
+
+    def once(a, *args):
+        try:
+            return _derived[id(a)][fn, args]
+        except KeyError:
+            pass
+        value = fn(a, *args)
+        with _derived_lock:
+            info.misses += 1
+            if id(a) not in _derived:
+                finalize(a, _derived.pop, id(a))
+            return _derived.setdefault(id(a), {}).setdefault((fn, args), value)
+
+    once.cache_info = lambda: info  # misses: the calls that computed
+    return update_wrapper(once, fn)
 
 
 def build(ambient_dim: int, cyc_order: int, hyperplanes) -> Arrangement:
@@ -475,7 +492,7 @@ def _residue(row, basis, d: int):
     return lead, tuple(tuple(x // g for x in v) for v in row)
 
 
-@lru_cache(maxsize=None)
+@derived
 def closure_lattice(a: Arrangement) -> ClosureLattice:
     """The one exact geometry pass: the lattice of the projective closure.
 
@@ -557,7 +574,7 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
     )
 
 
-@lru_cache(maxsize=None)
+@derived
 def intersection_lattice(a: Arrangement) -> IntersectionLattice:
     """All nonempty intersections with Mobius values.
 
@@ -569,7 +586,7 @@ def intersection_lattice(a: Arrangement) -> IntersectionLattice:
     return _by_codim(f for f in closure_lattice(a).flats if a.n not in f.support)
 
 
-@lru_cache(maxsize=None)
+@derived
 def poincare_polynomial(a: Arrangement) -> IntPoly:
     """P(A,t) = sum over flats of mu(Y) (-t)^codim(Y); coefficients are Betti numbers."""
     lattice = intersection_lattice(a)
@@ -597,7 +614,7 @@ def beta(a: Arrangement) -> int:
 # Dense edges of the projective closure.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@derived
 def dense_edges(a: Arrangement) -> IntersectionLattice:
     """Lattice of the projective closure with dense flags.
 

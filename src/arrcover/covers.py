@@ -9,12 +9,11 @@ coefficients are all assembled from those per-divisor values.  Asserted
 values for open intervals enter through resolve, the one owner of the
 assertion rule: it checks every assertion against the k a command visits.
 
-The local values that do not depend on a sweep are derived once per
-arrangement, in one table (_local_table): the resonant k, read off the sizes
-of the affine dense edges in one pass (see is_nonresonant), the k = 1
-intervals and the (0, ..., 0, beta) intervals that every nonresonant k
-shares.  So once the resonant k are swept, assembling any cover invariant
-reads no dense edge and builds no interval.
+The local values that do not depend on a sweep live in one table per
+arrangement (_local_table): the resonant k, read off the sizes of the affine
+dense edges, the k = 1 intervals and the (0, ..., 0, beta) intervals that
+every nonresonant k shares.  So once the resonant k are swept, assembling
+any cover invariant reads no dense edge and builds no interval.
 
 The lower-bound sweep evaluates one shift per orbit of the lattice
 automorphisms.  A permutation sigma of the hyperplanes that maps affine flat
@@ -61,7 +60,6 @@ and each class sums only the k where those terms are not all zero.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, lcm
 
 from .arrangement import (
@@ -70,6 +68,7 @@ from .arrangement import (
     betti_numbers,
     closure_lattice,
     dense_edges,
+    derived,
     euler_characteristic,
     orbit,
     support_mask,
@@ -246,31 +245,17 @@ def fast_nonresonant(a: Arrangement, m: int) -> bool:
     return all(gcd(flat.multiplicity, m) == 1 for flat in _dense_closure_flats(a))
 
 
-def is_nonresonant(a: Arrangement, k: int) -> bool:
-    """True when weights 1/k are nonresonant: no affine dense edge X of the
-    closure has k | |X| (k = 1 is always nonresonant).
-
-    This is exactly fast_nonresonant or stv_nonresonant at uniform weights.
-    At weights 1/k an affine dense edge has weight |X|/k >= 0, an integer
-    exactly when k | |X|.  An edge at infinity has weight -(n - |X_a|)/k < 0,
-    as no edge at infinity of an essential arrangement holds every affine
-    hyperplane.  Each clause of fast_nonresonant implies that no affine dense
-    edge has k | |X|.  The resonant k are read once per arrangement
-    (_local_table).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return k not in _local_table(a)[0]
-
-
-@lru_cache(maxsize=None)
+@derived
 def _local_table(a: Arrangement) -> tuple[frozenset[int], tuple[BettiInterval, ...],
                                           tuple[BettiInterval, ...]]:
     """(resonant k, k = 1 intervals, nonresonant intervals) of a, built once.
 
-    The resonant k are the k >= 2 dividing the size of some affine dense edge
-    of the closure (see is_nonresonant); every other k >= 2 has the intervals
-    (0, ..., 0, beta) exactly, shared by every caller.
+    k >= 2 is resonant when it divides |X| for an affine dense edge X of the
+    closure, else its intervals are (0, ..., 0, beta).  That is exactly
+    fast_nonresonant or stv_nonresonant at weights 1/k: an affine dense edge
+    has weight |X|/k >= 0, integral iff k | |X|, which each clause of
+    fast_nonresonant rules out; an edge at infinity has weight
+    -(n - |X_a|)/k < 0, as none holds every affine hyperplane.
     """
     sizes = {len(f.support) for f in _dense_closure_flats(a) if a.n not in f.support}
     resonant = frozenset(k for size in sizes for k in range(2, size + 1) if size % k == 0)
@@ -286,7 +271,7 @@ def _resolved_intervals(values) -> tuple[BettiInterval, ...]:
     return tuple(BettiInterval(q, v, v, True) for q, v in enumerate(values))
 
 
-@lru_cache(maxsize=None)
+@derived
 def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterval, ...]:
     """Bracket b_q(L_k) between shifted rational Aomoto dims and mod-k ranks.
 
@@ -430,9 +415,9 @@ def local_betti(
             if len(shift) != a.n:
                 raise ValueError(f"shift {shift} has length {len(shift)}, expected {a.n}")
         extra_shifts = tuple(tuple(int(v) for v in shift) for shift in extra_shifts)
-    if not is_nonresonant(a, k):
+    resonant, trivial, nonresonant = _local_table(a)
+    if k in resonant:
         return _bound_intervals(a, k, extra_shifts)
-    _, trivial, nonresonant = _local_table(a)
     return trivial if k == 1 else nonresonant
 
 

@@ -29,10 +29,10 @@ semilattice.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
-from .arrangement import Arrangement, ClosureLattice, closure_lattice
+from .arrangement import Arrangement, ClosureLattice, closure_lattice, derived
 from .record import record
 
 Monomial = tuple[int, ...]
@@ -266,7 +266,7 @@ def straighten(a: Arrangement, t: Monomial) -> dict[Monomial, int]:
 # The algebra and its Aomoto differentials.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@derived
 def os_algebra(a: Arrangement) -> OSAlgebra:
     """The Orlik-Solomon algebra of a, built once per arrangement."""
     lattice = closure_lattice(a)

@@ -19,8 +19,7 @@ def record(cls):
     """Class decorator: value semantics over the annotated fields of cls.
 
     Equality holds only between instances of the same class with equal field
-    tuples; the hash is that of the field tuple, unless cls defines its own
-    ``__hash__``.
+    tuples; the hash is that of the field tuple.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     getter = attrgetter(*names)
@@ -68,8 +67,7 @@ def record(cls):
     if "__init__" not in cls.__dict__:
         cls.__init__ = __init__
     cls.__eq__ = __eq__
-    if "__hash__" not in cls.__dict__:
-        cls.__hash__ = __hash__
+    cls.__hash__ = __hash__
     cls.__repr__ = __repr__
     cls.__setattr__ = __setattr__
     cls.__delattr__ = __delattr__

@@ -1,5 +1,6 @@
 """Arrangements, lattices, Mobius values, cone/decone, dense edges."""
 
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from arrcover.arrangement import (
     beta,
     betti_numbers,
     build,
+    closure_lattice,
     cone,
     decone,
     dense_edges,
@@ -18,6 +20,7 @@ from arrcover.arrangement import (
     intersection_lattice,
     poincare_polynomial,
 )
+from arrcover.covers import _local_table, local_betti
 from arrcover.cyclofield import CycNum, IntPoly, cyc_reduce, reduced_row_echelon
 from arrcover.fileformat import parse_file, serialize_arrangement
 from deletion_restriction import deletion, restriction
@@ -101,11 +104,22 @@ def test_hash_is_cached_and_consistent_with_equality(tmp_path):
         b = parse_file(path.read_bytes())
         assert a is not b and a == b and hash(a) == hash(b)
         assert hash(a) == hash((a.ambient_dim, a.cyc_order, a.hyperplanes, a.is_central))
-        assert vars(b)["_hash"] == hash(b)  # kept on the instance after first use
-        assert "_hash" not in repr(a)
         swapped = permuted(a, (1, 0) + tuple(range(2, a.n)))
         assert swapped != a
         assert permuted(swapped, (1, 0) + tuple(range(2, a.n))) == a
+
+
+def test_pickle_carries_no_derived_values():
+    fields = {"ambient_dim", "cyc_order", "hyperplanes", "is_central"}
+    for key, entry in catalog.entries().items():
+        a = entry.arrangement
+        local_betti(a, min(_local_table(a)[0]))
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and hash(b) == hash(a), key
+        assert set(vars(a)) == set(vars(b)) == fields, key
+        before = closure_lattice.cache_info().misses
+        assert closure_lattice(b) == closure_lattice(a)
+        assert closure_lattice.cache_info().misses == before + 1, key
 
 
 def test_build_rejects_proportional_duplicates():

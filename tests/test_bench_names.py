@@ -46,6 +46,23 @@ def test_lattice_cache_info_exists():
     assert callable(arrangement.intersection_lattice.cache_info)
 
 
+def test_lattice_misses_count_each_new_arrangement_once():
+    # the tracer's arrangement.lattice_builds is this count
+    arrangement = package_module("arrangement")
+    lattice = arrangement.intersection_lattice
+    selberg = package_module("catalog").get("selberg").arrangement
+    a = arrangement.cone(selberg)
+    before = lattice.cache_info().misses
+    first = lattice(a)
+    assert lattice.cache_info().misses == before + 1
+    assert lattice(a) is first
+    assert lattice.cache_info().misses == before + 1
+    # an equal arrangement is a new object, with values of its own
+    b = arrangement.cone(selberg)
+    assert b == a and lattice(b) == first
+    assert lattice.cache_info().misses == before + 2
+
+
 def worker_package_calls():
     """(module, attribute) for every `module.attribute` in worker.py whose
     module was imported with `from arrcover import ...`."""

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from arrcover import catalog
-from arrcover.covers import _candidates, is_nonresonant
+from arrcover.covers import _candidates
 from arrcover.exactlin import (
     CERTIFICATE_PRIME,
     _ranks_mod_p,
@@ -19,6 +19,7 @@ from arrcover.exactlin import (
 )
 from arrcover.osalgebra import AomotoComplex, OSAlgebra, aomoto_matrices, os_algebra
 from rank_mod_p import rank_mod_p
+from resonance import is_nonresonant
 from test_geometry_oracle import braid_a4_decone
 from test_modn_oracle import smith_reduce_with_transforms
 

@@ -286,6 +286,7 @@ def test_lattice_reduces_one_step_per_residue(key, monkeypatch):
     and no row is reduced modulo a codim-ell flat.  At ell = 3 a reduction
     from scratch would pass a basis of two rows."""
     a = CASES[key]()
+    want = closure_lattice(a)
     bases = []
     residue = arrangement._residue
 
@@ -295,7 +296,7 @@ def test_lattice_reduces_one_step_per_residue(key, monkeypatch):
 
     monkeypatch.setattr(arrangement, "_residue", counting)
     lattice = closure_lattice.__wrapped__(a)
-    assert lattice == closure_lattice(a)
+    assert lattice == want
     assert max(bases) == 1
     assert len(bases) == sum(
         a.n + 1 - len(f.support) for f in lattice.flats if f.codim < a.ell

@@ -3,9 +3,9 @@
 Weights 1/k are resonant exactly when k >= 2 divides the number of
 hyperplanes of some affine dense edge of the projective closure.  The table
 holds those k, the k = 1 intervals and the (0, ..., 0, beta) intervals;
-is_nonresonant and local_betti read it.  Checked here: the rule against the
-two tests it replaced at every k <= 3n, and that assembling cover invariants
-from warm local values reads no dense edge.
+local_betti reads it.  Checked here: the rule against the two tests it
+replaced at every k <= 3n, and that assembling cover invariants from warm
+local values reads no dense edge.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from arrcover.covers import (
     WeightSystem,
     cover_betti,
     fast_nonresonant,
-    is_nonresonant,
     local_betti,
     monodromy_charpoly,
     periodicity,
@@ -25,6 +24,7 @@ from arrcover.covers import (
 )
 from arrcover.cyclofield import cyc_reduce
 from bench_inputs import braid_decone, generic_lines
+from resonance import is_nonresonant
 from test_orbit_sweep_oracle import CASES, OTHERS
 
 
@@ -60,8 +60,6 @@ def test_rule_edges():
     a = catalog.get("selberg").arrangement
     assert is_nonresonant(a, 1)
     for k in (0, -3):
-        with pytest.raises(ValueError):
-            is_nonresonant(a, k)
         with pytest.raises(ValueError):
             local_betti(a, k)
 

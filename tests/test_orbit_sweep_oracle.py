@@ -26,11 +26,12 @@ from arrcover.arrangement import (
     closure_lattice,
     euler_characteristic,
 )
-from arrcover.covers import _bound_intervals, _candidates, is_nonresonant, local_betti
+from arrcover.covers import _bound_intervals, _candidates, local_betti
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, cohomology_modN
 from arrcover.osalgebra import aomoto_matrices
 from permutation import permuted
+from resonance import is_nonresonant
 from test_geometry_oracle import braid_a4_decone
 
 

@@ -5,7 +5,8 @@ only tests run; it belongs in a test helper or nowhere.  The exported names
 of ``arrcover._HOMES`` are the API and count as used, and so do the few
 names in BENCHMARK_ONLY that only the benchmark calls.  A record class
 writes an ``__init__`` only to do more than ``record``'s own, which stores the
-fields.
+fields.  A value derived from an arrangement is owned by arrangement.derived,
+never by a functools cache that would keep the arrangement alive.
 """
 
 import ast
@@ -72,6 +73,34 @@ def test_every_import_is_used():
                     if bound not in used:
                         unused.append(f"{name}:{node.lineno} {bound}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def decorator_name(node):
+    """The last name of a decorator, called or not: lru_cache for
+    @functools.lru_cache(maxsize=None)."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def first_parameter_type(function):
+    args = function.args.posonlyargs + function.args.args
+    annotation = args[0].annotation if args else None
+    if isinstance(annotation, ast.Constant):
+        return annotation.value
+    return getattr(annotation, "id", None)
+
+
+def test_no_functools_cache_is_keyed_on_an_arrangement():
+    keyed = sorted(
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and first_parameter_type(node) == "Arrangement"
+        and any(decorator_name(dec) in {"lru_cache", "cache"} for dec in node.decorator_list)
+    )
+    assert not keyed, f"cached on an Arrangement, use arrangement.derived: {keyed}"
 
 
 def copies_parameters_only(init):
