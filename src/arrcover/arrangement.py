@@ -20,7 +20,7 @@ its denominators, and each residue is keyed by the primitive integer point
 on its line, reached through the norm of the leading entry.  The affine
 flats are the closure flats off the hyperplane at infinity, and the dense
 edges are the closure flats below the center of the cone, flagged by Crapo's
-beta invariant of their localizations, summed over the lower levels only.
+beta invariant of their localizations in the scan that finds the Mobius values.
 """
 
 from __future__ import annotations
@@ -204,7 +204,8 @@ class Flat:
     """Flat of the intersection lattice.
 
     support is the full closure (every hyperplane containing the flat), which
-    identifies the flat; multiplicity is len(support).
+    identifies the flat; multiplicity is len(support).  dense is None only on
+    the codim-0 flat.
     """
 
     support: tuple[int, ...]
@@ -439,16 +440,6 @@ def _by_codim(flats) -> IntersectionLattice:
     return IntersectionLattice(levels=tuple(map(tuple, levels)), rank=len(levels) - 1)
 
 
-def _level_starts(codims) -> list[int]:
-    """start[c]: the index of the first codim-c flat in a list of flats in
-    level order, given by their codims; flats[:start[c]] are those below c."""
-    start: list[int] = []
-    for i, c in enumerate(codims):
-        if c == len(start):
-            start.append(i)
-    return start
-
-
 def _integer_row(row) -> tuple[tuple[int, ...], ...]:
     """A row over Q(zeta_d) scaled by the lcm of its denominators: a row over
     Z[zeta_d], each entry a power-basis tuple of ints."""
@@ -517,7 +508,9 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
     both nonzero points on it, so they share the primitive point.  A
     codim-ell flat, whose quotient is one-dimensional, is not reduced.
     Mobius values follow the recursion mu(Y) = -sum(mu(Z)) over flats Z with
-    support(Z) strictly inside support(Y), all on lower levels.
+    support(Z) strictly inside support(Y), all on lower levels; Y is dense
+    (see dense_edges) when Crapo's beta |mu(Y) codim(Y) + sum(mu(Z) codim(Z))|
+    over the same Z is nonzero (J. Combin. Theory 2, 1967).
     """
     d = a.cyc_order
     rows = [_integer_row(h.affine_row()) for h in a.hyperplanes]
@@ -561,27 +554,31 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
                 step[j] = index_of[cover]
         join.append(tuple(step))
 
-    # flats of one codim never nest, so only lower levels lie below a flat
-    start = _level_starts(codims)
     masks = [support_mask(s) for s in supports]
-    mobius = [1]
+    mobius, dense = [1], [None]
+    start = 0  # the first flat of the level being scanned
     for i in range(1, len(supports)):
-        below = range(start[codims[i]])
-        mobius.append(-sum(mobius[k] for k in below if masks[k] & masks[i] == masks[k]))
+        if codims[i] > codims[i - 1]:
+            start = i
+        # flats of one codim never nest, so only lower levels lie below a flat
+        below = [k for k in range(start) if masks[k] & masks[i] == masks[k]]
+        mu = -sum(mobius[k] for k in below)
+        mobius.append(mu)
+        dense.append(mu * codims[i] + sum(mobius[k] * codims[k] for k in below) != 0)
     return ClosureLattice(
-        flats=tuple(Flat(s, c, mu, None) for s, c, mu in zip(supports, codims, mobius)),
+        flats=tuple(map(Flat, supports, codims, mobius, dense)),
         join=tuple(join),
     )
 
 
 @derived
 def intersection_lattice(a: Arrangement) -> IntersectionLattice:
-    """All nonempty intersections with Mobius values.
+    """All nonempty intersections with Mobius values and dense flags.
 
     These are the closure flats off the hyperplane at infinity: an affine
     intersection is empty exactly when its projective closure lies at
-    infinity.  Their Mobius values are those of the closure, since every
-    flat below an affine flat is affine.
+    infinity.  Their Mobius values and flags are those of the closure, since
+    every flat below an affine flat is affine.
     """
     return _by_codim(f for f in closure_lattice(a).flats if a.n not in f.support)
 
@@ -620,23 +617,7 @@ def dense_edges(a: Arrangement) -> IntersectionLattice:
 
     These are the closure flats up to codim ell; the flat of codim ell+1 is
     the center of the cone, which is projectively empty.  A flat Y is dense
-    when the decone of the central subarrangement A_Y has beta > 0.  Crapo's
-    beta (J. Combin. Theory 2, 1967) is |sum(mu(Z) codim(Z))| over the flats
-    Z <= Y, those with supports inside support(Y); hyperplane flats are
-    always dense.  The last closure index is the hyperplane at infinity.
+    when the decone of the central subarrangement A_Y has beta > 0 (flagged
+    by closure_lattice); closure index n is the hyperplane at infinity.
     """
-    flats = closure_lattice(a).flats
-    masks = [support_mask(f.support) for f in flats]
-    terms = [f.mobius * f.codim for f in flats]
-    start = _level_starts(f.codim for f in flats)
-
-    def marked(y: int) -> Flat:
-        flat = flats[y]
-        # every Z < Y lies on a lower level, so only those are scanned
-        below = range(start[flat.codim])
-        beta_y = terms[y] + sum(terms[k] for k in below if masks[k] & masks[y] == masks[k])
-        return Flat(flat.support, flat.codim, flat.mobius, beta_y != 0)
-
-    return _by_codim(
-        [flats[0]] + [marked(y) for y in range(1, len(flats)) if flats[y].codim <= a.ell]
-    )
+    return _by_codim(f for f in closure_lattice(a).flats if f.codim <= a.ell)

@@ -10,10 +10,11 @@ values for open intervals enter through resolve, the one owner of the
 assertion rule: it checks every assertion against the k a command visits.
 
 The local values that do not depend on a sweep live in one table per
-arrangement (_local_table): the resonant k, read off the sizes of the affine
-dense edges, the k = 1 intervals and the (0, ..., 0, beta) intervals that
-every nonresonant k shares.  So once the resonant k are swept, assembling
-any cover invariant reads no dense edge and builds no interval.
+arrangement (_local_table): the dense edges, read once, the resonant k,
+read off their affine sizes, the k = 1 intervals and the (0, ..., 0, beta)
+intervals that every nonresonant k shares.  So once the resonant k are
+swept, assembling any cover invariant reads no dense edge and builds no
+interval.
 
 The lower-bound sweep evaluates one shift per orbit of the lattice
 automorphisms.  A permutation sigma of the hyperplanes that maps affine flat
@@ -42,7 +43,8 @@ beta at the top, such a shift is below it in every degree, so it can be
 neither the first strict improver nor a lower <= upper violation.  At
 weights 1 + k*s every w_X is a bit count: with S the support mask of s, w_X
 vanishes exactly when (mask & S).bit_count() == quota, for one
-(mask, quota) pair per dense edge, built once per (arrangement, k).
+(mask, quota) pair per dense edge whose size k divides, filtered at each k
+from the arrangement's one table of dense edges.
 
 Assembly never walks 1..m or the residues mod lcm(1..n): the divisors of m
 come from its factorisation, the periodicity classes from the divisors of
@@ -247,20 +249,32 @@ def fast_nonresonant(a: Arrangement, m: int) -> bool:
 
 @derived
 def _local_table(a: Arrangement) -> tuple[frozenset[int], tuple[BettiInterval, ...],
-                                          tuple[BettiInterval, ...]]:
-    """(resonant k, k = 1 intervals, nonresonant intervals) of a, built once.
+                                          tuple[BettiInterval, ...],
+                                          tuple[tuple[int, int, bool], ...]]:
+    """(resonant k, k = 1 intervals, nonresonant intervals, dense edges).
 
-    k >= 2 is resonant when it divides |X| for an affine dense edge X of the
-    closure, else its intervals are (0, ..., 0, beta).  That is exactly
-    fast_nonresonant or stv_nonresonant at weights 1/k: an affine dense edge
-    has weight |X|/k >= 0, integral iff k | |X|, which each clause of
-    fast_nonresonant rules out; an edge at infinity has weight
+    The dense edges X of the closure are read once, each kept as
+    (mask, size, at_infinity): mask is the affine support X_a, or its
+    complement among the affine hyperplanes when X lies at infinity, and size
+    is its bit count.  k >= 2 is resonant when it divides the size of an
+    affine dense edge, else its intervals are (0, ..., 0, beta).  That is
+    exactly fast_nonresonant or stv_nonresonant at weights 1/k: an affine
+    dense edge has weight |X|/k >= 0, integral iff k | |X|, which each clause
+    of fast_nonresonant rules out; an edge at infinity has weight
     -(n - |X_a|)/k < 0, as none holds every affine hyperplane.
     """
-    sizes = {len(f.support) for f in _dense_closure_flats(a) if a.n not in f.support}
-    resonant = frozenset(k for size in sizes for k in range(2, size + 1) if size % k == 0)
+    n = a.n
+    edges = []
+    for flat in _dense_closure_flats(a):
+        mask = support_mask(flat.support)
+        at_infinity = n in flat.support
+        if at_infinity:
+            mask ^= (2 << n) - 1
+        edges.append((mask, mask.bit_count(), at_infinity))
+    resonant = frozenset(k for _, size, at_infinity in edges if not at_infinity
+                         for k in range(2, size + 1) if size % k == 0)
     return (resonant, _resolved_intervals(betti_numbers(a)),
-            _resolved_intervals([0] * a.ell + [beta(a)]))
+            _resolved_intervals([0] * a.ell + [beta(a)]), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +295,10 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
     gap.  Once lower holds beta at the top degree, a shift of {-1, 0}^n whose
     dense edges all have nonzero weight is skipped unranked: its dims are
     (0, ..., 0, beta), which cannot raise lower (see the module docstring).
+    With S the shift's support, a dense edge X weighs |X_a| - k*|X_a & S|,
+    or k*|S - X_a| - (n - |X_a|) at infinity, so w_X = 0 exactly when k
+    divides the size of its mask in _local_table and (mask & S) has size // k
+    bits.
     A shift whose F_p ranks already bound its dims by lower is not ranked
     over Q either: cohomology_Q gives those bounds, which can neither raise
     lower nor exceed upper, as lower <= upper holds throughout.
@@ -291,7 +309,7 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
     lower = [0] * (ell + 1)
     witness: dict[int, tuple[int, ...]] = {}
     generic_top = beta(a)
-    quotas = _dense_edge_quotas(a, k)
+    quotas = [(mask, size // k) for mask, size, _ in _local_table(a)[3] if size % k == 0]
     for shift in _candidates(a, extra_shifts):
         if lower[ell] >= generic_top and set(shift) <= {-1, 0}:
             support = support_mask(i for i, v in enumerate(shift) if v)
@@ -327,32 +345,10 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
     )
 
 
-def _dense_edge_quotas(a: Arrangement, k: int) -> list[tuple[int, int]]:
-    """(mask, quota) per dense edge X of the closure whose weight can vanish
-    at weights 1 + k*s, s in {-1, 0}^n.
-
-    With S the support of s, an affine X with affine support X_a has weight
-    |X_a| - k*|X_a & S|, and an X at infinity has -((n - |X_a|) - k*|S - X_a|),
-    w_inf = -sum(w_H).  So with mask = X_a (affine) or its complement in the
-    affine hyperplanes (at infinity), w_X = 0 exactly when
-    (mask & S).bit_count() == quota, and a pair is kept only when k divides
-    the mask's size, quota = size // k.
-    """
-    n = a.n
-    quotas = []
-    for flat in _dense_closure_flats(a):
-        mask = support_mask(i for i in flat.support if i < n)
-        if n in flat.support:
-            mask ^= (1 << n) - 1
-        size = mask.bit_count()
-        if size % k == 0:
-            quotas.append((mask, size // k))
-    return quotas
-
-
 def _acyclic_below_top(quotas, support: int) -> bool:
     """True when no dense edge weight vanishes on the shift with this support
-    bitmask (see _dense_edge_quotas): its Aomoto dims are (0, ..., 0, beta)."""
+    bitmask, given the (mask, quota) pairs of _bound_intervals: its Aomoto
+    dims are (0, ..., 0, beta)."""
     return all((mask & support).bit_count() != quota for mask, quota in quotas)
 
 
@@ -415,7 +411,7 @@ def local_betti(
             if len(shift) != a.n:
                 raise ValueError(f"shift {shift} has length {len(shift)}, expected {a.n}")
         extra_shifts = tuple(tuple(int(v) for v in shift) for shift in extra_shifts)
-    resonant, trivial, nonresonant = _local_table(a)
+    resonant, trivial, nonresonant, _ = _local_table(a)
     if k in resonant:
         return _bound_intervals(a, k, extra_shifts)
     return trivial if k == 1 else nonresonant

@@ -21,7 +21,7 @@ import pytest
 
 from arrcover import catalog, covers
 from arrcover.arrangement import Hyperplane, beta, build, closure_lattice, dense_edges
-from arrcover.covers import _acyclic_below_top, _bound_intervals, _dense_edge_quotas
+from arrcover.covers import _acyclic_below_top, _bound_intervals, _local_table
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, rank_over_Q
 from arrcover.osalgebra import aomoto_matrices
@@ -33,16 +33,22 @@ def cube_weights(n, k, support):
     return tuple(1 - k * (support >> i & 1) for i in range(n))
 
 
+def quotas(a, k):
+    """The (mask, quota) pairs the sweep reads at k: the dense edges of the
+    arrangement's table whose size k divides, with quota size // k."""
+    return [(mask, size // k) for mask, size, _ in _local_table(a)[3] if size % k == 0]
+
+
 def test_certified_representatives_are_acyclic():
     # every orbit representative the rule certifies has the generic dims;
     # dropping the dense edges of codim >= 2 from the rule breaks this
     certified, violations = 0, []
     for key, k in SWEEPS:
         a = arrangement_of(key)
-        quotas = _dense_edge_quotas(a, k)
+        at_k = quotas(a, k)
         generic = (0,) * a.ell + (beta(a),)
         for support in closure_lattice(a).cube_representatives():
-            if _acyclic_below_top(quotas, support):
+            if _acyclic_below_top(at_k, support):
                 certified += 1
                 dims = cohomology_Q(aomoto_matrices(a, cube_weights(a.n, k, support))).dims
                 if dims != generic:
@@ -103,17 +109,17 @@ def vanishing_edges(a, weights):
 def test_predicate_matches_weight_sums(make, k, support, vanishing):
     a = make()
     assert vanishing_edges(a, cube_weights(a.n, k, support)) == vanishing
-    assert _acyclic_below_top(_dense_edge_quotas(a, k), support) == (not vanishing)
+    assert _acyclic_below_top(quotas(a, k), support) == (not vanishing)
 
 
 @pytest.mark.parametrize("make,k", [(square, 2), (square, 4), (triple_point, 3)])
 def test_predicate_matches_weight_sums_on_the_whole_cube(make, k):
     a = make()
-    quotas = _dense_edge_quotas(a, k)
+    at_k = quotas(a, k)
     for bits in product((0, 1), repeat=a.n):
         support = sum(bit << i for i, bit in enumerate(bits))
         expect = not vanishing_edges(a, cube_weights(a.n, k, support))
-        assert _acyclic_below_top(quotas, support) == expect
+        assert _acyclic_below_top(at_k, support) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +158,7 @@ def test_zero_shift_is_ranked_first_while_lower_is_below_beta(key, k, monkeypatc
     # the top lower bound reaches beta > 0
     a = arrangement_of(key)
     assert beta(a) > 0
-    assert _acyclic_below_top(_dense_edge_quotas(a, k), 0)
+    assert _acyclic_below_top(quotas(a, k), 0)
     assert swept_weights(a, k, monkeypatch)[0] == (1,) * a.n
 
 

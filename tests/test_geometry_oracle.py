@@ -28,6 +28,7 @@ from arrcover.arrangement import (
     cone,
     decone,
     dense_edges,
+    intersection_lattice,
 )
 from arrcover.cyclofield import CycNum, cyc_reduce, euler_phi, reduced_row_echelon
 from arrcover.osalgebra import nbc_basis
@@ -256,6 +257,13 @@ def test_closure_lattice_matches_subset_closures(key):
     ]
     for flat in marked:
         assert flat.dense == oracle_dense(expected, flat.support), flat.support
+    # the lattice flags its flats in its Mobius scan; the affine flats keep
+    # those flags, and only the codim-0 flat has none
+    affine = list(intersection_lattice(a).flats())
+    assert lattice.flats[0].dense is None and affine[0].dense is None
+    for flat in lattice.flats[1:] + tuple(affine[1:]):
+        if flat.codim <= a.ell:
+            assert flat.dense == oracle_dense(expected, flat.support), flat.support
 
 
 def rescaled(a):

@@ -3,9 +3,10 @@
 Weights 1/k are resonant exactly when k >= 2 divides the number of
 hyperplanes of some affine dense edge of the projective closure.  The table
 holds those k, the k = 1 intervals and the (0, ..., 0, beta) intervals;
-local_betti reads it.  Checked here: the rule against the two tests it
-replaced at every k <= 3n, and that assembling cover invariants from warm
-local values reads no dense edge.
+local_betti reads it, and so does every sweep, for the dense edges the table
+keeps.  Checked here: the rule against the two tests it replaced at every
+k <= 3n, that the dense edges are read once per arrangement, and that
+assembling cover invariants from warm local values reads no dense edge.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from arrcover import catalog, covers
 from arrcover.arrangement import Hyperplane, build
 from arrcover.covers import (
     WeightSystem,
+    _local_table,
     cover_betti,
     fast_nonresonant,
     local_betti,
@@ -62,6 +64,20 @@ def test_rule_edges():
     for k in (0, -3):
         with pytest.raises(ValueError):
             local_betti(a, k)
+
+
+@pytest.mark.parametrize("key", sorted(catalog.entries()))
+def test_dense_edges_are_read_once_per_arrangement(key, monkeypatch):
+    # a distinct arrangement derives its own table, so its first read counts
+    given = catalog.get(key).arrangement
+    a = build(given.ell, given.cyc_order, given.hyperplanes)
+    reads = []
+    real = covers._dense_closure_flats
+    monkeypatch.setattr(covers, "_dense_closure_flats", lambda a: reads.append(a) or real(a))
+    for k in range(1, a.n + 1):
+        local_betti(a, k)
+    assert min(_local_table(a)[0]) <= a.n
+    assert len(reads) == 1 and reads[0] is a
 
 
 @pytest.mark.parametrize("key", ["selberg", "hessian-decone", "ceva3", "generic-16-1"])
