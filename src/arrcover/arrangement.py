@@ -25,7 +25,7 @@ beta invariant of their localizations in the scan that finds the Mobius values.
 
 from __future__ import annotations
 
-from functools import cached_property, update_wrapper
+from functools import update_wrapper
 from itertools import combinations
 from math import gcd, lcm
 from threading import Lock
@@ -237,148 +237,13 @@ class ClosureLattice:
     flats lists every closure flat in level order, codim 0 first; support
     index n is the hyperplane at infinity.  join[f][j] is the index of the
     flat flats[f] cap H_j, the closure of support(f) + {j}.
-
-    It also owns what every weight sweep of its arrangement shares: the
-    automorphisms and their byte tables, built on first use, and cube_orbits,
-    the first support mask of each orbit of the shift cube {-1, 0}^n in sweep
-    order (by size, then combinations order).  That list is append-only; one
-    walk of the cube extends it when a reader of cube_representatives gets
-    past its end.
     """
 
     flats: tuple[Flat, ...]
     join: tuple[tuple[int, ...], ...]
 
-    def __init__(self, flats, join):
-        self.__dict__.update(flats=flats, join=join, cube_orbits=[], _cube_lock=Lock())
-        self.__dict__["_cube_walk"] = self._walk_cube()
 
-    @cached_property
-    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """Generators of a group of lattice automorphisms, as permutations of
-        the affine indices: perm[i] is the image of hyperplane i.
-
-        A permutation qualifies when it maps every affine flat support (a
-        closure flat off the hyperplane at infinity) onto an affine flat
-        support, so it preserves the affine intersection poset, codims and
-        emptiness included.  The set is a stabiliser chain found from the
-        deepest level up: at level i, for each c > i not in the orbit of i
-        under the generators found so far (which all fix 0..i-1), one
-        backtracking search looks for the first permutation
-        fixing 0..i-1 with i -> c.  The search prunes a partial map on the
-        codim-2 flat of each pair of assigned hyperplanes and on the (codim,
-        size) profile of the affine flats through each one, and keeps a full
-        permutation only if it passes the support check.  There are at most
-        n(n-1)/2 generators, and the group itself is never enumerated.  A
-        search that exceeds AUTOMORPHISM_NODE_BUDGET nodes gives up, which can
-        only leave a subgroup.
-        """
-        n = len(self.join[0]) - 1
-        affine = [support_mask(f.support) for f in self.flats if n not in f.support]
-        affine_set = set(affine)
-        # line[i][j]: the closure support of H_i cap H_j; bit n is set when
-        # the two are parallel
-        line = [[support_mask(self.flats[self.join[self.join[0][i]][j]].support)
-                 for j in range(n)] for i in range(n)]
-        profile = [sorted((f.codim, len(f.support)) for f in self.flats
-                          if i in f.support and n not in f.support) for i in range(n)]
-
-        def first_leaf(i: int, c: int) -> tuple[int, ...] | None:
-            image = list(range(i)) + [None] * (n - i)
-            used = set(range(i))
-            nodes = 0
-
-            def fits(x: int, y: int) -> bool:
-                # every codim-2 flat on x maps onto the one on the images
-                if profile[x] != profile[y]:
-                    return False
-                for u in range(x):
-                    s, t = line[u][x], line[image[u]][y]
-                    if s.bit_count() != t.bit_count() or s >> n != t >> n:
-                        return False
-                    if any(s >> z & 1 != t >> image[z] & 1 for z in range(x)):
-                        return False
-                return True
-
-            def extend(x: int) -> bool:
-                nonlocal nodes
-                if x == n:
-                    return all(support_image(s, image) in affine_set for s in affine)
-                for y in ([c] if x == i else range(n)):
-                    if y in used or not fits(x, y):
-                        continue
-                    nodes += 1
-                    if nodes > AUTOMORPHISM_NODE_BUDGET:
-                        return False
-                    image[x] = y
-                    used.add(y)
-                    if extend(x + 1):
-                        return True
-                    used.discard(y)
-                return False
-
-            return tuple(image) if extend(i) else None
-
-        def point_orbit(i: int) -> set[int]:
-            reached, frontier = {i}, [i]
-            while frontier:
-                x = frontier.pop()
-                for perm in generators:
-                    if perm[x] not in reached:
-                        reached.add(perm[x])
-                        frontier.append(perm[x])
-            return reached
-
-        generators: list[tuple[int, ...]] = []
-        for i in reversed(range(n)):
-            reached = point_orbit(i)
-            for c in range(i + 1, n):
-                if c not in reached:
-                    perm = first_leaf(i, c)
-                    if perm is not None:
-                        generators.append(perm)
-                        reached = point_orbit(i)
-        return tuple(generators)
-
-    @cached_property
-    def generator_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The automorphisms as lookup tables on support bitmasks, one
-        byte_tables(perm) per generator, built once per lattice."""
-        return tuple(map(byte_tables, self.automorphisms))
-
-    def cube_representatives(self):
-        """Yield cube_orbits in order, resuming the shared walk only past the
-        representatives some reader already found.  The walk advances under
-        a lock, so readers in several threads can share it."""
-        found = self.cube_orbits
-        i = 0
-        while True:
-            if i == len(found):
-                with self._cube_lock:
-                    if i == len(found) and next(self._cube_walk, None) is None:
-                        return
-            yield found[i]
-            i += 1
-
-    def _walk_cube(self):
-        """Append each orbit representative to cube_orbits and yield it.
-        A representative's orbit joins the seen set only when the walk is
-        resumed, so a reader that stops at the first one (the zero mask)
-        never builds the automorphisms.  A finished walk drops its frame,
-        and the last seen set with it."""
-        bits = [1 << i for i in range(len(self.join[0]) - 1)]
-        for size in range(len(bits) + 1):
-            # an orbit keeps the support size, so seen holds one size only
-            seen: set[int] = set()
-            # the sums of size bits, in the combinations order of the supports
-            for mask in map(sum, combinations(bits, size)):
-                if mask not in seen:
-                    self.cube_orbits.append(mask)
-                    yield mask
-                    seen |= orbit(mask, self.generator_tables)
-
-
-# Nodes one backtracking search of ClosureLattice.automorphisms may visit.
+# Nodes one backtracking search of automorphisms may visit.
 AUTOMORPHISM_NODE_BUDGET = 4096
 
 
@@ -569,6 +434,118 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
         flats=tuple(map(Flat, supports, codims, mobius, dense)),
         join=tuple(join),
     )
+
+
+@derived
+def automorphisms(a: Arrangement) -> tuple[tuple[int, ...], ...]:
+    """Generators of a group of lattice automorphisms, as permutations of
+    the affine indices: perm[i] is the image of hyperplane i.
+
+    A permutation qualifies when it maps every affine flat support (a
+    closure flat off the hyperplane at infinity) onto an affine flat
+    support, so it preserves the affine intersection poset, codims and
+    emptiness included.  The set is a stabiliser chain found from the
+    deepest level up: at level i, for each c > i not in the orbit of i
+    under the generators found so far (which all fix 0..i-1), one
+    backtracking search looks for the first permutation
+    fixing 0..i-1 with i -> c.  The search prunes a partial map on the
+    codim-2 flat of each pair of assigned hyperplanes and on the (codim,
+    size) profile of the affine flats through each one, and keeps a full
+    permutation only if it passes the support check.  There are at most
+    n(n-1)/2 generators, and the group itself is never enumerated.  A
+    search that exceeds AUTOMORPHISM_NODE_BUDGET nodes gives up, which can
+    only leave a subgroup.
+    """
+    n = a.n
+    lattice = closure_lattice(a)
+    flats, join = lattice.flats, lattice.join
+    affine = [support_mask(f.support) for f in flats if n not in f.support]
+    affine_set = set(affine)
+    # line[i][j]: the closure support of H_i cap H_j; bit n is set when
+    # the two are parallel
+    line = [[support_mask(flats[join[join[0][i]][j]].support)
+             for j in range(n)] for i in range(n)]
+    profile = [sorted((f.codim, len(f.support)) for f in flats
+                      if i in f.support and n not in f.support) for i in range(n)]
+
+    def first_leaf(i: int, c: int) -> tuple[int, ...] | None:
+        image = list(range(i)) + [None] * (n - i)
+        used = set(range(i))
+        nodes = 0
+
+        def fits(x: int, y: int) -> bool:
+            # every codim-2 flat on x maps onto the one on the images
+            if profile[x] != profile[y]:
+                return False
+            for u in range(x):
+                s, t = line[u][x], line[image[u]][y]
+                if s.bit_count() != t.bit_count() or s >> n != t >> n:
+                    return False
+                if any(s >> z & 1 != t >> image[z] & 1 for z in range(x)):
+                    return False
+            return True
+
+        def extend(x: int) -> bool:
+            nonlocal nodes
+            if x == n:
+                return all(support_image(s, image) in affine_set for s in affine)
+            for y in ([c] if x == i else range(n)):
+                if y in used or not fits(x, y):
+                    continue
+                nodes += 1
+                if nodes > AUTOMORPHISM_NODE_BUDGET:
+                    return False
+                image[x] = y
+                used.add(y)
+                if extend(x + 1):
+                    return True
+                used.discard(y)
+            return False
+
+        return tuple(image) if extend(i) else None
+
+    def point_orbit(i: int) -> set[int]:
+        reached, frontier = {i}, [i]
+        while frontier:
+            x = frontier.pop()
+            for perm in generators:
+                if perm[x] not in reached:
+                    reached.add(perm[x])
+                    frontier.append(perm[x])
+        return reached
+
+    generators: list[tuple[int, ...]] = []
+    for i in reversed(range(n)):
+        reached = point_orbit(i)
+        for c in range(i + 1, n):
+            if c not in reached:
+                perm = first_leaf(i, c)
+                if perm is not None:
+                    generators.append(perm)
+                    reached = point_orbit(i)
+    return tuple(generators)
+
+
+@derived
+def generator_tables(a: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The automorphisms as lookup tables on support bitmasks, one
+    byte_tables(perm) per generator."""
+    return tuple(map(byte_tables, automorphisms(a)))
+
+
+@derived
+def cube_representatives(a: Arrangement, size: int) -> tuple[int, ...]:
+    """The first support mask of each orbit of the shift cube {-1, 0}^n
+    among the masks of size bits (an orbit keeps the size), in combinations
+    order.  Sizes 0 and n hold one mask each, so they read no automorphisms."""
+    seen: set[int] = set()
+    found = []
+    for mask in map(sum, combinations([1 << i for i in range(a.n)], size)):
+        if mask not in seen:
+            found.append(mask)
+            if 0 < size < a.n:
+                seen |= orbit(mask, generator_tables(a))
+    return tuple(found)
 
 
 @derived

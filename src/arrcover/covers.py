@@ -28,10 +28,10 @@ check, early stop or Euler closure.  Any subgroup of the automorphisms is
 sound, so a capped generator search only skips fewer shifts.  The sweep and
 the group both work on support bitmasks (bit i set where s_i = -1); a shift
 tuple is built only for a candidate that is evaluated.  The orbits depend on
-the lattice, not on k, so the stream of orbit representatives belongs to the
-closure lattice: it walks the cube once per arrangement, as far as some
-sweep has asked, and every resonant k reads the same list.  Each generator
-acts through per-byte lookup tables built once per lattice.
+the lattice, not on k, so the orbit representatives of each support size
+are derived once per arrangement (cube_representatives), when a sweep first
+reaches that size, and every resonant k reads the same tuples.  Each
+generator acts through per-byte lookup tables built once per arrangement.
 
 The sweep also skips every shift of {-1, 0}^n whose Aomoto complex the dense
 edges prove acyclic below the top degree (Yuzvinsky, Comm. Algebra 23,
@@ -68,16 +68,17 @@ from .arrangement import (
     Arrangement,
     beta,
     betti_numbers,
-    closure_lattice,
+    cube_representatives,
     dense_edges,
     derived,
     euler_characteristic,
+    generator_tables,
     orbit,
     support_mask,
 )
 from .cyclofield import IntPoly, divisor_phis, divisors, euler_phi, tk_exponents, tk_product
 from .exactlin import cohomology_Q, cohomology_modN
-from .osalgebra import aomoto_matrices
+from .osalgebra import aomoto_matrices, integers
 from .record import record
 
 
@@ -114,7 +115,7 @@ class WeightSystem:
     def __init__(self, k_vector, modulus):
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
-        self.__dict__.update(k_vector=tuple(int(v) for v in k_vector), modulus=modulus)
+        self.__dict__.update(k_vector=integers(k_vector), modulus=modulus)
 
     @staticmethod
     def uniform(n: int, k: int) -> "WeightSystem":
@@ -360,14 +361,11 @@ def _candidates(a: Arrangement, extra_shifts):
     MAX_ENUMERATION a shift in {-1, 0}^n is held by its support bitmask and
     skipped when the orbit of a shift yielded before it holds it.
 
-    The enumeration is the lattice's: ClosureLattice.cube_representatives
-    gives the first mask of each orbit, from one list that every k of the
-    arrangement shares and that grows only as far as some sweep has asked.
-    A representative is skipped exactly when the orbit of an extra shift
-    holds it; every other mask of the cube lies in the orbit of an earlier
-    representative.  An orbit is built only when the next candidate is asked
-    for, so a sweep that stops after its first candidate never builds the
-    automorphisms.
+    The cube is read one support size at a time from cube_representatives,
+    the first mask of each orbit, derived once per arrangement and size.  A
+    representative is skipped exactly when the orbit of an extra shift holds
+    it; every other mask lies in the orbit of an earlier representative.
+    A size is derived only when a sweep first reaches it.
     """
     n = a.n
     small = n <= MAX_ENUMERATION
@@ -379,13 +377,11 @@ def _candidates(a: Arrangement, extra_shifts):
             continue
         yield shift
         if mask is not None:
-            seen |= orbit(mask, closure_lattice(a).generator_tables)
-    if not small:
-        yield (0,) * n
-        return
-    for mask in closure_lattice(a).cube_representatives():
-        if mask not in seen:
-            yield tuple(-(mask >> i & 1) for i in range(n))
+            seen |= orbit(mask, generator_tables(a))
+    for size in range(n + 1 if small else 1):
+        for mask in cube_representatives(a, size):
+            if mask not in seen:
+                yield tuple(-(mask >> i & 1) for i in range(n))
 
 
 def local_betti(
@@ -410,7 +406,7 @@ def local_betti(
         for shift in extra_shifts:
             if len(shift) != a.n:
                 raise ValueError(f"shift {shift} has length {len(shift)}, expected {a.n}")
-        extra_shifts = tuple(tuple(int(v) for v in shift) for shift in extra_shifts)
+        extra_shifts = tuple(map(integers, extra_shifts))
     resonant, trivial, nonresonant, _ = _local_table(a)
     if k in resonant:
         return _bound_intervals(a, k, extra_shifts)

@@ -298,9 +298,18 @@ def nbc_basis(a: Arrangement) -> tuple[tuple[Monomial, ...], ...]:
     return os_algebra(a).bases
 
 
+def integers(values) -> tuple[int, ...]:
+    """values as a tuple of ints; ValueError names an entry int() would change."""
+    values = tuple(values)
+    for i, v in enumerate(values):
+        if int(v) != v:
+            raise ValueError(f"entry {i}, {v!r}, is not an integer")
+    return tuple(map(int, values))
+
+
 def aomoto_matrices(a: Arrangement, weights) -> AomotoComplex:
     """The complex (A_Z, a_k wedge) for an integer weight vector k."""
-    weights = tuple(int(w) for w in weights)
+    weights = integers(weights)
     if len(weights) != a.n:
         raise ValueError(f"expected {a.n} weights, got {len(weights)}")
     return AomotoComplex(os_algebra(a), weights)

@@ -2,6 +2,9 @@
 
 import json
 import random
+import re
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +14,7 @@ from arrcover.arrangement import (
     betti_numbers,
     beta,
     build,
-    closure_lattice,
+    automorphisms,
     decone,
     euler_characteristic,
     poincare_polynomial,
@@ -41,6 +44,7 @@ from arrcover.cyclofield import (
 from arrcover.cli import main
 from arrcover.exactlin import cohomology_Q
 from arrcover.osalgebra import aomoto_matrices
+from test_geometry_oracle import braid_a4_decone
 
 # asserted closures for the one genuinely open catalog case (Ceva(3), k = 3);
 # the q=1 value is the known rank over Z_3, the others follow from the
@@ -545,6 +549,63 @@ def test_wrong_length_shift_is_rejected_at_every_k(selberg, k, shifts):
         local_betti(selberg, k, shifts)
 
 
+@pytest.mark.parametrize("entry", [1.5, "2", -0.9])
+def test_non_integer_entry_is_rejected(selberg, entry):
+    # int() would truncate 1.5 and -0.9 to a shift or weight never given
+    message = rf"^entry 4, {re.escape(repr(entry))}, is not an integer$"
+    for k in (1, 3):
+        with pytest.raises(ValueError, match=message):
+            local_betti(selberg, k, ((0, 0, 0, 0, entry),))
+    with pytest.raises(ValueError, match=message):
+        aomoto_matrices(selberg, (1, 1, 1, 1, entry))
+    with pytest.raises(ValueError, match=message):
+        WeightSystem((1, 1, 1, 1, entry), 3)
+
+
+def test_integral_entries_still_pass(selberg):
+    weights = (1, True, Fraction(2), 2.0, 1)
+    complex_ = aomoto_matrices(selberg, weights)
+    assert complex_.weights == (1, 1, 2, 2, 1)
+    assert all(type(w) is int for w in complex_.weights)
+    shift = (0, False, Fraction(-1), 0.0, 0)
+    assert local_betti(selberg, 3, (shift,)) == local_betti(selberg, 3, ((0, 0, -1, 0, 0),))
+
+
+def fake_sweep(monkeypatch, upper, dims):
+    """Make every mod-k bound read upper and every shift rank to dims."""
+    monkeypatch.setattr(covers, "cohomology_modN",
+                        lambda complex_, k: SimpleNamespace(dims=upper))
+    monkeypatch.setattr(covers, "cohomology_Q",
+                        lambda complex_, lower=None: SimpleNamespace(dims=dims))
+
+
+# (upper, dims every shift ranks to, the Euler-forced value) with one degree
+# open after the sweep, q = 3 and then q = 2; chi = b0 - b1 + b2 - b3 = -6
+EULER_CLOSURES = [((0, 1, 5, 12), (0, 1, 5, 7), 10), ((0, 1, 20, 14), (0, 1, 3, 14), 9)]
+
+
+@pytest.mark.parametrize("upper,dims,forced", EULER_CLOSURES, ids=["q3", "q2"])
+def test_euler_closure_forces_the_one_open_degree(monkeypatch, upper, dims, forced):
+    a = braid_a4_decone()
+    assert (a.ell, euler_characteristic(a)) == (3, -6)
+    fake_sweep(monkeypatch, upper, dims)
+    intervals = _bound_intervals.__wrapped__(a, 6, ())
+    assert [(iv.lower, iv.upper, iv.resolved) for iv in intervals] == [
+        (dims[q], dims[q], True) if dims[q] == upper[q] else (forced, forced, True)
+        for q in range(4)
+    ]
+
+
+@pytest.mark.parametrize("upper,dims,message", [
+    ((0, 1, 5, 9), (0, 1, 5, 7), "value 10 escapes [7..9] at q=3"),
+    ((0, 1, 20, 14), (0, 1, 10, 14), "value 9 escapes [10..20] at q=2"),
+], ids=["q3", "q2"])
+def test_euler_forced_value_outside_the_interval_is_an_error(monkeypatch, upper, dims, message):
+    fake_sweep(monkeypatch, upper, dims)
+    with pytest.raises(ArithmeticError, match=re.escape(f"Euler-forced {message}")):
+        _bound_intervals.__wrapped__(braid_a4_decone(), 6, ())
+
+
 def seventeen_lines():
     """x, y and x - y through one triple point, plus 14 seeded random lines
     in C^2: one hyperplane more than MAX_ENUMERATION."""
@@ -559,6 +620,7 @@ def seventeen_lines():
 
 def test_sweep_beyond_max_enumeration(monkeypatch):
     a = seventeen_lines()
+    built = automorphisms.cache_info().misses
     n = a.n
     assert n == MAX_ENUMERATION + 1
     zero = (0,) * n
@@ -578,4 +640,4 @@ def test_sweep_beyond_max_enumeration(monkeypatch):
     intervals = _bound_intervals.__wrapped__(a, 3, extra[2:])
     assert intervals[2].witness_shift == extra[2]
     assert swept == [aomoto_matrices(a, (7,) + (1,) * 16)]
-    assert "automorphisms" not in closure_lattice(a).__dict__
+    assert automorphisms.cache_info().misses == built

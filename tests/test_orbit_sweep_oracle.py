@@ -9,21 +9,23 @@ found by an independent search.  Intervals must also be the same after any
 reordering of the hyperplanes.
 """
 
+import pickle
 import random
 import sys
 import time
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from math import factorial
 
 import pytest
 
-from arrcover import arrangement, catalog, covers
+from arrcover import arrangement, catalog
 from arrcover.arrangement import (
     Hyperplane,
+    automorphisms,
     build,
     closure_lattice,
+    cube_representatives,
     euler_characteristic,
 )
 from arrcover.covers import _bound_intervals, _candidates, local_betti
@@ -152,7 +154,7 @@ def shift_orbits(generators, n):
 def candidates_oracle(a, extra_shifts):
     """every_candidate, less each shift of {-1, 0}^n whose orbit holds a
     shift listed before it."""
-    generators = closure_lattice(a).automorphisms
+    generators = automorphisms(a)
     seen = set()
     for shift in every_candidate(a.n, extra_shifts):
         if set(shift) <= {-1, 0}:
@@ -220,7 +222,7 @@ def test_extra_shifts_share_the_seen_set():
     # the Ceva(3) witness, a shift in its orbit and one outside the cube are
     # tried first; the enumeration then skips what their orbits cover
     a = catalog.get("ceva3").arrangement
-    perm = closure_lattice(a).automorphisms[0]
+    perm = automorphisms(a)[0]
     witness = (-1, -1, -1) + (0,) * 6
     moved = tuple(witness[perm.index(i)] for i in range(a.n))
     extra_shifts = (moved, witness, (1,) + (0,) * 8)
@@ -232,23 +234,27 @@ def test_extra_shifts_share_the_seen_set():
     assert stream[:2] == [moved, (1,) + (0,) * 8] and len(stream) == 15
 
 
+def fresh_copy(a):
+    """An equal arrangement that has derived nothing yet."""
+    return pickle.loads(pickle.dumps(a))
+
+
 def test_capped_search_keeps_every_answer(monkeypatch):
     # a capped search finds fewer generators; the sweep then skips fewer
     # shifts but returns the same intervals and witnesses
     sweeps = (("ceva3", 3), ("hessian-decone", 2), ("braid-a4-decone", 3))
-    full = {key: closure_lattice(CASES[key]()).automorphisms for key, _ in sweeps}
+    full = {key: automorphisms(CASES[key]()) for key, _ in sweeps}
     monkeypatch.setattr(arrangement, "AUTOMORPHISM_NODE_BUDGET", 3)
-    monkeypatch.setattr(covers, "closure_lattice", arrangement.closure_lattice.__wrapped__)
     for key, k in sweeps:
-        a = CASES[key]()
-        capped = arrangement.closure_lattice.__wrapped__(a).automorphisms
+        a = fresh_copy(CASES[key]())
+        capped = automorphisms(a)
         assert len(capped) < len(full[key])
         got = _bound_intervals.__wrapped__(a, k, ())
         assert as_tuples(got) == bound_intervals_oracle(a, k)
 
 
 # ---------------------------------------------------------------------------
-# The shared walk of the cube.
+# The orbit representatives every k shares.
 # ---------------------------------------------------------------------------
 
 def mixed_extras(a):
@@ -257,49 +263,38 @@ def mixed_extras(a):
     n = a.n
     inside = (0, -1, -1) + (0,) * (n - 3)
     images = (tuple(inside[perm.index(i)] for i in range(n))
-              for perm in closure_lattice(a).automorphisms)
+              for perm in automorphisms(a))
     moved = next(shift for shift in images if shift != inside)
     return (moved, (0,) * n, inside, (2,) + (0,) * (n - 1), (0,) * n)
 
 
-def test_every_k_reads_one_walk(monkeypatch):
-    # the k = 3 sweep of Ceva(3) walks all 14 orbits; k = 9 builds none
-    a = CASES["ceva3"]()
-    lattice = arrangement.closure_lattice.__wrapped__(a)
-    monkeypatch.setattr(covers, "closure_lattice", lambda _: lattice)
-    built = []
-    real_orbit = arrangement.orbit
-    monkeypatch.setattr(arrangement, "orbit",
-                        lambda mask, tables: built.append(mask) or real_orbit(mask, tables))
+def test_every_k_reads_one_walk():
+    # the k = 3 sweep of Ceva(3) reaches every support size and derives each
+    # once; k = 9 then derives none
+    a = fresh_copy(CASES["ceva3"]())
+    info = cube_representatives.cache_info()
+    misses = info.misses
     at_3 = _bound_intervals.__wrapped__(a, 3, ())
-    assert built == lattice.cube_orbits and len(built) == 14
+    assert info.misses == misses + a.n + 1
+    assert sum(len(cube_representatives(a, size)) for size in range(a.n + 1)) == 14
     at_9 = _bound_intervals.__wrapped__(a, 9, ())
-    assert len(built) == 14
+    assert info.misses == misses + a.n + 1
     assert as_tuples(at_3) == bound_intervals_oracle(a, 3)
     assert as_tuples(at_9) == bound_intervals_oracle(a, 9)
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
-def test_stream_does_not_depend_on_the_walk_state(key, monkeypatch):
+def test_stream_does_not_depend_on_the_walk_state(key):
     a = CASES[key]()
     extras = mixed_extras(a)
-    lattice = None
-    monkeypatch.setattr(covers, "closure_lattice", lambda _: lattice)
-
-    def stream(extra_shifts, fresh):
-        nonlocal lattice
-        if fresh:
-            lattice = arrangement.closure_lattice.__wrapped__(a)
-        return list(_candidates(a, extra_shifts))
-
-    cold = {extra: stream(extra, fresh=True) for extra in ((), extras)}
+    cold = {extra: list(_candidates(fresh_copy(a), extra)) for extra in ((), extras)}
     assert cold == {extra: list(candidates_oracle(a, extra)) for extra in cold}
     assert extras[2] not in cold[extras]
-    # after a full walk of the shared list
-    assert {extra: stream(extra, fresh=False) for extra in cold} == cold
-    # two readers of one fresh list, taking turns
-    lattice = arrangement.closure_lattice.__wrapped__(a)
-    readers = {extra: _candidates(a, extra) for extra in cold}
+    # once every support size is derived
+    assert {extra: list(_candidates(a, extra)) for extra in cold} == cold
+    # two readers of one fresh copy, taking turns
+    b = fresh_copy(a)
+    readers = {extra: _candidates(b, extra) for extra in cold}
     taken = {extra: [] for extra in cold}
     while readers:
         for extra, reader in list(readers.items()):
@@ -311,35 +306,28 @@ def test_stream_does_not_depend_on_the_walk_state(key, monkeypatch):
     assert taken == cold
 
 
-def test_finished_walk_releases_its_seen_set():
-    a = CASES["ceva3"]()
-    lattice = arrangement.closure_lattice.__wrapped__(a)
-    reps = lattice.cube_representatives()
-    assert next(reps) == 0
-    assert "automorphisms" not in lattice.__dict__
-    assert [next(reps) for _ in range(4)] == [0b1, 0b11, 0b111, 0b1011]
-    # the walk is suspended at the second size-3 representative; its seen
-    # set holds the orbit of the first
-    seen = weakref.ref(lattice._cube_walk.gi_frame.f_locals["seen"])
-    assert 0b111 in seen() and 0b1011 not in seen()
-    assert len(list(reps)) == 9
-    assert seen() is None and lattice._cube_walk.gi_frame is None
-    assert len(lattice.cube_orbits) == 14
+def test_first_candidate_builds_no_automorphisms():
+    # the zero shift is the one mask of size 0, which needs no orbit
+    a = fresh_copy(CASES["ceva3"]())
+    misses = automorphisms.cache_info().misses
+    assert next(_candidates(a, ())) == (0,) * a.n
+    assert automorphisms.cache_info().misses == misses
 
 
 def test_threads_share_one_walk():
-    # four threads read one fresh list while the interpreter switches often
+    # four threads read the stream of one fresh copy while the interpreter
+    # switches often, and each reads the single-thread stream
     a = CASES["hessian-decone"]()
-    want = list(arrangement.closure_lattice.__wrapped__(a).cube_representatives())
-    lattice = arrangement.closure_lattice.__wrapped__(a)
+    want = list(_candidates(a, ()))
+    b = fresh_copy(a)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as pool:
-            got = list(pool.map(lambda _: list(lattice.cube_representatives()), range(4)))
+            got = list(pool.map(lambda _: list(_candidates(b, ())), range(4)))
     finally:
         sys.setswitchinterval(interval)
-    assert got == [want] * 4 and lattice.cube_orbits == want
+    assert got == [want] * 4 and len(want) == 120
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +337,8 @@ def test_threads_share_one_walk():
 @pytest.mark.parametrize("key", sorted(CASES) + sorted(OTHERS))
 def test_generators_preserve_affine_supports(key):
     a = arrangement_of(key)
-    lattice = closure_lattice(a)
-    affine = {frozenset(f.support) for f in lattice.flats if a.n not in f.support}
-    for perm in lattice.automorphisms:
+    affine = {frozenset(f.support) for f in closure_lattice(a).flats if a.n not in f.support}
+    for perm in automorphisms(a):
         assert sorted(perm) == list(range(a.n))
         assert {image(s, perm) for s in affine} == affine
 
@@ -363,7 +350,7 @@ def test_generators_preserve_affine_supports(key):
 )
 def test_group_orders_and_shift_orbits(key, order, orbits):
     a = CASES[key]()
-    generators = closure_lattice(a).automorphisms
+    generators = automorphisms(a)
     group = group_elements(generators, a.n)
     assert len(group) == chain_order(generators, a.n) == order
     assert shift_orbits(generators, a.n) == orbits
@@ -376,9 +363,9 @@ def test_generator_search_is_bounded():
     # every permutation of 16 generic planes is an automorphism; the search
     # returns a stabiliser chain of S_16 without enumerating the group
     a = generic_central(16)
-    lattice = closure_lattice(a)
+    closure_lattice(a)  # built before the clock starts
     start = time.perf_counter()
-    generators = lattice.automorphisms
+    generators = automorphisms(a)
     assert time.perf_counter() - start < 1.0
     assert len(generators) <= a.n * (a.n - 1) // 2
     assert chain_order(generators, a.n) == factorial(16)

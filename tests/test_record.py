@@ -33,10 +33,11 @@ from arrcover.covers import (
     PeriodicityReport,
     WeightSystem,
     ZetaReport,
+    local_betti,
 )
 from arrcover.cyclofield import CycNum, IntPoly, cyc_reduce
 from arrcover.exactlin import CohomologyProfile, SnfResult
-from arrcover.osalgebra import AomotoComplex, OSAlgebra
+from arrcover.osalgebra import AomotoComplex, OSAlgebra, aomoto_matrices
 from arrcover.record import record
 
 
@@ -172,9 +173,20 @@ def test_init_normalizes_its_fields():
 def test_a_class_keeps_its_own_hash_and_cached_properties():
     a = catalog.get("selberg").arrangement
     assert hash(a) == hash((a.ambient_dim, a.cyc_order, a.hyperplanes, a.is_central))
-    lattice = closure_lattice(a)
-    assert lattice.automorphisms is lattice.automorphisms
-    assert "automorphisms" in vars(lattice)
+    complex_ = aomoto_matrices(a, (1,) * a.n)
+    assert "diffs" not in vars(complex_)
+    assert complex_.diffs is complex_.diffs
+    assert "diffs" in vars(complex_)
+
+
+@pytest.mark.parametrize("key", ["selberg", "maclane-decone", "hessian-decone", "ceva3"])
+def test_closure_lattice_holds_its_fields_only(key):
+    # what a sweep derives from the lattice is kept by arrangement.derived,
+    # so after local_betti at every k the lattice is still (flats, join)
+    a = catalog.get(key).arrangement
+    for k in range(1, a.n + 1):
+        local_betti(a, k)
+    assert vars(closure_lattice(a)).keys() == {"flats", "join"}
 
 
 def test_record_on_a_new_class():
