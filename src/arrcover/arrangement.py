@@ -90,10 +90,11 @@ _derived_lock = Lock()
 
 
 def derived(fn):
-    """fn(a, *args), computed once per live arrangement a and args and kept
-    in _derived, not on a, so a pickles without it; weakref.finalize drops
-    a's values when a is collected, before its id is reused.  Threads that
-    miss together each compute, and all get the first value stored."""
+    """fn(a, *args), computed once per live value a (an arrangement or its
+    algebra) and args and kept in _derived, not on a, so a pickles without
+    it; weakref.finalize drops a's values when a is collected, before its id
+    is reused.  Threads that miss together each compute, and all get the
+    first value stored."""
     info = SimpleNamespace(misses=0)
 
     def once(a, *args):

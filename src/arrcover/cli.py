@@ -221,7 +221,7 @@ def _cmd_os(args) -> int:
                 "cols": len(bases[q]),
                 "entries": [[r, c, v] for r, row in enumerate(d) for c, v in enumerate(row) if v],
             }
-            for q, d in enumerate(complex_.diffs)
+            for q, d in enumerate(map(complex_.differential, range(len(bases))))
         ]
         payload["differentials"] = differentials
         lines.append(f"differentials for weights {list(weights)}:")

@@ -11,10 +11,10 @@ D_q D_{q-1} = 0: the rank mod p bounds the rank over Q from below, and
 n_q - rank D_{q-1} and the row count bound it from above.  Only where the
 bounds differ does it run the fraction-free rank.  Everything is
 arbitrary-precision.  The ranks mod p of a whole complex come from the
-generators of its algebra, packed once per prime (OSAlgebra.packed): each
+generators of its algebra, packed once per prime (osalgebra.packed): each
 column of D_q is a short sum of packed generator columns, and the columns at
-the pivot rows of D_{q-1} are left out.  Dense integer rows
-(AomotoComplex.diffs) are built only for the fraction-free rank.
+the pivot rows of D_{q-1} are left out.  A dense D_q
+(AomotoComplex.differential) is built only for its fraction-free rank.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import le
 
 from .cyclofield import factorize
-from .osalgebra import AomotoComplex
+from .osalgebra import AomotoComplex, packed
 from .record import record
 
 # The prime whose F_p ranks cohomology_Q certifies as ranks over Q.  A small
@@ -153,21 +153,21 @@ def _eliminate(vectors, slots: int, width: int, p: int):
 
 def _ranks_mod_p(complex_: AomotoComplex, p: int) -> list[int]:
     """[rank_p D_q for every degree q] of a complex, top differential (0)
-    included, from the generators packed mod p (OSAlgebra.packed).
+    included, from the generators packed mod p (osalgebra.packed).
 
     Column c of D_q is base[c] + sum of f_h*gens[h][c] over the h with
     f_h = (w_h - 1) mod p nonzero; a sweep shift moves few weights off 1, so
     the sum is short.  The columns at the pivot slots P of D_{q-1} are left
     out.  That keeps the rank: D_{q-1} has rank |P| on the rows P, so its
     image holds, for each j in P, a vector e_j + u with u zero on P, and
-    D_q D_{q-1} = 0 (proved by OSAlgebra.packed) gives D_q e_j = -D_q u, a
+    D_q D_{q-1} = 0 (proved by osalgebra.packed) gives D_q e_j = -D_q u, a
     combination of the columns outside P.
     """
     sizes = complex_.dims()
     terms = [(h, (w - 1) % p) for h, w in enumerate(complex_.weights) if (w - 1) % p]
     ranks = []
     pivots = ()
-    for q, (width, base, gens) in enumerate(complex_.algebra.packed(p)):
+    for q, (width, base, gens) in enumerate(packed(complex_.algebra, p)):
         skip = set(pivots)
         keep = [c for c in range(sizes[q]) if c not in skip]
         vectors = [base[c] for c in keep]
@@ -257,12 +257,12 @@ def cohomology_Q(complex_: AomotoComplex, lower=None) -> CohomologyProfile:
     in for rational weight systems.
 
     Each rank r_q of D_q is certified from its rank mod CERTIFICATE_PRIME,
-    which needs D_q D_{q-1} = 0; OSAlgebra.packed proves that once per
+    which needs D_q D_{q-1} = 0; osalgebra.packed proves that once per
     algebra, for every weight vector, and raises ArithmeticError if not.
     With r_{-1} = 0, lo = rank_p(D_q) is at most r_q (a minor nonzero mod p
     is a nonzero integer), and r_q is at most hi = min(rows of D_q,
     n_q - r_{q-1}) (im D_{q-1} lies in ker D_q).  So lo == hi fixes r_q;
-    only lo < hi takes the exact Bareiss rank of the dense D_q, and lo > hi
+    only lo < hi builds the dense D_q for its exact Bareiss rank, and lo > hi
     raises ArithmeticError: the input is not a complex.
 
     With lower, a sequence of per-degree dims, a complex whose dims are
@@ -288,7 +288,7 @@ def cohomology_Q(complex_: AomotoComplex, lower=None) -> CohomologyProfile:
             estimate = dims + [nq - lo - r_in, rows[q] - lo]
             if all(map(le, estimate, lower)):
                 return CohomologyProfile("rationals-upper-bound", tuple(estimate))
-        r_out = lo if lo == hi else rank_over_Q(complex_.diffs[q])
+        r_out = lo if lo == hi else rank_over_Q(complex_.differential(q))
         dims.append(nq - r_out - r_in)
         r_in = r_out
     return CohomologyProfile("rationals", tuple(dims))

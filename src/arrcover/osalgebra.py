@@ -18,8 +18,8 @@ arrangement has one owner, the immutable OSAlgebra built once by os_algebra:
 NBC bases and the nonzero entries of every generator e_H wedge.  The Aomoto
 differential for an integer weight vector k is left multiplication by
 sum(k_H e_H).  An AomotoComplex is just (algebra, weights): the ranks mod p
-are read from the generators packed once per prime (OSAlgebra.packed), and
-dense integer rows are built only when asked for (AomotoComplex.diffs).
+are read from the generators packed once per algebra and prime (packed), and
+a dense D_q is built only when asked for (AomotoComplex.differential).
 
 No linear algebra happens here: both the NBC test and straightening fold
 tuples through the join table of the closure lattice
@@ -29,7 +29,6 @@ semilattice.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .arrangement import Arrangement, ClosureLattice, closure_lattice, derived
@@ -45,81 +44,10 @@ class OSAlgebra:
     bases[q] lists the NBC monomials of degree q.  generators[h][q] holds the
     nonzero (row, col, coeff) entries, sorted and one per (row, col), of e_h
     wedge from degree q to q+1: rows index bases[q+1], columns bases[q].
-    packed(p) keeps the generators packed mod p on the instance, one entry
-    per prime asked for.
     """
 
     bases: tuple[tuple[Monomial, ...], ...]
     generators: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
-
-    def __init__(self, bases, generators):
-        self.__dict__.update(bases=bases, generators=generators, _packed={})
-
-    def packed(self, p: int):
-        """Per degree q below the top: (width, base, gens), the columns of
-        the generators from degree q to q+1 packed mod p.
-
-        gens[h][c] is column c of e_h wedge as one int with a width-bit slot
-        per monomial of bases[q+1] (row r at bit r*width), each entry reduced
-        into [0, p); base[c] = sum of gens[h][c] over h is column c of the
-        differential at all-ones weights.  For weights w, column c of the
-        differential is base[c] + sum of f_h*gens[h][c] mod p over the h
-        with f_h = (w_h - 1) mod p nonzero, whose slots start below
-        n*(p - 1)*p < n*p^2.  With n_q more additions below p^2 each, one per
-        pivot of exactlin's elimination over the n_q columns, a slot stays
-        below (n + n_q)*p^2 < 2^(width - 1) for
-        width = 2*bitlen(p) + bitlen(2n + n_q) + 1.
-
-        The first call proves that the algebra gives a complex for every
-        weight vector (_check_complex) and raises ArithmeticError if not.
-        """
-        packed = self._packed
-        if p not in packed:
-            if not packed:
-                self._check_complex()
-            packed[p] = self._pack(p)
-        return packed[p]
-
-    def _pack(self, p: int):
-        levels = []
-        for q in range(len(self.bases) - 1):
-            nq = len(self.bases[q])
-            width = 2 * p.bit_length() + (2 * len(self.generators) + nq).bit_length() + 1
-            gens = []
-            for per_q in self.generators:
-                columns = [0] * nq
-                for r, c, v in per_q[q]:
-                    columns[c] += (v % p) << (r * width)
-                gens.append(tuple(columns))
-            levels.append((width, tuple(map(sum, zip(*gens))), tuple(gens)))
-        return tuple(levels)
-
-    def _check_complex(self) -> None:
-        """Prove over Z that e_h e_h' + e_h' e_h = 0 as maps from each degree
-        q to q+2, for all h <= h' (for h = h' that is 2 e_h e_h = 0).  Then
-        (sum_h w_h e_h)^2 = sum_h w_h^2 e_h e_h
-        + sum_{h < h'} w_h w_h' (e_h e_h' + e_h' e_h) = 0 for every weight
-        vector w, so each AomotoComplex of the algebra is a complex.
-        """
-        n = len(self.generators)
-        for q in range(len(self.bases) - 2):
-            after = []
-            for per_q in self.generators:
-                by_col: dict[int, list[tuple[int, int]]] = {}
-                for r, c, v in per_q[q + 1]:
-                    by_col.setdefault(c, []).append((r, v))
-                after.append(by_col)
-            for h, h2 in combinations_with_replacement(range(n), 2):
-                product: dict[tuple[int, int], int] = {}
-                for first, second in ((h, h2), (h2, h)):
-                    outer = after[second]
-                    for r, c, v in self.generators[first][q]:
-                        for r2, v2 in outer.get(r, ()):
-                            product[r2, c] = product.get((r2, c), 0) + v * v2
-                if any(product.values()):
-                    raise ArithmeticError(
-                        f"e_{h} e_{h2} + e_{h2} e_{h} is nonzero on degree {q}: not a complex"
-                    )
 
 
 @record
@@ -127,11 +55,9 @@ class AomotoComplex:
     """The complex (A, a_k wedge) of an OSAlgebra and an integer weight
     vector k: D_q maps degree q to degree q+1 by sum(k_h e_h) wedge.
 
-    diffs[q] is D_q as a dense tuple of integer rows, one row per monomial of
-    algebra.bases[q+1], one column per monomial of algebra.bases[q]; the top
-    differential has no rows.  It is built on first use: the ranks mod p
-    read the packed generators instead, and only the CLI's matrices, the
-    Bareiss fallback and the tests read diffs.
+    The ranks mod p read the generators packed once per prime (packed);
+    only the CLI's matrices, the Bareiss fallback and the tests build the
+    dense differential of a degree.
     """
 
     algebra: OSAlgebra
@@ -140,19 +66,19 @@ class AomotoComplex:
     def dims(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.algebra.bases)
 
-    @cached_property
-    def diffs(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def differential(self, q: int) -> tuple[tuple[int, ...], ...]:
+        """D_q as a dense tuple of integer rows, one row per monomial of
+        algebra.bases[q+1], one column per monomial of algebra.bases[q]; the
+        top differential has no rows."""
         bases = self.algebra.bases
-        diffs = []
-        for q in range(len(bases) - 1):
-            rows = [[0] * len(bases[q]) for _ in bases[q + 1]]
-            for w, per_q in zip(self.weights, self.algebra.generators):
-                if w:
-                    for r, c, v in per_q[q]:
-                        rows[r][c] += w * v
-            diffs.append(tuple(map(tuple, rows)))
-        diffs.append(())
-        return tuple(diffs)
+        if q == len(bases) - 1:
+            return ()
+        rows = [[0] * len(bases[q]) for _ in bases[q + 1]]
+        for w, per_q in zip(self.weights, self.algebra.generators):
+            if w:
+                for r, c, v in per_q[q]:
+                    rows[r][c] += w * v
+        return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +215,70 @@ def os_algebra(a: Arrangement) -> OSAlgebra:
     return OSAlgebra(bases=bases, generators=tuple(generators))
 
 
+@derived
+def _check_complex(algebra: OSAlgebra) -> None:
+    """Prove over Z that e_h e_h' + e_h' e_h = 0 as maps from each degree q
+    to q+2, for all h <= h' (for h = h' that is 2 e_h e_h = 0).  Then
+    (sum_h w_h e_h)^2 = sum_h w_h^2 e_h e_h
+    + sum_{h < h'} w_h w_h' (e_h e_h' + e_h' e_h) = 0 for every weight
+    vector w, so each AomotoComplex of the algebra is a complex.  A proof
+    that fails raises ArithmeticError and stores nothing.
+    """
+    n = len(algebra.generators)
+    for q in range(len(algebra.bases) - 2):
+        after = []
+        for per_q in algebra.generators:
+            by_col: dict[int, list[tuple[int, int]]] = {}
+            for r, c, v in per_q[q + 1]:
+                by_col.setdefault(c, []).append((r, v))
+            after.append(by_col)
+        for h, h2 in combinations_with_replacement(range(n), 2):
+            product: dict[tuple[int, int], int] = {}
+            for first, second in ((h, h2), (h2, h)):
+                outer = after[second]
+                for r, c, v in algebra.generators[first][q]:
+                    for r2, v2 in outer.get(r, ()):
+                        product[r2, c] = product.get((r2, c), 0) + v * v2
+            if any(product.values()):
+                raise ArithmeticError(
+                    f"e_{h} e_{h2} + e_{h2} e_{h} is nonzero on degree {q}: not a complex"
+                )
+
+
+@derived
+def packed(algebra: OSAlgebra, p: int):
+    """Per degree q below the top: (width, base, gens), the columns of the
+    generators from degree q to q+1 packed mod p.
+
+    gens[h][c] is column c of e_h wedge as one int with a width-bit slot per
+    monomial of bases[q+1] (row r at bit r*width), each entry reduced into
+    [0, p); base[c] = sum of gens[h][c] over h is column c of the
+    differential at all-ones weights.  For weights w, column c of the
+    differential is base[c] + sum of f_h*gens[h][c] mod p over the h with
+    f_h = (w_h - 1) mod p nonzero, whose slots start below
+    n*(p - 1)*p < n*p^2.  With n_q more additions below p^2 each, one per
+    pivot of exactlin's elimination over the n_q columns, a slot stays below
+    (n + n_q)*p^2 < 2^(width - 1) for
+    width = 2*bitlen(p) + bitlen(2n + n_q) + 1.
+
+    Packing first proves, once per algebra, that the algebra gives a complex
+    (_check_complex), and raises ArithmeticError if not.
+    """
+    _check_complex(algebra)
+    levels = []
+    for q in range(len(algebra.bases) - 1):
+        nq = len(algebra.bases[q])
+        width = 2 * p.bit_length() + (2 * len(algebra.generators) + nq).bit_length() + 1
+        gens = []
+        for per_q in algebra.generators:
+            columns = [0] * nq
+            for r, c, v in per_q[q]:
+                columns[c] += (v % p) << (r * width)
+            gens.append(tuple(columns))
+        levels.append((width, tuple(map(sum, zip(*gens))), tuple(gens)))
+    return tuple(levels)
+
+
 def nbc_basis(a: Arrangement) -> tuple[tuple[Monomial, ...], ...]:
     """Per-degree NBC monomials: independent tuples with no broken circuit.
 
@@ -299,11 +289,16 @@ def nbc_basis(a: Arrangement) -> tuple[tuple[Monomial, ...], ...]:
 
 
 def integers(values) -> tuple[int, ...]:
-    """values as a tuple of ints; ValueError names an entry int() would change."""
+    """values as a tuple of ints; ValueError names an entry that int() would
+    change or cannot convert."""
     values = tuple(values)
     for i, v in enumerate(values):
-        if int(v) != v:
-            raise ValueError(f"entry {i}, {v!r}, is not an integer")
+        try:
+            if int(v) == v:
+                continue
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ValueError(f"entry {i}, {v!r}, is not an integer")
     return tuple(map(int, values))
 
 

@@ -5,11 +5,9 @@ adds field-wise equality, hashing and a ``Name(field=value, ...)`` repr, and
 makes assignment and deletion of attributes raise.  A class that does not
 define ``__init__`` gets one that stores its fields, given by position or by
 keyword, in ``self.__dict__``.  Only a class that validates or normalises its
-arguments, or holds private per-instance state, writes its own.  Nothing is
-generated as source, so defining a record class costs a few closures;
-``dataclasses`` would import ``inspect`` and compile every method with
-``exec``.  Instances keep a ``__dict__``, so ``cached_property`` works on
-them.
+arguments writes its own.  Nothing is generated as source, so defining a
+record class costs a few closures; ``dataclasses`` would import ``inspect``
+and compile every method with ``exec``.
 """
 
 from operator import attrgetter

@@ -183,9 +183,10 @@ def test_criterion_5_property_suites(catalog_arrangements):
             # differentials square to zero
             for weights in [(1,) * a.n, tuple(rng.randint(-3, 3) for _ in range(a.n))]:
                 cx = aomoto_matrices(a, weights)
-                for q in range(len(cx.diffs) - 1):
-                    if cx.diffs[q + 1] and any(any(row) for row in cx.diffs[q]):
-                        product = _mat_mul(cx.diffs[q + 1], cx.diffs[q])
+                for q in range(len(cx.dims()) - 1):
+                    upper, lower = cx.differential(q + 1), cx.differential(q)
+                    if upper and any(any(row) for row in lower):
+                        product = _mat_mul(upper, lower)
                         assert all(v == 0 for row in product for v in row)
 
             # NBC counts match Poincare coefficients

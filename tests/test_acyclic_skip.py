@@ -177,7 +177,7 @@ def test_central_sweep_skips_the_zero_shift(monkeypatch):
 def exact_dims(complex_):
     """Aomoto dims from the Bareiss rank of every differential."""
     sizes = complex_.dims()
-    ranks = [rank_over_Q(d) for d in complex_.diffs] + [0]
+    ranks = [rank_over_Q(complex_.differential(q)) for q in range(len(sizes))] + [0]
     return tuple(n - ranks[q] - (ranks[q - 1] if q else 0) for q, n in enumerate(sizes))
 
 

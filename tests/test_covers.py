@@ -549,9 +549,10 @@ def test_wrong_length_shift_is_rejected_at_every_k(selberg, k, shifts):
         local_betti(selberg, k, shifts)
 
 
-@pytest.mark.parametrize("entry", [1.5, "2", -0.9])
+@pytest.mark.parametrize("entry", [1.5, "2", -0.9, float("inf"), float("nan"), None, "x"])
 def test_non_integer_entry_is_rejected(selberg, entry):
-    # int() would truncate 1.5 and -0.9 to a shift or weight never given
+    # int() would truncate 1.5 and -0.9 to a shift or weight never given, and
+    # raises on inf, nan, None and "x" without naming the entry
     message = rf"^entry 4, {re.escape(repr(entry))}, is not an integer$"
     for k in (1, 3):
         with pytest.raises(ValueError, match=message):

@@ -17,7 +17,14 @@ from arrcover.exactlin import (
     rank_over_Q,
     smith_normal_form,
 )
-from arrcover.osalgebra import AomotoComplex, OSAlgebra, aomoto_matrices, os_algebra
+from arrcover.osalgebra import (
+    AomotoComplex,
+    OSAlgebra,
+    _check_complex,
+    aomoto_matrices,
+    os_algebra,
+    packed,
+)
 from rank_mod_p import rank_mod_p
 from resonance import is_nonresonant
 from test_geometry_oracle import braid_a4_decone
@@ -82,7 +89,7 @@ def rank_fraction_oracle(m):
 
 def bareiss_dims(complex_):
     """n_q - r_q - r_{q-1} with every rank taken by rank_over_Q."""
-    ranks = [rank_over_Q(d) for d in complex_.diffs]
+    ranks = [rank_over_Q(complex_.differential(q)) for q in range(len(complex_.dims()))]
     return tuple(
         nq - ranks[q] - (ranks[q - 1] if q > 0 else 0)
         for q, nq in enumerate(complex_.dims())
@@ -253,10 +260,23 @@ def test_cohomology_Q_weights_scaled_by_the_prime(catalog_arrangements):
 
 
 def test_cohomology_Q_rejects_a_non_complex():
-    # D_1 D_0 = [[1]] != 0: OSAlgebra.packed's proof that the algebra gives a
-    # complex finds e_0 e_0 != 0 before any rank is taken
-    with pytest.raises(ArithmeticError):
-        cohomology_Q(complex_of((1, 1, 1), ((1,),), ((1,),)))
+    # D_1 D_0 = [[1]] != 0: osalgebra.packed's proof that the algebra gives a
+    # complex finds e_0 e_0 != 0 before any rank is taken; a failed proof
+    # stores nothing, so every later call fails it again
+    complex_ = complex_of((1, 1, 1), ((1,),), ((1,),))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            cohomology_Q(complex_)
+
+
+def test_the_complex_is_proved_once_per_algebra(selberg):
+    algebra = os_algebra(selberg)
+    # an equal algebra that has derived nothing yet
+    fresh = OSAlgebra(algebra.bases, algebra.generators)
+    proofs = _check_complex.cache_info().misses
+    for p in (2, 3, CERTIFICATE_PRIME):
+        assert packed(fresh, p) == packed(algebra, p)
+    assert _check_complex.cache_info().misses == proofs + 1
 
 
 @pytest.mark.parametrize("key", catalog.entries())
@@ -309,7 +329,8 @@ def test_ranks_mod_p_match_dense_ranks(key, p):
     ]
     for weights in weight_vectors:
         complex_ = aomoto_matrices(a, weights)
-        assert _ranks_mod_p(complex_, p) == [rank_mod_p(d, p) for d in complex_.diffs], weights
+        dense = map(complex_.differential, range(len(complex_.dims())))
+        assert _ranks_mod_p(complex_, p) == [rank_mod_p(d, p) for d in dense], weights
 
 
 @pytest.mark.parametrize("key", SWEEP_ARRANGEMENTS)
@@ -380,7 +401,8 @@ def test_modN_prime_path_agreement(catalog_arrangements):
         sizes = complex_.dims()
         for p in (2, 3, 5, 7):
             snf_dims = cohomology_modN(complex_, p).dims
-            ranks = [rank_mod_p(m, p) if m else 0 for m in complex_.diffs]
+            ranks = [rank_mod_p(m, p) if m else 0
+                     for m in map(complex_.differential, range(len(sizes)))]
             for q, nq in enumerate(sizes):
                 expected = nq - ranks[q] - (ranks[q - 1] if q > 0 else 0)
                 assert snf_dims[q] == expected

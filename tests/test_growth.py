@@ -1,10 +1,12 @@
 """Aim 3's growth contract, checked by counts rather than timings.
 
 What the package keeps grows with the arrangements alive, never with the
-arrangements seen: every value derived from an arrangement is held under
-that arrangement by one owner (arrangement.derived) and dropped when the
-arrangement is collected.  A caller that analyses many inputs one after
-another, dropping each, is left with nothing.
+arrangements seen: every value derived from an arrangement, or from its
+algebra, is held under that value by one owner (arrangement.derived) and
+dropped when it is collected.  A caller that analyses many inputs one after
+another, dropping each, is left with nothing.  The work of a cover grows
+with n and ell, never with m: m is factorised once, and a characteristic
+polynomial above MAX_EXPANDED_DEGREE is not expanded.
 """
 
 import gc
@@ -13,8 +15,10 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
-from arrcover import arrangement
-from arrcover.covers import cover_betti, local_betti
+from arrcover import arrangement, catalog, covers, cyclofield
+from arrcover.covers import cover_betti, local_betti, monodromy_charpoly
+from arrcover.exactlin import CERTIFICATE_PRIME
+from arrcover.osalgebra import OSAlgebra, os_algebra, packed
 from bench_inputs import braid_decone
 
 SEEDS = range(20)
@@ -29,12 +33,15 @@ def test_dropped_arrangements_leave_no_derived_values():
             local_betti(a, k)
         # the divisors 1, 2 and 4 of braid A4 decones are resolved
         assert cover_betti(a, 4).exact
+        # the algebra's packed generators are held by the owner, under the
+        # algebra, not on it
+        assert id(os_algebra(a)) in arrangement._derived
         refs.append(weakref.ref(a))
-        ids.append(id(a))
+        ids += [id(a), id(os_algebra(a))]
         del a
     gc.collect()
     assert [seed for seed, ref in zip(SEEDS, refs) if ref() is not None] == []
-    # no arrangement created since can hold one of these ids
+    # no arrangement or algebra created since can hold one of these ids
     assert [i for i in ids if i in arrangement._derived] == []
     # each input built its lattice once, for its nine k and its cover
     assert arrangement.closure_lattice.cache_info().misses == lattices + len(SEEDS)
@@ -66,3 +73,62 @@ def test_threads_that_miss_together_share_the_first_value():
             assert key not in arrangement._derived
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_that_pack_together_share_the_first_packing():
+    hessian = os_algebra(catalog.get("hessian-decone").arrangement)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            # an equal algebra that has derived nothing yet
+            algebra = OSAlgebra(hessian.bases, hessian.generators)
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(packed, algebra, CERTIFICATE_PRIME) for _ in range(4)]
+                got = [future.result(timeout=60) for future in futures]
+            assert all(value is got[0] for value in got)
+            assert got[0] == packed(hessian, CERTIFICATE_PRIME)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# 10^18 + 3 is prime: trial division runs to its limit of 10^6 before the
+# Miller-Rabin test accepts the cofactor, so one factorisation takes about
+# 0.1 s and a second one would double the work of a cover at this m.
+LARGE_PRIME = 10**18 + 3
+
+
+def count_factorizations(monkeypatch, m):
+    calls = []
+    factorize = cyclofield.factorize
+
+    def counted(k):
+        calls.append(k)
+        return factorize(k)
+
+    monkeypatch.setattr(cyclofield, "factorize", counted)
+    return lambda: calls.count(m)
+
+
+def test_cover_betti_factorises_m_once(monkeypatch, selberg):
+    factorizations = count_factorizations(monkeypatch, LARGE_PRIME)
+    report = cover_betti(selberg, LARGE_PRIME)
+    assert factorizations() == 1
+    assert report.betti == (1, 5, 2 * LARGE_PRIME + 4) and report.exact
+
+
+def test_charpoly_factorises_m_once_and_expands_nothing(monkeypatch, selberg):
+    factorizations = count_factorizations(monkeypatch, LARGE_PRIME)
+    products = []
+    tk_product = covers.tk_product
+
+    def counted(factors):
+        products.append(factors)
+        return tk_product(factors)
+
+    monkeypatch.setattr(covers, "tk_product", counted)
+    report = monodromy_charpoly(selberg, LARGE_PRIME, 2)
+    assert factorizations() == 1
+    # the degree, b_2(X_m) = 2m + 4, is above MAX_EXPANDED_DEGREE
+    assert report.expanded is None and products == []
+    assert report.exponents == ((1, 6), (LARGE_PRIME, 2))

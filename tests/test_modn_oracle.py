@@ -84,7 +84,7 @@ def min_generators_oracle(d_out, d_prev, nq, N):
 
 def oracle_profile(complex_, N):
     sizes = complex_.dims()
-    diffs = complex_.diffs
+    diffs = [complex_.differential(q) for q in range(len(sizes))]
     dims = []
     for q, nq in enumerate(sizes):
         d_prev = diffs[q - 1] if q > 0 else [[] for _ in range(nq)]
@@ -237,7 +237,7 @@ def snf_min_generators(d_out, d_prev, nq, n_prev, N):
 
 def snf_profile(complex_, N):
     sizes = complex_.dims()
-    diffs = complex_.diffs
+    diffs = [complex_.differential(q) for q in range(len(sizes))]
     dims = []
     for q, nq in enumerate(sizes):
         d_prev = diffs[q - 1] if q > 0 else [[] for _ in range(nq)]

@@ -109,12 +109,13 @@ def test_straighten_zeroes_dependent_tuples_and_yields_nbc_monomials():
 
 def test_zero_weights_give_zero_differentials(selberg):
     complex_ = aomoto_matrices(selberg, (0,) * 5)
-    assert all(v == 0 for d in complex_.diffs for row in d for v in row)
+    for q in range(len(complex_.dims())):
+        assert all(v == 0 for row in complex_.differential(q) for v in row)
 
 
 def test_selberg_degree0_differential(selberg):
     complex_ = aomoto_matrices(selberg, (1,) * 5)
-    assert complex_.diffs[0] == ((1,), (1,), (1,), (1,), (1,))
+    assert complex_.differential(0) == ((1,), (1,), (1,), (1,), (1,))
 
 
 def test_differentials_square_to_zero(catalog_arrangements):
@@ -123,9 +124,9 @@ def test_differentials_square_to_zero(catalog_arrangements):
     for a in [*catalog_arrangements.values(), *oracle_cases]:
         for weights in [(1,) * a.n, tuple(rng.randint(-3, 3) for _ in range(a.n))]:
             complex_ = aomoto_matrices(a, weights)
-            for q in range(len(complex_.diffs) - 1):
-                upper = complex_.diffs[q + 1]
-                lower = complex_.diffs[q]
+            for q in range(len(complex_.dims()) - 1):
+                upper = complex_.differential(q + 1)
+                lower = complex_.differential(q)
                 if not upper or is_zero_matrix(lower):
                     continue
                 assert is_zero_matrix(mat_mul(upper, lower)), (a.n, q)
@@ -135,7 +136,8 @@ def test_differential_shapes_match_bases(catalog_arrangements):
     for a in catalog_arrangements.values():
         complex_ = aomoto_matrices(a, (1,) * a.n)
         sizes = complex_.dims()
-        for q, diff in enumerate(complex_.diffs):
+        for q in range(len(sizes)):
+            diff = complex_.differential(q)
             assert all(len(row) == sizes[q] for row in diff)
             assert len(diff) == (sizes[q + 1] if q + 1 < len(sizes) else 0)
 

@@ -4,8 +4,8 @@ Every immutable class of the package is a ``record``: construction by
 position or keyword, field-wise equality within one class, the hash of the
 field tuple, a ``Name(field=value, ...)`` repr and no assignment or
 deletion.  ``record`` supplies the ``__init__`` of a class that defines
-none; only the classes that validate or normalise their arguments, or hold
-private per-instance state, write their own.
+none; only the classes that validate or normalise their arguments write
+their own.
 """
 
 import ast
@@ -36,8 +36,8 @@ from arrcover.covers import (
     local_betti,
 )
 from arrcover.cyclofield import CycNum, IntPoly, cyc_reduce
-from arrcover.exactlin import CohomologyProfile, SnfResult
-from arrcover.osalgebra import AomotoComplex, OSAlgebra, aomoto_matrices
+from arrcover.exactlin import CohomologyProfile, SnfResult, cohomology_Q
+from arrcover.osalgebra import AomotoComplex, OSAlgebra, aomoto_matrices, os_algebra
 from arrcover.record import record
 
 
@@ -170,23 +170,27 @@ def test_init_normalizes_its_fields():
     assert Hyperplane(one, [one]).coeffs == (one,)
 
 
-def test_a_class_keeps_its_own_hash_and_cached_properties():
+def test_a_class_keeps_its_own_hash_and_a_complex_holds_its_fields_only():
     a = catalog.get("selberg").arrangement
     assert hash(a) == hash((a.ambient_dim, a.cyc_order, a.hyperplanes, a.is_central))
+    # ranks and dense differentials are computed, never kept on the complex
     complex_ = aomoto_matrices(a, (1,) * a.n)
-    assert "diffs" not in vars(complex_)
-    assert complex_.diffs is complex_.diffs
-    assert "diffs" in vars(complex_)
+    cohomology_Q(complex_)
+    for q in range(len(complex_.dims())):
+        complex_.differential(q)
+    assert vars(complex_).keys() == {"algebra", "weights"}
 
 
 @pytest.mark.parametrize("key", ["selberg", "maclane-decone", "hessian-decone", "ceva3"])
 def test_closure_lattice_holds_its_fields_only(key):
-    # what a sweep derives from the lattice is kept by arrangement.derived,
-    # so after local_betti at every k the lattice is still (flats, join)
+    # what a sweep derives from the lattice and the algebra is kept by
+    # arrangement.derived, so after local_betti at every k the lattice is
+    # still (flats, join) and the algebra (bases, generators)
     a = catalog.get(key).arrangement
     for k in range(1, a.n + 1):
         local_betti(a, k)
     assert vars(closure_lattice(a)).keys() == {"flats", "join"}
+    assert vars(os_algebra(a)).keys() == {"bases", "generators"}
 
 
 def test_record_on_a_new_class():

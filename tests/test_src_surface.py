@@ -5,8 +5,10 @@ only tests run; it belongs in a test helper or nowhere.  The exported names
 of ``arrcover._HOMES`` are the API and count as used, and so do the few
 names in BENCHMARK_ONLY that only the benchmark calls.  A record class
 writes an ``__init__`` only to do more than ``record``'s own, which stores the
-fields.  A value derived from an arrangement is owned by arrangement.derived,
-never by a functools cache that would keep the arrangement alive.
+fields, and a record instance holds its fields and nothing else: its init
+stores no other name and it has no ``cached_property``.  A value derived from
+an arrangement, or from its algebra, is owned by arrangement.derived, never
+by a functools cache that would keep the arrangement alive.
 """
 
 import ast
@@ -103,14 +105,15 @@ def test_no_functools_cache_is_keyed_on_an_arrangement():
     assert not keyed, f"cached on an Arrangement, use arrangement.derived: {keyed}"
 
 
+def is_self_dict(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
 def copies_parameters_only(init):
     """True when every statement of init stores one of its parameters, as
     itself, in self.__dict__: by update(name=name, ...) or by item."""
     params = {arg.arg for arg in init.args.args[1:]}
-
-    def is_self_dict(node):
-        return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
-                and isinstance(node.value, ast.Name) and node.value.id == "self")
 
     def is_param(node):
         return isinstance(node, ast.Name) and node.id in params
@@ -132,15 +135,62 @@ def copies_parameters_only(init):
     return True
 
 
+def record_classes():
+    for name, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(dec, ast.Name) and dec.id == "record" for dec in node.decorator_list
+            ):
+                yield name, node
+
+
 def test_no_record_writes_the_init_record_makes():
     redundant = sorted(
         f"{name}:{node.lineno} {node.name}"
-        for name, tree in TREES.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        and any(isinstance(dec, ast.Name) and dec.id == "record" for dec in node.decorator_list)
+        for name, node in record_classes()
         for init in node.body
         if isinstance(init, ast.FunctionDef) and init.name == "__init__"
         and copies_parameters_only(init)
     )
     assert not redundant, f"__init__ that record would generate: {redundant}"
+
+
+def test_no_record_class_has_a_cached_property():
+    cached = sorted(
+        f"{name}:{method.lineno} {cls.name}.{method.name}"
+        for name, cls in record_classes()
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and any(decorator_name(dec) == "cached_property" for dec in method.decorator_list)
+    )
+    assert not cached, f"cached_property on a record, use arrangement.derived: {cached}"
+
+
+def stored_names(init):
+    """The names init stores in self.__dict__, by update(name=...) or by a
+    constant item; "?" for a store whose name is not written out."""
+    for node in ast.walk(init):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "update" and is_self_dict(node.func.value)):
+            yield from (kw.arg or "?" for kw in node.keywords)
+            yield from ("?" for _ in node.args)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Subscript) and is_self_dict(target.value):
+                    key = target.slice
+                    yield key.value if isinstance(key, ast.Constant) else "?"
+
+
+def test_no_record_init_stores_a_name_that_is_not_a_field():
+    extra = sorted(
+        f"{name}:{init.lineno} {cls.name}.{stored}"
+        for name, cls in record_classes()
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for stored in stored_names(init)
+        if stored not in {
+            field.target.id for field in cls.body
+            if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        }
+    )
+    assert not extra, f"record __init__ stores a name that is not a field: {extra}"
