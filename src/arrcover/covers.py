@@ -53,11 +53,15 @@ t^d - 1 factors, so the cost grows with the number of divisors and the
 degree, not with m itself.  m is factorised once per call: that one
 factorisation gives the divisors and their phi, the cover Betti numbers,
 the degree of Delta_q and the primes of the Mobius step, which makes one
-pass over the keys per prime and factorises nothing.  The expansion
-multiplies and divides one coefficient list by t^d - 1 in C-level list
-passes.  A degree above MAX_EXPANDED_DEGREE is not expanded at all.  The
-periodicity classes form phi(k) * b_q(L_k) below the top degree once per k,
-and each class sums only the k where those terms are not all zero.
+pass over the keys per prime and factorises nothing.  Every nonresonant k
+shares one tuple of intervals: resolve yields it with no local_betti call,
+_local_values reads its values once, and cover_betti forms one product per
+distinct values tuple.  The expansion adds each (t^d - 1)^f as f + 1 scaled
+copies of one coefficient list, so the zero runs of Delta_q cost one fill,
+and divides by t^d - 1 in C-level list passes.  A degree above
+MAX_EXPANDED_DEGREE is not expanded at all.  The periodicity classes form
+phi(k) * b_q(L_k) below the top degree once per k, and each class sums only
+the k where those terms are not all zero.
 """
 
 from __future__ import annotations
@@ -424,6 +428,8 @@ def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
     no witness, and makes that k inexact.  Once the assertions at a k leave
     every degree resolved, the alternating sum of its values must be
     chi(M).  Open intervals without an assertion are passed on as data.
+    A nonresonant k > 1 with no assertion and no extra_shifts gets the shared
+    tuple of _local_table; every other k goes through local_betti.
     """
     asserted: dict[int, dict[int, int]] = {}
     for (k, q), value in sorted((resolution or {}).items()):
@@ -437,9 +443,13 @@ def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
                 f"asserted b_{q}(L_{k}) = {value}: degree out of range 0..{a.ell}"
             )
         asserted.setdefault(k, {})[q] = value
+    resonant, _, nonresonant, _ = _local_table(a)
     for k in ks:
-        intervals = local_betti(a, k, extra_shifts)
         at_k = asserted.get(k)
+        if k > 1 and k not in resonant and not at_k and not extra_shifts:
+            yield k, nonresonant, True
+            continue
+        intervals = local_betti(a, k, extra_shifts)
         if not at_k:
             yield k, intervals, True
             continue
@@ -470,15 +480,19 @@ def _local_values(a: Arrangement, ks, resolution) -> tuple[dict[int, tuple[int, 
     """Resolved b_q(L_k) values for each k of ks, plus an exactness flag.
 
     The values come from resolve; the first k, in the order of ks, with an
-    open interval and no assertion raises UnresolvedBettiError.
+    open interval and no assertion raises UnresolvedBettiError.  A tuple of
+    intervals is read only when it is not the previous k's.
     """
     values = {}
     exact = True
+    last = last_values = None
     for k, intervals, k_exact in resolve(a, ks, resolution):
-        open_intervals = [iv for iv in intervals if not iv.resolved]
-        if open_intervals:
-            raise UnresolvedBettiError(k, open_intervals)
-        values[k] = tuple(iv.lower for iv in intervals)
+        if intervals is not last:
+            open_intervals = [iv for iv in intervals if not iv.resolved]
+            if open_intervals:
+                raise UnresolvedBettiError(k, open_intervals)
+            last, last_values = intervals, tuple(iv.lower for iv in intervals)
+        values[k] = last_values
         exact = exact and k_exact
     return values, exact
 
@@ -493,9 +507,10 @@ def cover_betti(a: Arrangement, m: int, resolution=None) -> CoverReport:
         raise ValueError("m must be >= 1")
     phis = divisor_phis(m)
     values, exact = _local_values(a, list(phis), resolution)
-    betti = tuple(
-        sum(phis[k] * v[q] for k, v in values.items()) for q in range(a.ell + 1)
-    )
+    weights: dict[tuple[int, ...], int] = {}  # distinct values -> sum of their phi(k)
+    for k, v in values.items():
+        weights[v] = weights.get(v, 0) + phis[k]
+    betti = tuple(sum(w * v[q] for v, w in weights.items()) for q in range(a.ell + 1))
     return CoverReport(m, betti, tuple(values.items()), exact)
 
 

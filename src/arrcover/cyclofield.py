@@ -20,8 +20,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
-from operator import neg, sub
+from math import comb, gcd, lcm
+from operator import add, neg
 
 from .record import record
 
@@ -210,10 +210,7 @@ def format_poly(p: IntPoly) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for i in range(p.degree, -1, -1):
-        a = p.coefficient(i)
-        if a == 0:
-            continue
+    for i, a in reversed(p._terms()):
         if i == 0:
             term = str(abs(a))
         else:
@@ -255,19 +252,26 @@ def tk_product(factors) -> IntPoly:
 
     The work is done on one coefficient list c, low degree first, and the
     IntPoly is built once at the end.  The factors with f_d > 0 are
-    multiplied in first: c * (t^d - 1) is c shifted up by d minus c, one map
-    over two zero-padded copies.  Those with f_d < 0 are divided out after:
-    c = g * (t^d - 1) means g_i = g_(i-d) - c_i, so g is minus the running
-    sums of c along each residue class mod d, one accumulate per class.  The
-    division is exact iff every class sums to zero, which also rejects a
-    nonzero c of degree below d.  Each step is a few C-level passes over c,
-    so the cost is O(degree * sum |f_d|).  The list holds ints and ends in
-    the leading coefficient 1, so it becomes the IntPoly as it is.
+    multiplied in first, d ascending, each as one binomial block:
+    (t^d - 1)^f = sum over j of C(f, j) (-1)^(f - j) t^(dj), so the product
+    is a zero list of its final length plus f + 1 scaled copies of c at the
+    offsets d * j, (f + 1) * len(c) coefficient updates however large d is.
+    Those with f_d < 0 are divided out after: c = g * (t^d - 1) means
+    g_i = g_(i-d) - c_i, so g is minus the running sums of c along each
+    residue class mod d, one accumulate per class.  The division is exact
+    iff every class sums to zero, which also rejects a nonzero c of degree
+    below d.  The list holds ints and ends in the leading coefficient 1, so
+    it becomes the IntPoly as it is.
     """
     c = [1]
     for d, f in sorted(factors.items()):
-        for _ in range(f):
-            c = list(map(sub, [0] * d + c, c + [0] * d))
+        if f > 0:
+            n = len(c)
+            out = [0] * (n + d * f)
+            for j in range(f + 1):
+                o, scale = d * j, (-1) ** (f - j) * comb(f, j)
+                out[o:o + n] = map(add, out[o:o + n], map(scale.__mul__, c))
+            c = out
     for d, f in sorted(factors.items()):
         for _ in range(-f):
             g = [0] * max(len(c) - d, 0)

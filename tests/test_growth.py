@@ -5,8 +5,12 @@ arrangements seen: every value derived from an arrangement, or from its
 algebra, is held under that value by one owner (arrangement.derived) and
 dropped when it is collected.  A caller that analyses many inputs one after
 another, dropping each, is left with nothing.  The work of a cover grows
-with n and ell, never with m: m is factorised once, and a characteristic
-polynomial above MAX_EXPANDED_DEGREE is not expanded.
+with n and ell, never with m: m is factorised once, only k = 1 and the
+resonant divisors of m reach local_betti, the coefficient updates of
+tk_product do not grow with the d of its factors, and a characteristic
+polynomial above MAX_EXPANDED_DEGREE is not expanded.  A sweep ranks at
+most one candidate per cube representative, and beyond MAX_ENUMERATION it
+draws the zero shift alone.
 """
 
 import gc
@@ -16,7 +20,16 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 from arrcover import arrangement, catalog, covers, cyclofield
-from arrcover.covers import cover_betti, local_betti, monodromy_charpoly
+from arrcover.arrangement import Hyperplane, build, cube_representatives
+from arrcover.covers import (
+    MAX_ENUMERATION,
+    _bound_intervals,
+    _local_table,
+    cover_betti,
+    local_betti,
+    monodromy_charpoly,
+)
+from arrcover.cyclofield import cyc_reduce, divisor_phis, tk_product
 from arrcover.exactlin import CERTIFICATE_PRIME
 from arrcover.osalgebra import OSAlgebra, os_algebra, packed
 from bench_inputs import braid_decone
@@ -132,3 +145,100 @@ def test_charpoly_factorises_m_once_and_expands_nothing(monkeypatch, selberg):
     # the degree, b_2(X_m) = 2m + 4, is above MAX_EXPANDED_DEGREE
     assert report.expanded is None and products == []
     assert report.exponents == ((1, 6), (LARGE_PRIME, 2))
+
+
+def test_tk_product_updates_do_not_grow_with_d(monkeypatch):
+    updates = []
+    add = cyclofield.add
+
+    def counted(x, y):
+        updates.append(None)
+        return add(x, y)
+
+    monkeypatch.setattr(cyclofield, "add", counted)
+    counts = {}
+    for d in (5040, 10**5):
+        updates.clear()
+        p = tk_product({1: 3, 3: 1, d: 2})
+        counts[d] = len(updates)
+        # (t - 1)^3 (t^3 - 1) (t^(2d) - 2 t^d + 1)
+        assert p.degree == 6 + 2 * d and p.coeffs[:7] == (1, -3, 3, -2, 3, -3, 1)
+        assert p.coeffs[d:d + 7] == (-2, 6, -6, 4, -6, 6, -2)
+    # (f + 1) * len(c) per factor, 4 + 8 + 21 = 33, however large d is
+    assert 0 < counts[5040] == counts[10**5]
+
+
+def test_cover_betti_reads_local_betti_at_the_resonant_divisors_only(monkeypatch,
+                                                                     hessian_decone):
+    m = 9699690  # 2 * 3 * 5 * ... * 19: 256 divisors
+    phis = divisor_phis(m)
+    expected = cover_betti(hessian_decone, m)
+    called = []
+
+    def counted(a, k, extra_shifts=()):
+        called.append(k)
+        return local_betti(a, k, extra_shifts)
+
+    monkeypatch.setattr(covers, "local_betti", counted)
+    report = cover_betti(hessian_decone, m)
+    assert len(phis) == 256
+    assert called == [1] + sorted(_local_table(hessian_decone)[0] & set(phis))
+    assert report == expected
+    # the values at every divisor, read one at a time
+    by_divisor = [(k, tuple(iv.value for iv in local_betti(hessian_decone, k))) for k in phis]
+    assert report.charpoly_exponents == tuple(by_divisor)
+    assert report.betti == tuple(sum(phis[k] * v[q] for k, v in by_divisor)
+                                 for q in range(hessian_decone.ell + 1))
+
+
+def count_ranks(monkeypatch):
+    ranked = []
+    cohomology_Q = covers.cohomology_Q
+
+    def counted(complex_, lower=None):
+        ranked.append(complex_.weights)
+        return cohomology_Q(complex_, lower)
+
+    monkeypatch.setattr(covers, "cohomology_Q", counted)
+    return ranked
+
+
+def test_a_sweep_ranks_at_most_one_candidate_per_cube_representative(monkeypatch,
+                                                                    catalog_arrangements):
+    ranked = count_ranks(monkeypatch)
+    inputs = [*catalog_arrangements.values(), braid_decone(5, 7)]
+    for a in inputs:
+        representatives = sum(len(cube_representatives(a, size)) for size in range(a.n + 1))
+        for k in sorted(_local_table(a)[0]):
+            ranked.clear()
+            _bound_intervals.__wrapped__(a, k, ())
+            assert 0 < len(ranked) <= representatives, (a.n, k)
+
+
+def pencil(n):
+    """n lines through the origin of C^2, y = s * x for s = 0..n-1."""
+    def q(c):
+        return cyc_reduce([c], 1)
+
+    return build(2, 1, [Hyperplane(q(0), (q(s), q(-1))) for s in range(n)])
+
+
+def test_a_sweep_beyond_max_enumeration_draws_the_zero_shift_alone(monkeypatch):
+    a = pencil(MAX_ENUMERATION + 1)
+    assert _local_table(a)[0] == {a.n}
+    ranked = count_ranks(monkeypatch)
+    drawn = []
+    candidates = covers._candidates
+
+    def counted(a, extra_shifts):
+        for shift in candidates(a, extra_shifts):
+            drawn.append(shift)
+            yield shift
+
+    monkeypatch.setattr(covers, "_candidates", counted)
+    intervals = _bound_intervals.__wrapped__(a, a.n, ())
+    assert drawn == [(0,) * a.n]
+    # beta = 0, so the zero shift is acyclic and skipped unranked; the
+    # shifts of one -1 would close both degrees at n - 2
+    assert ranked == []
+    assert [(iv.lower, iv.upper) for iv in intervals] == [(0, 0), (0, a.n - 2), (0, a.n - 2)]

@@ -115,6 +115,9 @@ def test_tk_product_expands_cyclotomic_products(exps):
 @example({1: 1, 2: -1, 3: -1, 6: 1})
 @example({4: 1, 2: -2})
 @example({})
+@example({1: 3, 3: 1, 600: 2})  # a block at an offset past the running list
+@example({7: 70})  # binomial coefficients past 2^64
+@example({2: 2, 6: 3, 1: -1, 3: -1})  # blocks, then two exact divisions
 def test_tk_product_divides_exactly_or_raises(factors):
     dividend, divisor = [1], [1]
     for d, f in factors.items():
