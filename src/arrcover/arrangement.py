@@ -26,7 +26,6 @@ beta invariant of their localizations in the scan that finds the Mobius values.
 from __future__ import annotations
 
 from functools import update_wrapper
-from itertools import combinations
 from math import gcd, lcm
 from threading import Lock
 from types import SimpleNamespace
@@ -244,57 +243,8 @@ class ClosureLattice:
     join: tuple[tuple[int, ...], ...]
 
 
-# Nodes one backtracking search of automorphisms may visit.
-AUTOMORPHISM_NODE_BUDGET = 4096
-
-
 def support_mask(indices) -> int:
     return sum(1 << i for i in indices)
-
-
-def support_image(mask: int, perm) -> int:
-    """The bitmask of {perm[i] : bit i of mask is set}."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def byte_tables(perm) -> tuple[tuple[int, ...], ...]:
-    """support_image(mask, perm) as lookup tables, one per byte of the mask:
-    tables[b][v] is the image of v << 8*b.  There are ceil(n/8) tables of at
-    most 256 entries, each filled by doubling, one bit at a time."""
-    n = len(perm)
-    tables = []
-    for base in range(0, n, 8):
-        table = [0]
-        for i in range(base, min(base + 8, n)):
-            image = 1 << perm[i]
-            table += [t | image for t in table]
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-def orbit(mask: int, tables) -> set[int]:
-    """Orbit of a support bitmask under the group some permutations make,
-    each given by its byte_tables: the image of x is the union of the
-    tables' entries at the bytes of x."""
-    found = {mask}
-    frontier = [mask]
-    while frontier:
-        x = frontier.pop()
-        for perm in tables:
-            y = 0
-            rest = x
-            for table in perm:
-                y |= table[rest & 255]
-                rest >>= 8
-            if y not in found:
-                found.add(y)
-                frontier.append(y)
-    return found
 
 
 def _by_codim(flats) -> IntersectionLattice:
@@ -435,118 +385,6 @@ def closure_lattice(a: Arrangement) -> ClosureLattice:
         flats=tuple(map(Flat, supports, codims, mobius, dense)),
         join=tuple(join),
     )
-
-
-@derived
-def automorphisms(a: Arrangement) -> tuple[tuple[int, ...], ...]:
-    """Generators of a group of lattice automorphisms, as permutations of
-    the affine indices: perm[i] is the image of hyperplane i.
-
-    A permutation qualifies when it maps every affine flat support (a
-    closure flat off the hyperplane at infinity) onto an affine flat
-    support, so it preserves the affine intersection poset, codims and
-    emptiness included.  The set is a stabiliser chain found from the
-    deepest level up: at level i, for each c > i not in the orbit of i
-    under the generators found so far (which all fix 0..i-1), one
-    backtracking search looks for the first permutation
-    fixing 0..i-1 with i -> c.  The search prunes a partial map on the
-    codim-2 flat of each pair of assigned hyperplanes and on the (codim,
-    size) profile of the affine flats through each one, and keeps a full
-    permutation only if it passes the support check.  There are at most
-    n(n-1)/2 generators, and the group itself is never enumerated.  A
-    search that exceeds AUTOMORPHISM_NODE_BUDGET nodes gives up, which can
-    only leave a subgroup.
-    """
-    n = a.n
-    lattice = closure_lattice(a)
-    flats, join = lattice.flats, lattice.join
-    affine = [support_mask(f.support) for f in flats if n not in f.support]
-    affine_set = set(affine)
-    # line[i][j]: the closure support of H_i cap H_j; bit n is set when
-    # the two are parallel
-    line = [[support_mask(flats[join[join[0][i]][j]].support)
-             for j in range(n)] for i in range(n)]
-    profile = [sorted((f.codim, len(f.support)) for f in flats
-                      if i in f.support and n not in f.support) for i in range(n)]
-
-    def first_leaf(i: int, c: int) -> tuple[int, ...] | None:
-        image = list(range(i)) + [None] * (n - i)
-        used = set(range(i))
-        nodes = 0
-
-        def fits(x: int, y: int) -> bool:
-            # every codim-2 flat on x maps onto the one on the images
-            if profile[x] != profile[y]:
-                return False
-            for u in range(x):
-                s, t = line[u][x], line[image[u]][y]
-                if s.bit_count() != t.bit_count() or s >> n != t >> n:
-                    return False
-                if any(s >> z & 1 != t >> image[z] & 1 for z in range(x)):
-                    return False
-            return True
-
-        def extend(x: int) -> bool:
-            nonlocal nodes
-            if x == n:
-                return all(support_image(s, image) in affine_set for s in affine)
-            for y in ([c] if x == i else range(n)):
-                if y in used or not fits(x, y):
-                    continue
-                nodes += 1
-                if nodes > AUTOMORPHISM_NODE_BUDGET:
-                    return False
-                image[x] = y
-                used.add(y)
-                if extend(x + 1):
-                    return True
-                used.discard(y)
-            return False
-
-        return tuple(image) if extend(i) else None
-
-    def point_orbit(i: int) -> set[int]:
-        reached, frontier = {i}, [i]
-        while frontier:
-            x = frontier.pop()
-            for perm in generators:
-                if perm[x] not in reached:
-                    reached.add(perm[x])
-                    frontier.append(perm[x])
-        return reached
-
-    generators: list[tuple[int, ...]] = []
-    for i in reversed(range(n)):
-        reached = point_orbit(i)
-        for c in range(i + 1, n):
-            if c not in reached:
-                perm = first_leaf(i, c)
-                if perm is not None:
-                    generators.append(perm)
-                    reached = point_orbit(i)
-    return tuple(generators)
-
-
-@derived
-def generator_tables(a: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The automorphisms as lookup tables on support bitmasks, one
-    byte_tables(perm) per generator."""
-    return tuple(map(byte_tables, automorphisms(a)))
-
-
-@derived
-def cube_representatives(a: Arrangement, size: int) -> tuple[int, ...]:
-    """The first support mask of each orbit of the shift cube {-1, 0}^n
-    among the masks of size bits (an orbit keeps the size), in combinations
-    order.  Sizes 0 and n hold one mask each, so they read no automorphisms."""
-    seen: set[int] = set()
-    found = []
-    for mask in map(sum, combinations([1 << i for i in range(a.n)], size)):
-        if mask not in seen:
-            found.append(mask)
-            if 0 < size < a.n:
-                seen |= orbit(mask, generator_tables(a))
-    return tuple(found)
 
 
 @derived

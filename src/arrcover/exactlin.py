@@ -11,18 +11,20 @@ D_q D_{q-1} = 0: the rank mod p bounds the rank over Q from below, and
 n_q - rank D_{q-1} and the row count bound it from above.  Only where the
 bounds differ does it run the fraction-free rank.  Everything is
 arbitrary-precision.  The ranks mod p of a whole complex come from the
-generators of its algebra, packed once per prime (osalgebra.packed): each
-column of D_q is a short sum of packed generator columns, and the columns at
-the pivot rows of D_{q-1} are left out.  A dense D_q
-(AomotoComplex.differential) is built only for its fraction-free rank.
+generators of its algebra, packed here once per prime (packed): each column
+of D_q is a short sum of packed generator columns, and the columns at the
+pivot rows of D_{q-1} are left out.  Both shortcuts rest on one proof, once
+per algebra, that every weight vector gives a complex (_check_complex).
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from operator import le
 
+from .arrangement import derived
 from .cyclofield import factorize
-from .osalgebra import AomotoComplex, packed
+from .osalgebra import AomotoComplex, OSAlgebra
 from .record import record
 
 # The prime whose F_p ranks cohomology_Q certifies as ranks over Q.  A small
@@ -151,16 +153,80 @@ def _eliminate(vectors, slots: int, width: int, p: int):
     return len(pivots), pivots
 
 
+@derived
+def _check_complex(algebra: OSAlgebra) -> None:
+    """Prove over Z that e_h e_h' + e_h' e_h = 0 as maps from each degree q
+    to q+2, for all h <= h' (for h = h' that is 2 e_h e_h = 0).  Then
+    (sum_h w_h e_h)^2 = sum_h w_h^2 e_h e_h
+    + sum_{h < h'} w_h w_h' (e_h e_h' + e_h' e_h) = 0 for every weight
+    vector w, so each AomotoComplex of the algebra is a complex.  A proof
+    that fails raises ArithmeticError and stores nothing.
+    """
+    n = len(algebra.generators)
+    for q in range(len(algebra.bases) - 2):
+        after = []
+        for per_q in algebra.generators:
+            by_col: dict[int, list[tuple[int, int]]] = {}
+            for r, c, v in per_q[q + 1]:
+                by_col.setdefault(c, []).append((r, v))
+            after.append(by_col)
+        for h, h2 in combinations_with_replacement(range(n), 2):
+            product: dict[tuple[int, int], int] = {}
+            for first, second in ((h, h2), (h2, h)):
+                outer = after[second]
+                for r, c, v in algebra.generators[first][q]:
+                    for r2, v2 in outer.get(r, ()):
+                        product[r2, c] = product.get((r2, c), 0) + v * v2
+            if any(product.values()):
+                raise ArithmeticError(
+                    f"e_{h} e_{h2} + e_{h2} e_{h} is nonzero on degree {q}: not a complex"
+                )
+
+
+@derived
+def packed(algebra: OSAlgebra, p: int):
+    """Per degree q below the top: (width, base, gens), the columns of the
+    generators from degree q to q+1 packed mod p.
+
+    gens[h][c] is column c of e_h wedge as one int with a width-bit slot per
+    monomial of bases[q+1] (row r at bit r*width), each entry reduced into
+    [0, p); base[c] = sum of gens[h][c] over h is column c of the
+    differential at all-ones weights.  For weights w, column c of the
+    differential is base[c] + sum of f_h*gens[h][c] mod p over the h with
+    f_h = (w_h - 1) mod p nonzero, whose slots start below
+    n*(p - 1)*p < n*p^2.  With n_q more additions below p^2 each, one per
+    pivot of exactlin's elimination over the n_q columns, a slot stays below
+    (n + n_q)*p^2 < 2^(width - 1) for
+    width = 2*bitlen(p) + bitlen(2n + n_q) + 1.
+
+    Packing first proves, once per algebra, that the algebra gives a complex
+    (_check_complex), and raises ArithmeticError if not.
+    """
+    _check_complex(algebra)
+    levels = []
+    for q in range(len(algebra.bases) - 1):
+        nq = len(algebra.bases[q])
+        width = 2 * p.bit_length() + (2 * len(algebra.generators) + nq).bit_length() + 1
+        gens = []
+        for per_q in algebra.generators:
+            columns = [0] * nq
+            for r, c, v in per_q[q]:
+                columns[c] += (v % p) << (r * width)
+            gens.append(tuple(columns))
+        levels.append((width, tuple(map(sum, zip(*gens))), tuple(gens)))
+    return tuple(levels)
+
+
 def _ranks_mod_p(complex_: AomotoComplex, p: int) -> list[int]:
     """[rank_p D_q for every degree q] of a complex, top differential (0)
-    included, from the generators packed mod p (osalgebra.packed).
+    included, from the generators packed mod p (packed).
 
     Column c of D_q is base[c] + sum of f_h*gens[h][c] over the h with
     f_h = (w_h - 1) mod p nonzero; a sweep shift moves few weights off 1, so
     the sum is short.  The columns at the pivot slots P of D_{q-1} are left
     out.  That keeps the rank: D_{q-1} has rank |P| on the rows P, so its
     image holds, for each j in P, a vector e_j + u with u zero on P, and
-    D_q D_{q-1} = 0 (proved by osalgebra.packed) gives D_q e_j = -D_q u, a
+    D_q D_{q-1} = 0 (proved by _check_complex) gives D_q e_j = -D_q u, a
     combination of the columns outside P.
     """
     sizes = complex_.dims()
@@ -257,7 +323,7 @@ def cohomology_Q(complex_: AomotoComplex, lower=None) -> CohomologyProfile:
     in for rational weight systems.
 
     Each rank r_q of D_q is certified from its rank mod CERTIFICATE_PRIME,
-    which needs D_q D_{q-1} = 0; osalgebra.packed proves that once per
+    which needs D_q D_{q-1} = 0; _check_complex proves that once per
     algebra, for every weight vector, and raises ArithmeticError if not.
     With r_{-1} = 0, lo = rank_p(D_q) is at most r_q (a minor nonzero mod p
     is a nonzero integer), and r_q is at most hi = min(rows of D_q,

@@ -17,9 +17,8 @@ are sparse dicts tuple -> int with no stored zeros.  The algebra of one
 arrangement has one owner, the immutable OSAlgebra built once by os_algebra:
 NBC bases and the nonzero entries of every generator e_H wedge.  The Aomoto
 differential for an integer weight vector k is left multiplication by
-sum(k_H e_H).  An AomotoComplex is just (algebra, weights): the ranks mod p
-are read from the generators packed once per algebra and prime (packed), and
-a dense D_q is built only when asked for (AomotoComplex.differential).
+sum(k_H e_H).  An AomotoComplex is just (algebra, weights), and a dense D_q
+is built only when asked for (AomotoComplex.differential).
 
 No linear algebra happens here: both the NBC test and straightening fold
 tuples through the join table of the closure lattice
@@ -29,7 +28,7 @@ semilattice.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .arrangement import Arrangement, ClosureLattice, closure_lattice, derived
 from .record import record
@@ -54,10 +53,6 @@ class OSAlgebra:
 class AomotoComplex:
     """The complex (A, a_k wedge) of an OSAlgebra and an integer weight
     vector k: D_q maps degree q to degree q+1 by sum(k_h e_h) wedge.
-
-    The ranks mod p read the generators packed once per prime (packed);
-    only the CLI's matrices, the Bareiss fallback and the tests build the
-    dense differential of a degree.
     """
 
     algebra: OSAlgebra
@@ -213,70 +208,6 @@ def os_algebra(a: Arrangement) -> OSAlgebra:
             per_q.append(tuple(sorted(entries)))
         generators.append(tuple(per_q))
     return OSAlgebra(bases=bases, generators=tuple(generators))
-
-
-@derived
-def _check_complex(algebra: OSAlgebra) -> None:
-    """Prove over Z that e_h e_h' + e_h' e_h = 0 as maps from each degree q
-    to q+2, for all h <= h' (for h = h' that is 2 e_h e_h = 0).  Then
-    (sum_h w_h e_h)^2 = sum_h w_h^2 e_h e_h
-    + sum_{h < h'} w_h w_h' (e_h e_h' + e_h' e_h) = 0 for every weight
-    vector w, so each AomotoComplex of the algebra is a complex.  A proof
-    that fails raises ArithmeticError and stores nothing.
-    """
-    n = len(algebra.generators)
-    for q in range(len(algebra.bases) - 2):
-        after = []
-        for per_q in algebra.generators:
-            by_col: dict[int, list[tuple[int, int]]] = {}
-            for r, c, v in per_q[q + 1]:
-                by_col.setdefault(c, []).append((r, v))
-            after.append(by_col)
-        for h, h2 in combinations_with_replacement(range(n), 2):
-            product: dict[tuple[int, int], int] = {}
-            for first, second in ((h, h2), (h2, h)):
-                outer = after[second]
-                for r, c, v in algebra.generators[first][q]:
-                    for r2, v2 in outer.get(r, ()):
-                        product[r2, c] = product.get((r2, c), 0) + v * v2
-            if any(product.values()):
-                raise ArithmeticError(
-                    f"e_{h} e_{h2} + e_{h2} e_{h} is nonzero on degree {q}: not a complex"
-                )
-
-
-@derived
-def packed(algebra: OSAlgebra, p: int):
-    """Per degree q below the top: (width, base, gens), the columns of the
-    generators from degree q to q+1 packed mod p.
-
-    gens[h][c] is column c of e_h wedge as one int with a width-bit slot per
-    monomial of bases[q+1] (row r at bit r*width), each entry reduced into
-    [0, p); base[c] = sum of gens[h][c] over h is column c of the
-    differential at all-ones weights.  For weights w, column c of the
-    differential is base[c] + sum of f_h*gens[h][c] mod p over the h with
-    f_h = (w_h - 1) mod p nonzero, whose slots start below
-    n*(p - 1)*p < n*p^2.  With n_q more additions below p^2 each, one per
-    pivot of exactlin's elimination over the n_q columns, a slot stays below
-    (n + n_q)*p^2 < 2^(width - 1) for
-    width = 2*bitlen(p) + bitlen(2n + n_q) + 1.
-
-    Packing first proves, once per algebra, that the algebra gives a complex
-    (_check_complex), and raises ArithmeticError if not.
-    """
-    _check_complex(algebra)
-    levels = []
-    for q in range(len(algebra.bases) - 1):
-        nq = len(algebra.bases[q])
-        width = 2 * p.bit_length() + (2 * len(algebra.generators) + nq).bit_length() + 1
-        gens = []
-        for per_q in algebra.generators:
-            columns = [0] * nq
-            for r, c, v in per_q[q]:
-                columns[c] += (v % p) << (r * width)
-            gens.append(tuple(columns))
-        levels.append((width, tuple(map(sum, zip(*gens))), tuple(gens)))
-    return tuple(levels)
 
 
 def nbc_basis(a: Arrangement) -> tuple[tuple[Monomial, ...], ...]:

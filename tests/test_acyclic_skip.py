@@ -20,8 +20,8 @@ from operator import le
 import pytest
 
 from arrcover import catalog, covers
-from arrcover.arrangement import Hyperplane, beta, build, cube_representatives, dense_edges
-from arrcover.covers import _acyclic_below_top, _bound_intervals, _local_table
+from arrcover.arrangement import Hyperplane, beta, build, dense_edges
+from arrcover.covers import _acyclic_below_top, _bound_intervals, _local_table, cube_representatives
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, rank_over_Q
 from arrcover.osalgebra import aomoto_matrices

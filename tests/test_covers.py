@@ -14,7 +14,6 @@ from arrcover.arrangement import (
     betti_numbers,
     beta,
     build,
-    automorphisms,
     decone,
     euler_characteristic,
     poincare_polynomial,
@@ -25,6 +24,7 @@ from arrcover.covers import (
     WeightSystem,
     _bound_intervals,
     _candidates,
+    automorphisms,
     cover_betti,
     fast_nonresonant,
     local_betti,

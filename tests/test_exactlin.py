@@ -11,19 +11,19 @@ from arrcover import catalog
 from arrcover.covers import _candidates
 from arrcover.exactlin import (
     CERTIFICATE_PRIME,
+    _check_complex,
     _ranks_mod_p,
     cohomology_Q,
     cohomology_modN,
+    packed,
     rank_over_Q,
     smith_normal_form,
 )
 from arrcover.osalgebra import (
     AomotoComplex,
     OSAlgebra,
-    _check_complex,
     aomoto_matrices,
     os_algebra,
-    packed,
 )
 from rank_mod_p import rank_mod_p
 from resonance import is_nonresonant
@@ -260,9 +260,9 @@ def test_cohomology_Q_weights_scaled_by_the_prime(catalog_arrangements):
 
 
 def test_cohomology_Q_rejects_a_non_complex():
-    # D_1 D_0 = [[1]] != 0: osalgebra.packed's proof that the algebra gives a
-    # complex finds e_0 e_0 != 0 before any rank is taken; a failed proof
-    # stores nothing, so every later call fails it again
+    # D_1 D_0 = [[1]] != 0: exactlin's proof that the algebra gives a complex
+    # (_check_complex, run by packed) finds e_0 e_0 != 0 before any rank is
+    # taken; a failed proof stores nothing, so every later call fails it again
     complex_ = complex_of((1, 1, 1), ((1,),), ((1,),))
     for _ in range(2):
         with pytest.raises(ArithmeticError):

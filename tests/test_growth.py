@@ -20,18 +20,19 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 from arrcover import arrangement, catalog, covers, cyclofield
-from arrcover.arrangement import Hyperplane, build, cube_representatives
+from arrcover.arrangement import Hyperplane, build
 from arrcover.covers import (
     MAX_ENUMERATION,
     _bound_intervals,
     _local_table,
     cover_betti,
+    cube_representatives,
     local_betti,
     monodromy_charpoly,
 )
 from arrcover.cyclofield import cyc_reduce, divisor_phis, tk_product
-from arrcover.exactlin import CERTIFICATE_PRIME
-from arrcover.osalgebra import OSAlgebra, os_algebra, packed
+from arrcover.exactlin import CERTIFICATE_PRIME, packed
+from arrcover.osalgebra import OSAlgebra, os_algebra
 from bench_inputs import braid_decone
 
 SEEDS = range(20)

@@ -19,16 +19,15 @@ from math import factorial
 
 import pytest
 
-from arrcover import arrangement, catalog
-from arrcover.arrangement import (
-    Hyperplane,
+from arrcover import catalog, covers
+from arrcover.arrangement import Hyperplane, build, closure_lattice, euler_characteristic
+from arrcover.covers import (
+    _bound_intervals,
+    _candidates,
     automorphisms,
-    build,
-    closure_lattice,
     cube_representatives,
-    euler_characteristic,
+    local_betti,
 )
-from arrcover.covers import _bound_intervals, _candidates, local_betti
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, cohomology_modN
 from arrcover.osalgebra import aomoto_matrices
@@ -244,7 +243,7 @@ def test_capped_search_keeps_every_answer(monkeypatch):
     # shifts but returns the same intervals and witnesses
     sweeps = (("ceva3", 3), ("hessian-decone", 2), ("braid-a4-decone", 3))
     full = {key: automorphisms(CASES[key]()) for key, _ in sweeps}
-    monkeypatch.setattr(arrangement, "AUTOMORPHISM_NODE_BUDGET", 3)
+    monkeypatch.setattr(covers, "AUTOMORPHISM_NODE_BUDGET", 3)
     for key, k in sweeps:
         a = fresh_copy(CASES[key]())
         capped = automorphisms(a)

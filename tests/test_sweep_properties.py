@@ -11,8 +11,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from arrcover import catalog  # noqa: E402
-from arrcover.arrangement import byte_tables, dense_edges, orbit, support_image  # noqa: E402
-from arrcover.covers import WeightSystem, stv_nonresonant  # noqa: E402
+from arrcover.arrangement import dense_edges  # noqa: E402
+from arrcover.covers import (  # noqa: E402
+    WeightSystem, byte_tables, orbit, stv_nonresonant, support_image,
+)
 
 KEYS = sorted(catalog.entries())
 
