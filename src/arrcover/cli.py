@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog as catalog_mod
@@ -452,17 +453,28 @@ def main(argv=None) -> int:
         print("catalog show requires a key", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
-    except (CliError, ValueError) as exc:  # ArrangementFileError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            code = args.func(args)
+        except (CliError, ValueError) as exc:  # ArrangementFileError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:
+            # an open interval can only come from covers, so a command that
+            # never loaded it cannot raise one
+            covers = sys.modules.get(f"{__package__}.covers")
+            if covers is None or not isinstance(exc, covers.UnresolvedBettiError):
+                raise
+            code = _report_unresolved(exc, args.format)
+        # flushed here, so that a reader gone before the last buffer is seen
+        # below and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: later writes, the exit flush included, go to
+        # devnull instead of raising again (Python signal docs, "Note on
+        # SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except Exception as exc:
-        # an open interval can only come from covers, so a command that never
-        # loaded it cannot raise one
-        covers = sys.modules.get(f"{__package__}.covers")
-        if covers is None or not isinstance(exc, covers.UnresolvedBettiError):
-            raise
-        return _report_unresolved(exc, args.format)
 
 
 if __name__ == "__main__":

@@ -194,6 +194,8 @@ class IntPoly:
         return [(j, b) for j, b in enumerate(self.coeffs) if b]
 
     def pow(self, e: int) -> "IntPoly":
+        if e < 0:
+            raise ValueError(f"exponent {e} is negative")
         result = IntPoly((1,))
         for _ in range(e):
             result = result * self

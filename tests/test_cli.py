@@ -650,3 +650,20 @@ def test_text_mode_renders(capsys, argv):
     code, out, err = run(capsys, *argv, "--catalog", "selberg", "--format", "text")
     assert code == 0
     assert out.strip()
+
+
+def test_a_reader_that_leaves_gets_no_traceback(tmp_path):
+    # the JSON report is 3.5 MB, more than any pipe buffer holds, so the
+    # command always writes into the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(arrcover.__file__).parent.parent))
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "arrcover", "charpoly", "--catalog", "hessian-decone",
+             "--m", "27720", "--q", "2"],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        assert proc.stdout.read(10) == b'{\n  "degre'
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert "Traceback" not in (tmp_path / "stderr").read_text()
+    assert code == 1

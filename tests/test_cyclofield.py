@@ -207,6 +207,14 @@ def test_tk_product_expands_and_divides():
         tk_product({2: -1})
 
 
+def test_pow_refuses_a_negative_exponent():
+    t_plus_1 = IntPoly((1, 1))
+    assert t_plus_1.pow(0) == IntPoly((1,))
+    assert t_plus_1.pow(2) == IntPoly((1, 2, 1))
+    with pytest.raises(ValueError, match="exponent -2 is negative"):
+        t_plus_1.pow(-2)
+
+
 # ---------------------------------------------------------------------------
 # cyc_reduce / field arithmetic.
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ writes an ``__init__`` only to do more than ``record``'s own, which stores the
 fields, and a record instance holds its fields and nothing else: its init
 stores no other name and it has no ``cached_property``.  A value derived from
 an arrangement, or from its algebra, is owned by arrangement.derived, never
-by a functools cache that would keep the arrangement alive.
+by a functools cache that would keep the arrangement alive.  A derived
+function is read by name in the module that defines it, unless it is
+exported, so each derived value lives with the code that consumes it.
 """
 
 import ast
@@ -103,6 +105,19 @@ def test_no_functools_cache_is_keyed_on_an_arrangement():
         and any(decorator_name(dec) in {"lru_cache", "cache"} for dec in node.decorator_list)
     )
     assert not keyed, f"cached on an Arrangement, use arrangement.derived: {keyed}"
+
+
+def test_every_derived_function_is_read_in_its_own_module():
+    stray = sorted(
+        f"{name}:{node.name}"
+        for name, tree in TREES.items()
+        for read in [set(used_names(tree)) | set(arrcover._HOMES)]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(decorator_name(dec) == "derived" for dec in node.decorator_list)
+        and node.name not in read
+    )
+    assert not stray, f"derived but read only in another module: {stray}"
 
 
 def is_self_dict(node):
