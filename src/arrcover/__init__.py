@@ -26,7 +26,7 @@ _HOMES = {
         "covers",
     ),
     **dict.fromkeys(
-        ("CycNum", "IntPoly", "Rational", "cyc_reduce", "cyclotomic_polynomial", "euler_phi"),
+        ("CycNum", "IntPoly", "cyc_reduce", "cyclotomic_polynomial", "euler_phi"),
         "cyclofield",
     ),
     **dict.fromkeys(

@@ -4,8 +4,9 @@ An arrangement is an ordered list of affine hyperplanes c0 + sum(c_i x_i) = 0
 with coefficients in one cyclotomic field.  This module provides validated
 construction, the cone/decone pair, the intersection lattice with its Mobius
 function, the Poincare polynomial, the beta invariant, and dense-edge flags on
-the projective closure.  What is derived from an arrangement, here and in
-osalgebra and covers, lives as long as the arrangement (see derived).
+the projective closure.  The module is geometry only: what is derived from
+an arrangement, here and in osalgebra and covers, is held by record.derived
+and lives as long as the arrangement.
 
 All exact linear algebra happens in one pass, the lattice of the projective
 closure (the affine rows plus the hyperplane at infinity).  Its flats are
@@ -25,14 +26,10 @@ beta invariant of their localizations in the scan that finds the Mobius values.
 
 from __future__ import annotations
 
-from functools import update_wrapper
 from math import gcd, lcm
-from threading import Lock
-from types import SimpleNamespace
-from weakref import finalize
 
 from .cyclofield import CycNum, IntPoly, reduced_row_echelon, zadjugate, zmul
-from .record import record
+from .record import derived, record
 
 
 @record
@@ -82,34 +79,6 @@ class Arrangement:
     @property
     def ell(self) -> int:
         return self.ambient_dim
-
-
-_derived: dict[int, dict] = {}  # id(a) -> {(fn, args): fn(a, *args)}
-_derived_lock = Lock()
-
-
-def derived(fn):
-    """fn(a, *args), computed once per live value a (an arrangement or its
-    algebra) and args and kept in _derived, not on a, so a pickles without
-    it; weakref.finalize drops a's values when a is collected, before its id
-    is reused.  Threads that miss together each compute, and all get the
-    first value stored."""
-    info = SimpleNamespace(misses=0)
-
-    def once(a, *args):
-        try:
-            return _derived[id(a)][fn, args]
-        except KeyError:
-            pass
-        value = fn(a, *args)
-        with _derived_lock:
-            info.misses += 1
-            if id(a) not in _derived:
-                finalize(a, _derived.pop, id(a))
-            return _derived.setdefault(id(a), {}).setdefault((fn, args), value)
-
-    once.cache_info = lambda: info  # misses: the calls that computed
-    return update_wrapper(once, fn)
 
 
 def build(ambient_dim: int, cyc_order: int, hyperplanes) -> Arrangement:

@@ -360,6 +360,8 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
+        if args.key:
+            raise CliError(f"catalog list takes no key, got {args.key!r}")
         table = catalog_mod.entries()
         payload = {
             "entries": [
@@ -372,6 +374,8 @@ def _cmd_catalog(args) -> int:
                  for e in table.values()]
         _emit(payload, lines, args.format)
         return 0
+    if not args.key:
+        raise CliError("catalog show requires a key")
     from .fileformat import serialize_arrangement
 
     try:
@@ -449,9 +453,6 @@ def main(argv=None) -> int:
         # argparse exits 0 after --help and 2 on a usage error, but 2 is the
         # code of an open interval
         return 0 if exc.code == 0 else 1
-    if args.command == "catalog" and args.action == "show" and not args.key:
-        print("catalog show requires a key", file=sys.stderr)
-        return 1
     try:
         try:
             code = args.func(args)

@@ -77,14 +77,13 @@ from .arrangement import (
     betti_numbers,
     closure_lattice,
     dense_edges,
-    derived,
     euler_characteristic,
     support_mask,
 )
 from .cyclofield import IntPoly, divisor_phis, divisors, euler_phi, tk_exponents, tk_product
 from .exactlin import cohomology_Q, cohomology_modN
 from .osalgebra import aomoto_matrices, integers
-from .record import record
+from .record import derived, record
 
 
 # Largest n whose shift sweep enumerates all of {-1, 0}^n.
@@ -138,6 +137,8 @@ class BettiInterval:
     def __init__(self, degree, lower, upper, resolved, witness_shift=None):
         if lower > upper:
             raise ValueError(f"interval lower {lower} exceeds upper {upper}")
+        if resolved != (lower == upper):
+            raise ValueError(f"interval [{lower}..{upper}] cannot have resolved={resolved}")
         self.__dict__.update(degree=degree, lower=lower, upper=upper, resolved=resolved,
                              witness_shift=witness_shift)
 
@@ -362,20 +363,11 @@ def _acyclic_below_top(quotas, support: int) -> bool:
 AUTOMORPHISM_NODE_BUDGET = 4096
 
 
-def support_image(mask: int, perm) -> int:
-    """The bitmask of {perm[i] : bit i of mask is set}."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def byte_tables(perm) -> tuple[tuple[int, ...], ...]:
-    """support_image(mask, perm) as lookup tables, one per byte of the mask:
-    tables[b][v] is the image of v << 8*b.  There are ceil(n/8) tables of at
-    most 256 entries, each filled by doubling, one bit at a time."""
+    """The image of a support bitmask under perm, the mask of {perm[i] : bit
+    i is set}, as lookup tables, one per byte of the mask: tables[b][v] is
+    the image of v << 8*b.  There are ceil(n/8) tables of at most 256
+    entries, each filled by doubling, one bit at a time."""
     n = len(perm)
     tables = []
     for base in range(0, n, 8):
@@ -430,8 +422,8 @@ def automorphisms(a: Arrangement) -> tuple[tuple[int, ...], ...]:
     n = a.n
     lattice = closure_lattice(a)
     flats, join = lattice.flats, lattice.join
-    affine = [support_mask(f.support) for f in flats if n not in f.support]
-    affine_set = set(affine)
+    affine = [f.support for f in flats if n not in f.support]
+    affine_set = set(map(support_mask, affine))
     # line[i][j]: the closure support of H_i cap H_j; bit n is set when
     # the two are parallel
     line = [[support_mask(flats[join[join[0][i]][j]].support)
@@ -459,7 +451,7 @@ def automorphisms(a: Arrangement) -> tuple[tuple[int, ...], ...]:
         def extend(x: int) -> bool:
             nonlocal nodes
             if x == n:
-                return all(support_image(s, image) in affine_set for s in affine)
+                return all(support_mask(image[i] for i in s) in affine_set for s in affine)
             for y in ([c] if x == i else range(n)):
                 if y in used or not fits(x, y):
                     continue
@@ -584,7 +576,8 @@ def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
 
     The one owner of the assertion rule.  resolution maps (k, q) -> asserted
     b_q(L_k).  Before any interval is computed every key is checked: k must
-    be one of ks and q in 0..ell.  Then, one k at a time, an asserted value
+    be one of ks and q in 0..ell; then every k of ks must be >= 1, before the
+    arrangement's table is read.  Then, one k at a time, an asserted value
     outside the interval of its degree is rejected whether or not that
     interval is resolved; an asserted open interval becomes that value, with
     no witness, and makes that k inexact.  Once the assertions at a k leave
@@ -605,6 +598,8 @@ def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
                 f"asserted b_{q}(L_{k}) = {value}: degree out of range 0..{a.ell}"
             )
         asserted.setdefault(k, {})[q] = value
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
     resonant, _, nonresonant, _ = _local_table(a)
     for k in ks:
         at_k = asserted.get(k)

@@ -6,7 +6,8 @@ the d-th cyclotomic polynomial, so two values are equal iff their coefficient
 tuples are equal.  The ring of integers Z[zeta_d] uses the same basis with
 plain int tuples, for fraction-free elimination; the field inverts through
 it, as the adjugate over the norm, with no polynomial gcd.  Rationals are
-stdlib ``fractions.Fraction`` (always reduced, positive denominator).  The
+stdlib ``fractions.Fraction`` (always reduced, positive denominator); their
+string syntax in arrangement files belongs to fileformat.  The
 module also provides integer polynomials, the cyclotomic polynomials
 themselves and products of them written through the sparse factors
 t^d - 1, the number theory those rest on (bounded trial-division
@@ -16,7 +17,6 @@ elimination over Q(zeta_d).
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -24,26 +24,6 @@ from math import comb, gcd, lcm
 from operator import add, neg
 
 from .record import record
-
-Rational = Fraction
-
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a canonical rational string "p" or "p/q" (q > 0)."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
-        raise ValueError(f"malformed rational {text!r}")
-    return Fraction(text)
-
-
-def format_rational(x: Fraction) -> str:
-    """Canonical rational string: "p" when the denominator is 1, else "p/q"."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
 
 TRIAL_LIMIT = 10**6
 # Miller-Rabin with the prime bases 2..41 is deterministic below this bound

@@ -22,10 +22,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from operator import le
 
-from .arrangement import derived
 from .cyclofield import factorize
 from .osalgebra import AomotoComplex, OSAlgebra
-from .record import record
+from .record import derived, record
 
 # The prime whose F_p ranks cohomology_Q certifies as ranks over Q.  A small
 # prime keeps the packed slots of _eliminate narrow.  On one shift-sweep pass

@@ -13,17 +13,30 @@ Schema::
     }
 
 Every cyclotomic number is an array of phi(d) canonical rational strings
-("p" or "p/q"), low power first.  Serialization is deterministic (sorted
-keys, indent 2, trailing newline), so canonical files round-trip
-byte-identically.
+("p" or "p/q" with q > 0, low power first); this module alone reads and
+writes them.  A coefficient is written as str(Fraction), which is that
+canonical form.  Serialization is deterministic (sorted keys, indent 2,
+trailing newline), so canonical files round-trip byte-identically.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 
 from .arrangement import Arrangement, Hyperplane, build
-from .cyclofield import CycNum, euler_phi, format_rational, parse_rational
+from .cyclofield import CycNum, euler_phi
+
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a canonical rational string "p" or "p/q" (q > 0)."""
+    text = text.strip()
+    if not _RATIONAL_RE.match(text):
+        raise ValueError(f"malformed rational {text!r}")
+    return Fraction(text)
 
 
 class ArrangementFileError(ValueError):
@@ -53,7 +66,7 @@ def _parse_cyc(value, d: int, where: str) -> CycNum:
 
 
 def _format_cyc(value: CycNum) -> list[str]:
-    return [format_rational(c) for c in value.coeffs]
+    return list(map(str, value.coeffs))
 
 
 def parse_file(data) -> Arrangement:

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .arrangement import Arrangement, ClosureLattice, closure_lattice, derived
-from .record import record
+from .arrangement import Arrangement, ClosureLattice, closure_lattice
+from .record import derived, record
 
 Monomial = tuple[int, ...]
 

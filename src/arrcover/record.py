@@ -1,4 +1,5 @@
-"""Immutable value classes without the dataclasses machinery.
+"""Immutable value classes without the dataclasses machinery, and the one
+owner of derived values.
 
 ``record`` takes the field names from a class's annotations, in order, and
 adds field-wise equality, hashing and a ``Name(field=value, ...)`` repr, and
@@ -8,9 +9,17 @@ keyword, in ``self.__dict__``.  Only a class that validates or normalises its
 arguments writes its own.  Nothing is generated as source, so defining a
 record class costs a few closures; ``dataclasses`` would import ``inspect``
 and compile every method with ``exec``.
+
+``derived`` holds every value computed from an arrangement or from its
+algebra, in whichever module computes it: once per live value, dropped when
+that value is collected.
 """
 
+from functools import update_wrapper
 from operator import attrgetter
+from threading import Lock
+from types import SimpleNamespace
+from weakref import finalize
 
 
 def record(cls):
@@ -70,3 +79,31 @@ def record(cls):
     cls.__setattr__ = __setattr__
     cls.__delattr__ = __delattr__
     return cls
+
+
+_derived: dict[int, dict] = {}  # id(a) -> {(fn, args): fn(a, *args)}
+_derived_lock = Lock()
+
+
+def derived(fn):
+    """fn(a, *args), computed once per live value a (an arrangement or its
+    algebra) and args and kept in _derived, not on a, so a pickles without
+    it; weakref.finalize drops a's values when a is collected, before its id
+    is reused.  Threads that miss together each compute, and all get the
+    first value stored."""
+    info = SimpleNamespace(misses=0)
+
+    def once(a, *args):
+        try:
+            return _derived[id(a)][fn, args]
+        except KeyError:
+            pass
+        value = fn(a, *args)
+        with _derived_lock:
+            info.misses += 1
+            if id(a) not in _derived:
+                finalize(a, _derived.pop, id(a))
+            return _derived.setdefault(id(a), {}).setdefault((fn, args), value)
+
+    once.cache_info = lambda: info  # misses: the calls that computed
+    return update_wrapper(once, fn)

@@ -526,6 +526,15 @@ def test_catalog_list(capsys):
     assert keys == {"selberg", "maclane-decone", "hessian-decone", "ceva3"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("catalog show", "catalog show requires a key"),
+    ("catalog list selberg", "catalog list takes no key, got 'selberg'"),
+    ("local-betti --catalog selberg --k 0", "k must be >= 1"),
+])
+def test_bad_arguments_exit_1_with_one_error_line(capsys, argv, message):
+    assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "zeta", "--catalog", "selberg", "--q", "2")
     _, second, _ = run(capsys, "zeta", "--catalog", "selberg", "--q", "2")

@@ -92,7 +92,7 @@ def test_no_command_loads_dataclasses(tmp_path, command):
 
 
 def test_every_exported_name_resolves():
-    assert len(arrcover.__all__) == 45
+    assert len(arrcover.__all__) == 44
     for name in arrcover.__all__:
         value = getattr(arrcover, name)
         assert value is not None

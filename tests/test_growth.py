@@ -2,7 +2,7 @@
 
 What the package keeps grows with the arrangements alive, never with the
 arrangements seen: every value derived from an arrangement, or from its
-algebra, is held under that value by one owner (arrangement.derived) and
+algebra, is held under that value by one owner (record.derived) and
 dropped when it is collected.  A caller that analyses many inputs one after
 another, dropping each, is left with nothing.  The work of a cover grows
 with n and ell, never with m: m is factorised once, only k = 1 and the
@@ -19,7 +19,7 @@ import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
-from arrcover import arrangement, catalog, covers, cyclofield
+from arrcover import arrangement, catalog, covers, cyclofield, record
 from arrcover.arrangement import Hyperplane, build
 from arrcover.covers import (
     MAX_ENUMERATION,
@@ -49,14 +49,14 @@ def test_dropped_arrangements_leave_no_derived_values():
         assert cover_betti(a, 4).exact
         # the algebra's packed generators are held by the owner, under the
         # algebra, not on it
-        assert id(os_algebra(a)) in arrangement._derived
+        assert id(os_algebra(a)) in record._derived
         refs.append(weakref.ref(a))
         ids += [id(a), id(os_algebra(a))]
         del a
     gc.collect()
     assert [seed for seed, ref in zip(SEEDS, refs) if ref() is not None] == []
     # no arrangement or algebra created since can hold one of these ids
-    assert [i for i in ids if i in arrangement._derived] == []
+    assert [i for i in ids if i in record._derived] == []
     # each input built its lattice once, for its nine k and its cover
     assert arrangement.closure_lattice.cache_info().misses == lattices + len(SEEDS)
 
@@ -64,7 +64,7 @@ def test_dropped_arrangements_leave_no_derived_values():
 def test_threads_that_miss_together_share_the_first_value():
     computed = []
 
-    @arrangement.derived
+    @record.derived
     def probe(a, k):
         computed.append(k)
         time.sleep(0.001)  # let the other threads miss too
@@ -84,7 +84,7 @@ def test_threads_that_miss_together_share_the_first_value():
             assert probe.cache_info().misses == len(computed)
             key = id(a)
             del a
-            assert key not in arrangement._derived
+            assert key not in record._derived
     finally:
         sys.setswitchinterval(interval)
 

@@ -21,6 +21,7 @@ from arrcover.covers import (
     local_betti,
     monodromy_charpoly,
     periodicity,
+    resolve,
     stv_nonresonant,
     zeta_coefficients,
 )
@@ -64,6 +65,18 @@ def test_rule_edges():
     for k in (0, -3):
         with pytest.raises(ValueError):
             local_betti(a, k)
+
+
+@pytest.mark.parametrize("ks", [(0,), (1, 0), (3, 2, -1)])
+def test_resolve_rejects_k_below_1_before_reading_the_table(ks):
+    a = parallel_pair()
+    misses = _local_table.cache_info().misses
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        next(resolve(a, ks))
+    # an assertion key outside ks is named first
+    with pytest.raises(ValueError, match="is not one of the visited k"):
+        next(resolve(a, ks, {(5, 1): 0}))
+    assert _local_table.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("key", sorted(catalog.entries()))

@@ -144,6 +144,11 @@ def test_defaults():
 def test_validation_in_init():
     with pytest.raises(ValueError, match="lower 3 exceeds upper 2"):
         BettiInterval(1, 3, 2, False)
+    # resolved is exactly lower == upper
+    with pytest.raises(ValueError, match=r"interval \[1\.\.2\] cannot have resolved=True"):
+        BettiInterval(0, 1, 2, True)
+    with pytest.raises(ValueError, match=r"interval \[1\.\.1\] cannot have resolved=False"):
+        BettiInterval(0, 1, 1, False)
     with pytest.raises(ValueError, match="modulus must be >= 1"):
         WeightSystem((1, 1), 0)
     with pytest.raises(ValueError, match="expected 2 coefficients for order 3, got 1"):
@@ -184,7 +189,7 @@ def test_a_class_keeps_its_own_hash_and_a_complex_holds_its_fields_only():
 @pytest.mark.parametrize("key", ["selberg", "maclane-decone", "hessian-decone", "ceva3"])
 def test_closure_lattice_holds_its_fields_only(key):
     # what a sweep derives from the lattice and the algebra is kept by
-    # arrangement.derived, so after local_betti at every k the lattice is
+    # record.derived, so after local_betti at every k the lattice is
     # still (flats, join) and the algebra (bases, generators)
     a = catalog.get(key).arrangement
     for k in range(1, a.n + 1):

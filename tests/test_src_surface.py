@@ -7,10 +7,13 @@ names in BENCHMARK_ONLY that only the benchmark calls.  A record class
 writes an ``__init__`` only to do more than ``record``'s own, which stores the
 fields, and a record instance holds its fields and nothing else: its init
 stores no other name and it has no ``cached_property``.  A value derived from
-an arrangement, or from its algebra, is owned by arrangement.derived, never
+an arrangement, or from its algebra, is owned by record.derived, never
 by a functools cache that would keep the arrangement alive.  A derived
 function is read by name in the module that defines it, unless it is
-exported, so each derived value lives with the code that consumes it.
+exported, so each derived value lives with the code that consumes it.  Each
+module imports only the sibling modules LAYERS allows it, so the layers stay
+apart: record under everything, geometry under the algebra, the algebra
+under the covers, and the command line on top.
 """
 
 import ast
@@ -27,6 +30,23 @@ WORKER = PACKAGE_DIR.parent.parent / "perfbench" / "worker.py"
 # that covers.is_nonresonant replaced, at uniform weights; it goes with them
 # (ROADMAP item 9).
 BENCHMARK_ONLY = {"uniform"}
+
+
+# module -> the sibling modules it may import.  __init__ loads its modules by
+# name, on first access, and imports none.
+LAYERS = {
+    "__init__.py": set(),
+    "__main__.py": {"cli"},
+    "record.py": set(),
+    "cyclofield.py": {"record"},
+    "arrangement.py": {"cyclofield", "record"},
+    "catalog.py": {"arrangement", "cyclofield", "record"},
+    "fileformat.py": {"arrangement", "cyclofield"},
+    "osalgebra.py": {"arrangement", "record"},
+    "exactlin.py": {"cyclofield", "osalgebra", "record"},
+    "covers.py": {"arrangement", "cyclofield", "exactlin", "osalgebra", "record"},
+    "cli.py": {"arrangement", "catalog", "covers", "cyclofield", "fileformat", "osalgebra"},
+}
 
 
 def used_names(tree):
@@ -79,6 +99,27 @@ def test_every_import_is_used():
     assert not unused, f"imported but never used: {unused}"
 
 
+def sibling_imports(tree):
+    """The sibling modules a module imports, at any depth: x for
+    ``from .x import f`` and for ``from . import x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.partition(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_every_module_imports_only_the_layers_below_it():
+    assert LAYERS.keys() == TREES.keys()
+    stray = sorted(
+        f"{name} -> {module}"
+        for name, tree in TREES.items()
+        for module in set(sibling_imports(tree)) - LAYERS[name]
+    )
+    assert not stray, f"imports outside its layer: {stray}"
+
+
 def decorator_name(node):
     """The last name of a decorator, called or not: lru_cache for
     @functools.lru_cache(maxsize=None)."""
@@ -104,7 +145,7 @@ def test_no_functools_cache_is_keyed_on_an_arrangement():
         and first_parameter_type(node) == "Arrangement"
         and any(decorator_name(dec) in {"lru_cache", "cache"} for dec in node.decorator_list)
     )
-    assert not keyed, f"cached on an Arrangement, use arrangement.derived: {keyed}"
+    assert not keyed, f"cached on an Arrangement, use record.derived: {keyed}"
 
 
 def test_every_derived_function_is_read_in_its_own_module():
@@ -178,7 +219,7 @@ def test_no_record_class_has_a_cached_property():
         if isinstance(method, ast.FunctionDef)
         and any(decorator_name(dec) == "cached_property" for dec in method.decorator_list)
     )
-    assert not cached, f"cached_property on a record, use arrangement.derived: {cached}"
+    assert not cached, f"cached_property on a record, use record.derived: {cached}"
 
 
 def stored_names(init):

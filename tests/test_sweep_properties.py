@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from arrcover import catalog  # noqa: E402
 from arrcover.arrangement import dense_edges  # noqa: E402
-from arrcover.covers import (  # noqa: E402
-    WeightSystem, byte_tables, orbit, stv_nonresonant, support_image,
-)
+from arrcover.covers import WeightSystem, byte_tables, orbit, stv_nonresonant  # noqa: E402
+from permutation import support_image  # noqa: E402
 
 KEYS = sorted(catalog.entries())
 
