@@ -550,6 +550,9 @@ def test_output_is_deterministic(capsys):
 # every k <= n pins the intervals and witness shifts of every divisor.
 # `charpoly` at m = 2520 pins a degree-45376 expansion, and at the prime
 # m = 10^18 + 3 the (t^d - 1) form and the degree line above the bound.
+# `info`, `cover-betti --m 12`, `periodicity`, `zeta --q 1` and `local-betti
+# --k 3` (text) per entry, and `catalog list` and `catalog show` (key "" for
+# list), pin the rendering of every command, Ceva(3)'s exit-2 report included.
 STDOUT_SHA256 = {
     ("lattice", "selberg", "json"): "72bf131d12222b4a55e162ff7ecbc5701e05c1e9620691f76213374f9333a260",
     ("lattice", "selberg", "text"): "5d8fd66dda5e1e0cb85c39b9459b77b95b0818483762394c05884e4995ca1971",
@@ -611,9 +614,61 @@ STDOUT_SHA256 = {
     ("charpoly --m 2520 --q 2", "hessian-decone", "text"): "b077f385310bd541cb75170018ba4d71b00c3abd7f42c912a88209ac0b388400",
     ("charpoly --m 1000000000000000003 --q 2", "selberg", "json"): "d6e80a80fcab2ff6a5ca9bb5ef7d29efc6064fe09b212c5ea8346978c0d70716",
     ("charpoly --m 1000000000000000003 --q 2", "selberg", "text"): "e5579d92e9eeb78644afebf6d0a9c2c01bd86e4457497a98875f4a0b1db746ef",
+    ("info", "selberg", "json"): "4b6b0b4536e18bd419435600ff1a2d1ae8506e491db08826487aad87e15f8e3f",
+    ("info", "selberg", "text"): "de3b35a791842d6ff385c583aba381de87455df938e29515d1ca5dfc8cd877bb",
+    ("info", "maclane-decone", "json"): "1a0115e9d888bcb875218dc2541d600a2996e1f7063be98bf0ce715b3356f06b",
+    ("info", "maclane-decone", "text"): "cfdf488656637ecb7540e639a6618e5983a2cafa94a11738e2dfcf385a3c31d8",
+    ("info", "hessian-decone", "json"): "b2e4f54bad6832762c5ffc708a1231d75d8f1cf4c5247394d0c819daa32f0e4f",
+    ("info", "hessian-decone", "text"): "f2bbe32eddd0933f34b41b242585172e3f845e2bab7cf9a26cc3a6965f5b0826",
+    ("info", "ceva3", "json"): "e14a4f7df5a5059ace60608d1f990aaca4e10e821d548edd0745c6db9004cad4",
+    ("info", "ceva3", "text"): "54c9cfc6bc6e2b145725edf974275a895f1a22740e185b6892b7a71cdbb1eec0",
+    ("cover-betti --m 12", "selberg", "json"): "2d28c8d830df3b2dfb2390afc413af3b78e7ebb96f03e451c8d15c06bb239ed4",
+    ("cover-betti --m 12", "selberg", "text"): "9d9623e1fdab02e6ef3c5273e04d3a35b13388814456e475d5bb84674bde1c41",
+    ("cover-betti --m 12", "maclane-decone", "json"): "84d76e329f84d8729656e0fd65a59648b74ae79f3076266980f7021431937c78",
+    ("cover-betti --m 12", "maclane-decone", "text"): "75e3d5b06e10a969b35452f01a3a3857d77e78c64c3f32c7cee3feb18213486b",
+    ("cover-betti --m 12", "hessian-decone", "json"): "9073694984ea6282b49444c278d743909a6f82511ef1e270855be9407a062b82",
+    ("cover-betti --m 12", "hessian-decone", "text"): "95f68bac2c4db11024fba3d68239283ad548014910c8c8b9f549f8a060b748b9",
+    ("cover-betti --m 12", "ceva3", "json"): "49053341d7bcca71d9fed72ec4d98555faa1f3ab92476ee5662cbf851dbd4cd9",
+    ("cover-betti --m 12", "ceva3", "text"): "b89d04a91d3d31064c0cbb78b5892dce4aad35e47fce5bc1b075f5daed6f151c",
+    ("periodicity", "selberg", "json"): "04b5a07b41a64ab0ec2f341f16b13512e5b2006397cbd2739d5eb1d04c3cb5cc",
+    ("periodicity", "selberg", "text"): "de5a9496bdc3f0cecdf2dc0b5f796d57fec21d75c733b63071eab013e5c99123",
+    ("periodicity", "maclane-decone", "json"): "8bdb607341f96500a0d9b124959f2fa2e655fc7331ee144d3f551d0b06cbc51e",
+    ("periodicity", "maclane-decone", "text"): "a37dc9f56e9c39c11b25ac0aaf2278397b1786420a69ccc83f8f81cc5ae249fa",
+    ("periodicity", "hessian-decone", "json"): "679b3284cb453b857005d9e3403650c87de9eb5536b7ed8e9b2666cb6ff96735",
+    ("periodicity", "hessian-decone", "text"): "725e84952edff1fb91fd3c779ad7b971b69773185802dfb481029fada44a6aac",
+    ("periodicity", "ceva3", "json"): "49053341d7bcca71d9fed72ec4d98555faa1f3ab92476ee5662cbf851dbd4cd9",
+    ("periodicity", "ceva3", "text"): "b89d04a91d3d31064c0cbb78b5892dce4aad35e47fce5bc1b075f5daed6f151c",
+    ("zeta --q 1", "selberg", "json"): "edba87a1fb731aebc229bb81be405afa3949e14719ddccc8577c64c381fe4fd2",
+    ("zeta --q 1", "selberg", "text"): "2f9d3b092c672d30a31d81b477a2a0b5cc9503551fbc8552e4dd20ba7a1d9267",
+    ("zeta --q 1", "maclane-decone", "json"): "5d69c7bd610535155fafbc56f9d6f317503d9db8a3e63f1c468994d91a321eba",
+    ("zeta --q 1", "maclane-decone", "text"): "ffad9eddb1ff0b35977886344bb122b442629ada2419721cf2c72b6010ec3f03",
+    ("zeta --q 1", "hessian-decone", "json"): "f094a3ad65bb2e546309cea39cf45e4bf1c526c482fff26dc99a149bc3afbf60",
+    ("zeta --q 1", "hessian-decone", "text"): "f4522292464e1e37e67793324b20cc158e09fce058aa1997bc92c49717d73a2d",
+    ("zeta --q 1", "ceva3", "json"): "49053341d7bcca71d9fed72ec4d98555faa1f3ab92476ee5662cbf851dbd4cd9",
+    ("zeta --q 1", "ceva3", "text"): "b89d04a91d3d31064c0cbb78b5892dce4aad35e47fce5bc1b075f5daed6f151c",
+    ("local-betti --k 3", "selberg", "text"): "31b7c020c109a35ef673adfa437d6b4b8e73e00d9d83bc65c1875b199de588ed",
+    ("local-betti --k 3", "maclane-decone", "text"): "e940f050a23139e0f98e62850453a6572ba331dabe7383801feb9cdff1178dee",
+    ("local-betti --k 3", "hessian-decone", "text"): "0ce783d2fe81926747d0758fdbca140ecbae60000c1af7268165525331470c62",
+    ("local-betti --k 3", "ceva3", "text"): "951395c1b5a894b3479e163a90ddb9e86ceb520c740e45c5c978968b863e23e5",
+    ("catalog list", "", "json"): "fff7c7f5d89f6ae64135dc86c05fe8c22373a6afffa4b40d43079cbab5dbc19c",
+    ("catalog list", "", "text"): "8e66b99f31f9657b7dfd3d487645fb5390ce862e059c94cbff15b7a4436deef4",
+    ("catalog show", "selberg", "json"): "ed8dbef05f008218965fa66b40478ec07126b70cfac08ef868316b1b286d6352",
+    ("catalog show", "selberg", "text"): "ed8dbef05f008218965fa66b40478ec07126b70cfac08ef868316b1b286d6352",
+    ("catalog show", "maclane-decone", "json"): "30adbde61db8cd2ba6c320d5450717371578e4cc34e1bf3ffebe0d6cfc89abcd",
+    ("catalog show", "maclane-decone", "text"): "30adbde61db8cd2ba6c320d5450717371578e4cc34e1bf3ffebe0d6cfc89abcd",
+    ("catalog show", "hessian-decone", "json"): "76aea53c2157b1560e97efe6de3d3810545d30c3e818f4e49b1e6dd56036e36b",
+    ("catalog show", "hessian-decone", "text"): "76aea53c2157b1560e97efe6de3d3810545d30c3e818f4e49b1e6dd56036e36b",
+    ("catalog show", "ceva3", "json"): "c3c0a13a35dcd2938126dc31fd5e6173f953d39e299e1b01db6a7e176d66d00b",
+    ("catalog show", "ceva3", "text"): "c3c0a13a35dcd2938126dc31fd5e6173f953d39e299e1b01db6a7e176d66d00b",
 }
 # the commands above that exit with a nonzero code (open intervals)
-STDOUT_EXIT = {("local-betti --k 3", "ceva3"): 2, ("local-betti --k 9", "ceva3"): 2}
+STDOUT_EXIT = {
+    ("local-betti --k 3", "ceva3"): 2,
+    ("local-betti --k 9", "ceva3"): 2,
+    ("cover-betti --m 12", "ceva3"): 2,
+    ("periodicity", "ceva3"): 2,
+    ("zeta --q 1", "ceva3"): 2,
+}
 
 
 def mixed_weights(n):
@@ -624,15 +679,18 @@ def mixed_weights(n):
 
 @pytest.mark.parametrize("command,key,fmt", sorted(STDOUT_SHA256))
 def test_stdout_bytes_pinned(capsys, command, key, fmt):
-    if command == "lattice":
-        argv = ("lattice",)
-    elif command == "os":
-        argv = ("os", "--matrices")
+    if command == "os":
+        argv = ("os", "--matrices", "--catalog", key)
     elif command == "os-mixed":
-        argv = ("os", "--matrices", "--k-vector", mixed_weights(catalog.get(key).arrangement.n))
+        argv = ("os", "--matrices", "--k-vector", mixed_weights(catalog.get(key).arrangement.n),
+                "--catalog", key)
+    elif command == "catalog list":
+        argv = ("catalog", "list")
+    elif command == "catalog show":
+        argv = ("catalog", "show", key)
     else:
-        argv = tuple(command.split())
-    code, out, err = run(capsys, *argv, "--catalog", key, "--format", fmt)
+        argv = (*command.split(), "--catalog", key)
+    code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == STDOUT_EXIT.get((command, key), 0), err
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[(command, key, fmt)]
 
