@@ -1,8 +1,12 @@
 """Command-line interface: catalog access, reports, JSON/text rendering.
 
-Exit codes: 0 success, 1 input or usage error, 2 unresolved Betti interval.
-JSON output (the default) is deterministic: sorted keys, two-space indent,
-canonical rational strings.
+main is the one place that selects, parses and renders: it loads the
+arrangement of --catalog or --file and parses --assert, hands both to the
+command, and writes the (code, payload, lines) the command returns: the
+payload as JSON, or the text lines under --format text when the command has
+them.  Exit codes: 0 success, 1 input or usage error, 2 unresolved Betti
+interval.  JSON output (the default) is deterministic: sorted keys,
+two-space indent, canonical rational strings.
 
 A cold process pays for every module it imports, so each command imports the
 modules it needs itself: only os loads osalgebra, only the commands on local
@@ -89,14 +93,6 @@ def _parse_shifts(items) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_integers(item, "shift") for item in items or [])
 
 
-def _emit(payload: dict, text_lines, fmt: str):
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _interval_dict(iv):
     return {
         "q": iv.degree,
@@ -114,7 +110,7 @@ def _interval_text(iv):
     return f"  q={iv.degree}: [{iv.lower}..{iv.upper}] unresolved"
 
 
-def _report_unresolved(exc, fmt: str) -> int:
+def _report_unresolved(exc):
     payload = {
         "error": "unresolved-interval",
         "k": exc.k,
@@ -123,16 +119,14 @@ def _report_unresolved(exc, fmt: str) -> int:
     lines = [f"unresolved local Betti numbers at k={exc.k}:"]
     lines += [_interval_text(iv) for iv in exc.intervals]
     lines.append("supply --assert to close the gaps, or accept the interval")
-    _emit(payload, lines, fmt)
-    return 2
+    return 2, payload, lines
 
 
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
 
-def _cmd_info(args) -> int:
-    a, name = _load_arrangement(args)
+def _cmd_info(args, a, name, assertions):
     p = poincare_polynomial(a)
     payload = {
         "name": name,
@@ -150,8 +144,7 @@ def _cmd_info(args) -> int:
         f"P(A,t) = {format_poly(p)}",
         f"beta = {beta(a)}, chi = {euler_characteristic(a)}",
     ]
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
 def _flat_dict(f, with_dense: bool):
@@ -166,8 +159,7 @@ def _flat_dict(f, with_dense: bool):
     return out
 
 
-def _cmd_lattice(args) -> int:
-    a, name = _load_arrangement(args)
+def _cmd_lattice(args, a, name, assertions):
     lattice = intersection_lattice(a)
     closure = dense_edges(a)
     payload = {
@@ -192,16 +184,14 @@ def _cmd_lattice(args) -> int:
             f"  codim {f.codim}: support {list(f.support)} mu={f.mobius} "
             f"|A_Y|={f.multiplicity}{flag}"
         )
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_os(args) -> int:
+def _cmd_os(args, a, name, assertions):
     if args.k_vector is not None and not args.matrices:
         raise CliError("--k-vector requires --matrices")
     from .osalgebra import aomoto_matrices, nbc_basis
 
-    a, name = _load_arrangement(args)
     bases = nbc_basis(a)
     payload = {
         "name": name,
@@ -212,8 +202,6 @@ def _cmd_os(args) -> int:
     if args.matrices:
         weights = (_parse_integers(args.k_vector, "--k-vector")
                    if args.k_vector is not None else (1,) * a.n)
-        if len(weights) != a.n:
-            raise CliError(f"expected {a.n} weights, got {len(weights)}")
         complex_ = aomoto_matrices(a, weights)
         payload["weights"] = list(weights)
         differentials = [
@@ -228,15 +216,12 @@ def _cmd_os(args) -> int:
         lines.append(f"differentials for weights {list(weights)}:")
         for q, d in enumerate(differentials):
             lines.append(f"  D^{q}: {d['rows']}x{d['cols']}, {len(d['entries'])} nonzero entries")
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_local_betti(args) -> int:
+def _cmd_local_betti(args, a, name, assertions):
     from .covers import resolve
 
-    a, name = _load_arrangement(args)
-    assertions = _parse_assertions(getattr(args, "assert"), k_fixed=args.k)
     _, intervals, _ = next(resolve(a, (args.k,), assertions, _parse_shifts(args.shift)))
     payload = {
         "name": name,
@@ -245,15 +230,12 @@ def _cmd_local_betti(args) -> int:
     }
     lines = [f"{name}: local system Betti intervals at k={args.k}"]
     lines += [_interval_text(iv) for iv in intervals]
-    _emit(payload, lines, args.format)
-    return 0 if all(iv.resolved for iv in intervals) else 2
+    return (0 if all(iv.resolved for iv in intervals) else 2), payload, lines
 
 
-def _cmd_cover_betti(args) -> int:
+def _cmd_cover_betti(args, a, name, assertions):
     from .covers import cover_betti
 
-    a, name = _load_arrangement(args)
-    assertions = _parse_assertions(getattr(args, "assert"))
     report = cover_betti(a, args.m, assertions)
     payload = {
         "name": name,
@@ -270,15 +252,12 @@ def _cmd_cover_betti(args) -> int:
         extra = "X_6 is the Milnor fiber of the rank-3 braid arrangement"
         payload["note"] = extra
         lines.append(extra)
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_charpoly(args) -> int:
+def _cmd_charpoly(args, a, name, assertions):
     from .covers import MAX_EXPANDED_DEGREE, charpoly_and_degree
 
-    a, name = _load_arrangement(args)
-    assertions = _parse_assertions(getattr(args, "assert"))
     report, degree = charpoly_and_degree(a, args.m, args.q, assertions)
     payload = {
         "name": name,
@@ -302,15 +281,12 @@ def _cmd_charpoly(args) -> int:
         lines.append(f"  = {pretty}")
     lines.append(f"  expanded: omitted, degree {degree} exceeds {MAX_EXPANDED_DEGREE}"
                  if report.expanded is None else f"  expanded: {format_poly(report.expanded)}")
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_periodicity(args) -> int:
+def _cmd_periodicity(args, a, name, assertions):
     from .covers import periodicity
 
-    a, name = _load_arrangement(args)
-    assertions = _parse_assertions(getattr(args, "assert"))
     report = periodicity(a, assertions)
     payload = {
         "name": name,
@@ -334,15 +310,12 @@ def _cmd_periodicity(args) -> int:
         top = f"p_{report.ell}(m) = {cls.top_slope}*m + {cls.top_constant}"
         prefix = f"  residues with divisors {list(cls.divisors)}: "
         lines.append(prefix + (f"{consts}, " if consts else "") + top)
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args, a, name, assertions):
     from .covers import zeta_coefficients
 
-    a, name = _load_arrangement(args)
-    assertions = _parse_assertions(getattr(args, "assert"))
     report = zeta_coefficients(a, args.q, assertions)
     payload = {
         "name": name,
@@ -354,11 +327,10 @@ def _cmd_zeta(args) -> int:
     terms = " + ".join(f"{c}*{k}^(-s)" if k > 1 else str(c) for k, c in report.finite_terms)
     tail = f" + {report.tail_beta}*sum_(k>{a.n}) phi(k) k^(-s)" if report.tail_beta else ""
     lines = [f"{name}: zeta_{args.q}(s) = zeta(s) * [{terms or '0'}{tail}]"]
-    _emit(payload, lines, args.format)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args):
     if args.action == "list":
         if args.key:
             raise CliError(f"catalog list takes no key, got {args.key!r}")
@@ -372,18 +344,17 @@ def _cmd_catalog(args) -> int:
         }
         lines = [f"{e.key}: n={e.arrangement.n}, ell={e.arrangement.ell} -- {e.notes}"
                  for e in table.values()]
-        _emit(payload, lines, args.format)
-        return 0
+        return 0, payload, lines
     if not args.key:
         raise CliError("catalog show requires a key")
-    from .fileformat import serialize_arrangement
+    from .fileformat import arrangement_to_dict
 
     try:
         entry = catalog_mod.get(args.key)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from None
-    print(serialize_arrangement(entry.arrangement, entry.key), end="")
-    return 0
+    # no text form: both formats print the arrangement file
+    return 0, arrangement_to_dict(entry.arrangement, entry.key), None
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--catalog", metavar="KEY", help="built-in arrangement key")
     common.add_argument("--file", metavar="PATH", help="arrangement file to load")
     common.add_argument("--format", choices=("json", "text"), default="json")
+    asserting = argparse.ArgumentParser(add_help=False)
+    asserting.add_argument("--assert", action="append", metavar="k:q=v", dest="assert")
 
     parser = argparse.ArgumentParser(
         prog="arrcover",
@@ -418,24 +391,19 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="assert an unresolved degree (repeatable)")
     p_lb.set_defaults(func=_cmd_local_betti)
 
-    p_cb = sub.add_parser("cover-betti", parents=[common])
+    p_cb = sub.add_parser("cover-betti", parents=[common, asserting])
     p_cb.add_argument("--m", type=int, required=True)
-    p_cb.add_argument("--assert", action="append", metavar="k:q=v", dest="assert")
     p_cb.set_defaults(func=_cmd_cover_betti)
 
-    p_cp = sub.add_parser("charpoly", parents=[common])
+    p_cp = sub.add_parser("charpoly", parents=[common, asserting])
     p_cp.add_argument("--m", type=int, required=True)
     p_cp.add_argument("--q", type=int, required=True)
-    p_cp.add_argument("--assert", action="append", metavar="k:q=v", dest="assert")
     p_cp.set_defaults(func=_cmd_charpoly)
 
-    p_pp = sub.add_parser("periodicity", parents=[common])
-    p_pp.add_argument("--assert", action="append", metavar="k:q=v", dest="assert")
-    p_pp.set_defaults(func=_cmd_periodicity)
+    sub.add_parser("periodicity", parents=[common, asserting]).set_defaults(func=_cmd_periodicity)
 
-    p_z = sub.add_parser("zeta", parents=[common])
+    p_z = sub.add_parser("zeta", parents=[common, asserting])
     p_z.add_argument("--q", type=int, required=True)
-    p_z.add_argument("--assert", action="append", metavar="k:q=v", dest="assert")
     p_z.set_defaults(func=_cmd_zeta)
 
     p_cat = sub.add_parser("catalog")
@@ -455,7 +423,13 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         try:
-            code = args.func(args)
+            if args.command == "catalog":
+                code, payload, lines = args.func(args)
+            else:
+                a, name = _load_arrangement(args)
+                k_fixed = args.k if args.command == "local-betti" else None
+                assertions = _parse_assertions(getattr(args, "assert", None), k_fixed)
+                code, payload, lines = args.func(args, a, name, assertions)
         except (CliError, ValueError) as exc:  # ArrangementFileError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -465,7 +439,11 @@ def main(argv=None) -> int:
             covers = sys.modules.get(f"{__package__}.covers")
             if covers is None or not isinstance(exc, covers.UnresolvedBettiError):
                 raise
-            code = _report_unresolved(exc, args.format)
+            code, payload, lines = _report_unresolved(exc)
+        if args.format == "json" or lines is None:
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print("\n".join(lines))
         # flushed here, so that a reader gone before the last buffer is seen
         # below and not at exit
         sys.stdout.flush()

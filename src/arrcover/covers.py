@@ -633,12 +633,16 @@ def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
         yield k, intervals, not closed
 
 
-def _local_values(a: Arrangement, ks, resolution) -> tuple[dict[int, tuple[int, ...]], bool]:
+def _local_values(a: Arrangement, ks, resolution,
+                  q=None) -> tuple[dict[int, tuple[int, ...]], bool]:
     """Resolved b_q(L_k) values for each k of ks, plus an exactness flag.
 
     The values come from resolve; the first k, in the order of ks, with an
-    open interval and no assertion raises UnresolvedBettiError.  A tuple of
-    intervals is read only when it is not the previous k's.
+    open interval, and no assertion, in a degree the caller reads raises
+    UnresolvedBettiError with every open interval at that k.  The caller
+    reads degree q, or every degree when q is None; an open degree it does
+    not read holds its lower bound.  A tuple of intervals is read only when
+    it is not the previous k's.
     """
     values = {}
     exact = True
@@ -646,7 +650,7 @@ def _local_values(a: Arrangement, ks, resolution) -> tuple[dict[int, tuple[int, 
     for k, intervals, k_exact in resolve(a, ks, resolution):
         if intervals is not last:
             open_intervals = [iv for iv in intervals if not iv.resolved]
-            if open_intervals:
+            if any(q in (None, iv.degree) for iv in open_intervals):
                 raise UnresolvedBettiError(k, open_intervals)
             last, last_values = intervals, tuple(iv.lower for iv in intervals)
         values[k] = last_values
@@ -696,7 +700,7 @@ def charpoly_and_degree(a: Arrangement, m: int, q: int,
     if m < 1:
         raise ValueError("m must be >= 1")
     phis = divisor_phis(m)
-    values, exact = _local_values(a, list(phis), resolution)
+    values, exact = _local_values(a, list(phis), resolution, q)
     exps = {k: v[q] for k, v in values.items()}
     degree = sum(phis[k] * e for k, e in exps.items())
     # a divisor k > 1 of m is prime exactly when phi(k) = k - 1
@@ -756,7 +760,7 @@ def zeta_coefficients(a: Arrangement, q: int, resolution=None) -> ZetaReport:
     """
     if not 0 <= q <= a.ell:
         raise ValueError(f"degree {q} out of range 0..{a.ell}")
-    values, exact = _local_values(a, range(1, a.n + 1), resolution)
+    values, exact = _local_values(a, range(1, a.n + 1), resolution, q)
     return ZetaReport(
         q,
         tuple((k, euler_phi(k) * v[q]) for k, v in values.items() if v[q]),

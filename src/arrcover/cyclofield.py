@@ -283,10 +283,6 @@ def cyclotomic_polynomial(k: int) -> IntPoly:
 # Cyclotomic numbers.
 # ---------------------------------------------------------------------------
 
-def _phi_coeffs(d: int) -> tuple[int, ...]:
-    return cyclotomic_polynomial(d).coeffs
-
-
 def _reduce_mod_phi(coeffs: list, d: int, zero=Fraction(0)) -> tuple:
     """Remainder of sum(coeffs[i] * z^i) modulo Phi_d, padded with zero to
     length phi(d).
@@ -294,7 +290,7 @@ def _reduce_mod_phi(coeffs: list, d: int, zero=Fraction(0)) -> tuple:
     Phi_d is monic, so no division is needed and the coefficients stay in
     their ring: Fractions for Q(zeta_d), ints for Z[zeta_d].
     """
-    phi = _phi_coeffs(d)
+    phi = cyclotomic_polynomial(d).coeffs
     deg = len(phi) - 1
     rem = list(coeffs)
     for i in range(len(rem) - 1, deg - 1, -1):

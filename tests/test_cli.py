@@ -269,6 +269,12 @@ def test_ceva3_unresolved_exits_2(capsys):
     assert degrees[1]["lower"] <= 1 and degrees[1]["upper"] == 2
 
 
+def test_degree_zero_of_ceva3_exits_0(capsys):
+    # the open intervals of Ceva(3) at k = 3 lie in degrees 1..3 only
+    assert run_json(capsys, "zeta", "--catalog", "ceva3", "--q", "0")["finite_terms"] == [[1, 1]]
+    assert run(capsys, "zeta", "--catalog", "ceva3", "--q", "1")[0] == 2
+
+
 def test_local_betti_assert_closes_interval(capsys):
     code, out, err = run(
         capsys,

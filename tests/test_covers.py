@@ -44,6 +44,7 @@ from arrcover.cyclofield import (
 from arrcover.cli import main
 from arrcover.exactlin import cohomology_Q
 from arrcover.osalgebra import aomoto_matrices
+from bench_inputs import braid_decone
 from test_geometry_oracle import braid_a4_decone
 
 # asserted closures for the one genuinely open catalog case (Ceva(3), k = 3);
@@ -201,6 +202,24 @@ def test_cover_betti_unresolved_raises(ceva3):
     assert info.value.k == 3
     degrees = [iv.degree for iv in info.value.intervals]
     assert 1 in degrees
+
+
+def test_degree_q_reports_ignore_open_intervals_in_other_degrees(ceva3):
+    # b_1(L_k) is resolved at every k of this decone, while L_6 leaves
+    # q = 2 in [0..2] and q = 3 in [6..8] open
+    a = braid_decone(5, 7)
+    assert zeta_coefficients(a, 1).finite_terms == ((1, 9),)
+    assert monodromy_charpoly(a, 6, 1).tk_factors == ((1, 9),)
+    # Ceva(3) leaves only q = 1, 2, 3 open at k = 3
+    assert zeta_coefficients(ceva3, 0).finite_terms == ((1, 1),)
+    assert monodromy_charpoly(ceva3, 3, 0).tk_factors == ((1, 1),)
+    # a read degree that is open still raises, with every open interval at k
+    for report in (lambda: zeta_coefficients(a, 2), lambda: cover_betti(a, 6)):
+        with pytest.raises(UnresolvedBettiError) as info:
+            report()
+        assert info.value.k == 6
+        assert [(iv.degree, iv.lower, iv.upper) for iv in info.value.intervals] == [
+            (2, 0, 2), (3, 6, 8)]
 
 
 def test_cover_betti_with_assertions(ceva3):

@@ -13,7 +13,8 @@ function is read by name in the module that defines it, unless it is
 exported, so each derived value lives with the code that consumes it.  Each
 module imports only the sibling modules LAYERS allows it, so the layers stay
 apart: record under everything, geometry under the algebra, the algebra
-under the covers, and the command line on top.
+under the covers, and the command line on top.  In the command line only
+main selects the arrangement, parses --assert and writes stdout.
 """
 
 import ast
@@ -47,6 +48,10 @@ LAYERS = {
     "covers.py": {"arrangement", "cyclofield", "exactlin", "osalgebra", "record"},
     "cli.py": {"arrangement", "catalog", "covers", "cyclofield", "fileformat", "osalgebra"},
 }
+
+
+# the calls of cli.py that only main makes: a command returns its result
+MAIN_ONLY = {"print", "_load_arrangement", "_parse_assertions"}
 
 
 def used_names(tree):
@@ -250,3 +255,15 @@ def test_no_record_init_stores_a_name_that_is_not_a_field():
         }
     )
     assert not extra, f"record __init__ stores a name that is not a field: {extra}"
+
+
+def test_only_cli_main_selects_parses_and_prints():
+    stray = sorted(
+        f"cli.py:{call.lineno} {function.name} calls {call.func.id}"
+        for function in ast.walk(TREES["cli.py"])
+        if isinstance(function, ast.FunctionDef) and function.name != "main"
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in MAIN_ONLY
+    )
+    assert not stray, f"only main loads, parses assertions and prints: {stray}"
