@@ -637,12 +637,12 @@ def _local_values(a: Arrangement, ks, resolution,
                   q=None) -> tuple[dict[int, tuple[int, ...]], bool]:
     """Resolved b_q(L_k) values for each k of ks, plus an exactness flag.
 
-    The values come from resolve; the first k, in the order of ks, with an
-    open interval, and no assertion, in a degree the caller reads raises
-    UnresolvedBettiError with every open interval at that k.  The caller
-    reads degree q, or every degree when q is None; an open degree it does
-    not read holds its lower bound.  A tuple of intervals is read only when
-    it is not the previous k's.
+    The values come from resolve.  The caller reads degree q, or every
+    degree when q is None; the first k, in the order of ks, that leaves a
+    read degree open with no assertion raises UnresolvedBettiError, which
+    lists every open interval at that k.  An open degree the caller does not
+    read holds its lower bound.  A tuple of intervals is read only when it
+    is not the previous k's.
     """
     values = {}
     exact = True
