@@ -48,28 +48,27 @@ vanishes exactly when (mask & S).bit_count() == quota, for one
 (mask, quota) pair per dense edge whose size k divides, filtered at each k
 from the arrangement's one table of dense edges.
 
-Assembly never walks 1..m or the residues mod lcm(1..n): the divisors of m
-come from its factorisation, the periodicity classes from the divisors of
-the period, and the monodromy polynomials are expanded through sparse
-t^d - 1 factors, so the cost grows with the number of divisors and the
-degree, not with m itself.  m is factorised once per call: that one
-factorisation gives the divisors and their phi, the cover Betti numbers,
-the degree of Delta_q and the primes of the Mobius step, which makes one
-pass over the keys per prime and factorises nothing.  Every nonresonant k
-shares one tuple of intervals: resolve yields it with no local_betti call,
-_local_values reads its values once, and cover_betti forms one product per
-distinct values tuple.  The expansion adds each (t^d - 1)^f as f + 1 scaled
-copies of one coefficient list, so the zero runs of Delta_q cost one fill,
-and divides by t^d - 1 in C-level list passes.  A degree above
-MAX_EXPANDED_DEGREE is not expanded at all.  The periodicity classes form
-phi(k) * b_q(L_k) below the top degree once per k, and each class sums only
-the k where those terms are not all zero.
+Assembly never walks 1..m or the residues mod lcm(1..n), and does its
+per-divisor work in bulk, so its cost grows with the number of divisors and
+the degree, not with m.  m is factorised once per call, prime by prime into
+its divisors and their phi; that one map gives the cover Betti numbers, the
+degree of Delta_q and the primes of the Mobius step, which makes one pass
+over the keys per prime.  The periodicity classes are the divisor patterns
+of the divisors of the period, built as bitmasks one prime power at a time.
+The nonresonant k without an assertion share one values tuple, which
+_local_values fills in one step: only k = 1, the resonant k and the asserted
+k go through resolve, and cover_betti weighs the shared tuple by m less the
+phi(k) of the others.  Delta_q is expanded through sparse t^d - 1 factors:
+each (t^d - 1)^f adds as f + 1 scaled copies of one coefficient list, so its
+zero runs cost one fill, and a division by t^d - 1 is a C-level list pass.
+A degree above MAX_EXPANDED_DEGREE is not expanded at all.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd, lcm
+from operator import getitem
 
 from .arrangement import (
     Arrangement,
@@ -80,7 +79,8 @@ from .arrangement import (
     euler_characteristic,
     support_mask,
 )
-from .cyclofield import IntPoly, divisor_phis, divisors, euler_phi, tk_exponents, tk_product
+from .cyclofield import (IntPoly, divisor_phis, euler_phi, factorize, tk_exponents,
+                         tk_product)
 from .exactlin import cohomology_Q, cohomology_modN
 from .osalgebra import aomoto_matrices, integers
 from .record import derived, record
@@ -571,21 +571,10 @@ def local_betti(
     return trivial if k == 1 else nonresonant
 
 
-def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
-    """Yield (k, intervals, exact) for each k of the sequence ks, in order.
-
-    The one owner of the assertion rule.  resolution maps (k, q) -> asserted
-    b_q(L_k).  Before any interval is computed every key is checked: k must
-    be one of ks and q in 0..ell; then every k of ks must be >= 1, before the
-    arrangement's table is read.  Then, one k at a time, an asserted value
-    outside the interval of its degree is rejected whether or not that
-    interval is resolved; an asserted open interval becomes that value, with
-    no witness, and makes that k inexact.  Once the assertions at a k leave
-    every degree resolved, the alternating sum of its values must be
-    chi(M).  Open intervals without an assertion are passed on as data.
-    A nonresonant k > 1 with no assertion and no extra_shifts gets the shared
-    tuple of _local_table; every other k goes through local_betti.
-    """
+def _assertions(a: Arrangement, ks, resolution) -> dict[int, dict[int, int]]:
+    """resolution, a map (k, q) -> asserted b_q(L_k), as {k: {q: value}} once
+    every key is checked: k must be one of ks and q in 0..ell; then every k
+    of ks must be >= 1.  It reads no local value."""
     asserted: dict[int, dict[int, int]] = {}
     for (k, q), value in sorted((resolution or {}).items()):
         if k not in ks:
@@ -598,15 +587,27 @@ def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
                 f"asserted b_{q}(L_{k}) = {value}: degree out of range 0..{a.ell}"
             )
         asserted.setdefault(k, {})[q] = value
-    if any(k < 1 for k in ks):
+    if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
-    resonant, _, nonresonant, _ = _local_table(a)
+    return asserted
+
+
+def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
+    """Yield (k, intervals, exact) for each k of the sequence ks, in order.
+
+    The one owner of the assertion rule.  resolution maps (k, q) -> asserted
+    b_q(L_k).  Before any interval is computed every key is checked against
+    ks and every k against 1 (_assertions).  Then, one k at a time, an
+    asserted value outside the interval of its degree is rejected whether or
+    not that interval is resolved; an asserted open interval becomes that
+    value, with no witness, and makes that k inexact.  Once the assertions at
+    a k leave every degree resolved, the alternating sum of its values must
+    be chi(M).  Open intervals without an assertion are passed on as data.
+    """
+    asserted = _assertions(a, ks, resolution)
     for k in ks:
-        at_k = asserted.get(k)
-        if k > 1 and k not in resonant and not at_k and not extra_shifts:
-            yield k, nonresonant, True
-            continue
         intervals = local_betti(a, k, extra_shifts)
+        at_k = asserted.get(k)
         if not at_k:
             yield k, intervals, True
             continue
@@ -634,28 +635,31 @@ def resolve(a: Arrangement, ks, resolution=None, extra_shifts=()):
 
 
 def _local_values(a: Arrangement, ks, resolution,
-                  q=None) -> tuple[dict[int, tuple[int, ...]], bool]:
-    """Resolved b_q(L_k) values for each k of ks, plus an exactness flag.
+                  q=None) -> tuple[dict[int, tuple[int, ...]], list[int], bool]:
+    """Resolved b_q(L_k) values for each k of the ascending ks, the k with
+    values of their own, and an exactness flag.
 
-    The values come from resolve.  The caller reads degree q, or every
-    degree when q is None; the first k, in the order of ks, that leaves a
-    read degree open with no assertion raises UnresolvedBettiError, which
-    lists every open interval at that k.  An open degree the caller does not
-    read holds its lower bound.  A tuple of intervals is read only when it
-    is not the previous k's.
+    The assertions are checked against all of ks before the arrangement's
+    table is read.  The nonresonant k > 1 without an assertion share one
+    values tuple, filled in one step; only k = 1, the resonant k and the
+    asserted k go through resolve.  The caller reads degree q, or every
+    degree when q is None; the first k that leaves a read degree open with
+    no assertion raises UnresolvedBettiError, which lists every open
+    interval at that k.  An open degree the caller does not read holds its
+    lower bound.
     """
-    values = {}
+    asserted = _assertions(a, ks, resolution)
+    resonant, _, shared, _ = _local_table(a)
+    values = dict.fromkeys(ks, tuple(iv.lower for iv in shared))
+    own = sorted(resonant.union((1,), asserted).intersection(ks))
     exact = True
-    last = last_values = None
-    for k, intervals, k_exact in resolve(a, ks, resolution):
-        if intervals is not last:
-            open_intervals = [iv for iv in intervals if not iv.resolved]
-            if any(q in (None, iv.degree) for iv in open_intervals):
-                raise UnresolvedBettiError(k, open_intervals)
-            last, last_values = intervals, tuple(iv.lower for iv in intervals)
-        values[k] = last_values
+    for k, intervals, k_exact in resolve(a, own, resolution):
+        open_intervals = [iv for iv in intervals if not iv.resolved]
+        if any(q in (None, iv.degree) for iv in open_intervals):
+            raise UnresolvedBettiError(k, open_intervals)
+        values[k] = tuple(iv.lower for iv in intervals)
         exact = exact and k_exact
-    return values, exact
+    return values, own, exact
 
 
 # ---------------------------------------------------------------------------
@@ -667,10 +671,12 @@ def cover_betti(a: Arrangement, m: int, resolution=None) -> CoverReport:
     if m < 1:
         raise ValueError("m must be >= 1")
     phis = divisor_phis(m)
-    values, exact = _local_values(a, list(phis), resolution)
-    weights: dict[tuple[int, ...], int] = {}  # distinct values -> sum of their phi(k)
-    for k, v in values.items():
-        weights[v] = weights.get(v, 0) + phis[k]
+    values, own, exact = _local_values(a, list(phis), resolution)
+    # distinct values -> sum of their phi(k); the phi(k) of all k | m sum to
+    # m, so the shared nonresonant values weigh m less the phi(k) of the others
+    weights = {tuple(iv.lower for iv in _local_table(a)[2]): m - sum(map(phis.get, own))}
+    for k in own:
+        weights[values[k]] = weights.get(values[k], 0) + phis[k]
     betti = tuple(sum(w * v[q] for v, w in weights.items()) for q in range(a.ell + 1))
     return CoverReport(m, betti, tuple(values.items()), exact)
 
@@ -700,7 +706,7 @@ def charpoly_and_degree(a: Arrangement, m: int, q: int,
     if m < 1:
         raise ValueError("m must be >= 1")
     phis = divisor_phis(m)
-    values, exact = _local_values(a, list(phis), resolution, q)
+    values, _, exact = _local_values(a, list(phis), resolution, q)
     exps = {k: v[q] for k, v in values.items()}
     degree = sum(phis[k] * e for k, e in exps.items())
     # a divisor k > 1 of m is prime exactly when phi(k) = k - 1
@@ -724,29 +730,44 @@ def periodicity(a: Arrangement, resolution=None) -> PeriodicityReport:
     pattern {k <= n : k | i}.  That pattern only depends on gcd(i, N), so the
     classes are read off the divisors g of N (each its own gcd) instead of
     all N residues; distinct g have distinct patterns, as g is the lcm of
-    its own.  Degrees q < ell get constants b_q(X_i); the top degree gets
-    beta * x plus the Euler-characteristic correction.  The terms
-    phi(k) * b_q(L_k) below the top degree are formed once per k, and a
-    class sums only the k whose terms are not all zero.
+    its own.  The patterns are built as bitmasks, bit k for k, one prime
+    power of N at a time: k | g unless p^(i+1) | k, for i the exponent of p
+    in g.  Per-byte lookup tables turn each mask into its tuple, and the
+    classes follow the sorted tuples.  Degrees q < ell get constants
+    b_q(X_i); the top degree gets beta * x plus the Euler-characteristic
+    correction.  The terms phi(k) * b_q(L_k) below the top degree are formed
+    once per k with values of its own (the shared ones are zero there); a
+    class sums only the k whose terms are not all zero, keyed on their bits.
     """
     n = a.n
     ell = a.ell
     period = lcm(*range(1, n + 1))
-    values, exact = _local_values(a, range(1, n + 1), resolution)
+    values, own, exact = _local_values(a, range(1, n + 1), resolution)
     b = beta(a)
-    terms = {k: [euler_phi(k) * x for x in v[1:ell]]
-             for k, v in values.items() if any(v[1:ell])}
-    ks = range(1, n + 1)
-    by_terms = {}  # the k of terms that divide g -> (constants, top constant)
+    terms = {k: [euler_phi(k) * x for x in values[k][1:ell]]
+             for k in own if any(values[k][1:ell])}
+    full = (2 << n) - 2  # bits 1..n
+    masks = [full]
+    for p, e in factorize(period):
+        # p^(i-1) exactly in g, 1 <= i <= e + 1: every k but the multiples of p^i
+        cuts = [full ^ sum(1 << k for k in range(p**i, n + 1, p**i)) for i in range(1, e + 2)]
+        masks = [mask & cut for mask in masks for cut in cuts]
+    # tables[j][v]: the k at the set bits of v, byte j of mask >> 1
+    tables = [[()] for _ in range(0, n, 8)]
+    for k in range(1, n + 1):
+        tables[(k - 1) // 8] += [t + (k,) for t in tables[(k - 1) // 8]]
+    patterns = {sum(map(getitem, tables, (mask >> 1).to_bytes(len(tables), "little")), ()): mask
+                for mask in masks}
+    terms_mask = sum(1 << k for k in terms)
+    by_terms = {}  # mask & terms_mask -> (constants, top constant)
+    for summed in {mask & terms_mask for mask in masks}:
+        constants = tuple(sum(t[i] for k, t in terms.items() if summed >> k & 1)
+                          for i in range(ell - 1))
+        alternating = sum((-1) ** q * c for q, c in enumerate(constants, start=1))
+        by_terms[summed] = constants, (-1) ** (ell + 1) * (1 + alternating)
     classes = []
-    for pattern, g in sorted((tuple([k for k in ks if g % k == 0]), g)
-                             for g in divisors(period)):
-        summed = tuple([k for k in terms if g % k == 0])
-        if summed not in by_terms:
-            constants = tuple(sum(terms[k][i] for k in summed) for i in range(ell - 1))
-            alternating = sum((-1) ** q * c for q, c in enumerate(constants, start=1))
-            by_terms[summed] = constants, (-1) ** (ell + 1) * (1 + alternating)
-        constants, top_constant = by_terms[summed]
+    for pattern in sorted(patterns):
+        constants, top_constant = by_terms[patterns[pattern] & terms_mask]
         # by position: record's __init__ is fastest on that call
         classes.append(PeriodicityClass(pattern, constants, b, top_constant))
     return PeriodicityReport(period, ell, tuple(classes), exact)
@@ -760,7 +781,7 @@ def zeta_coefficients(a: Arrangement, q: int, resolution=None) -> ZetaReport:
     """
     if not 0 <= q <= a.ell:
         raise ValueError(f"degree {q} out of range 0..{a.ell}")
-    values, exact = _local_values(a, range(1, a.n + 1), resolution, q)
+    values, _, exact = _local_values(a, range(1, a.n + 1), resolution, q)
     return ZetaReport(
         q,
         tuple((k, euler_phi(k) * v[q]) for k, v in values.items() if v[q]),

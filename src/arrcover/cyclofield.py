@@ -97,17 +97,15 @@ def euler_phi(k: int) -> int:
 
 def divisor_phis(m: int) -> dict[int, int]:
     """{k: phi(k)} for the divisors k of m >= 1, ascending, built from the one
-    factorisation of m: phi is multiplicative, and phi(p^i) = p^i - p^(i-1)."""
-    pairs = [(1, 1)]
+    factorisation of m prime by prime, as a list of divisors and a list of
+    their phi: phi is multiplicative, and phi(p^i) = p^i - p^(i-1)."""
+    ks, phis = [1], [1]
     for p, e in factorize(m):
-        powers = [(1, 1)] + [(p**i, p**i - p ** (i - 1)) for i in range(1, e + 1)]
-        pairs = [(k * q, f * g) for k, f in pairs for q, g in powers]
-    return dict(sorted(pairs))
-
-
-def divisors(m: int) -> list[int]:
-    """The divisors of m >= 1 in ascending order, built from its factorisation."""
-    return list(divisor_phis(m))
+        powers = [p**i for i in range(1, e + 1)]
+        ks += [k * q for q in powers for k in ks]
+        phis += [f * (q - q // p) for q in powers for f in phis]
+    phi = dict(zip(ks, phis))
+    return {k: phi[k] for k in sorted(ks)}
 
 
 # ---------------------------------------------------------------------------

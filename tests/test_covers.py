@@ -38,13 +38,13 @@ from arrcover.cyclofield import (
     IntPoly,
     cyc_reduce,
     cyclotomic_polynomial,
-    divisors,
     euler_phi,
 )
 from arrcover.cli import main
 from arrcover.exactlin import cohomology_Q
 from arrcover.osalgebra import aomoto_matrices
 from bench_inputs import braid_decone
+from divisors import divisors
 from test_geometry_oracle import braid_a4_decone
 
 # asserted closures for the one genuinely open catalog case (Ceva(3), k = 3);

@@ -14,7 +14,6 @@ from arrcover.cyclofield import (
     IntPoly,
     cyc_reduce,
     cyclotomic_polynomial,
-    divisors,
     euler_phi,
     factorize,
     reduced_row_echelon,
@@ -25,6 +24,7 @@ from arrcover.cyclofield import (
     zmul,
 )
 from arrcover.fileformat import parse_rational
+from divisors import divisors
 from mobius import mobius
 
 
