@@ -79,8 +79,7 @@ from .arrangement import (
     euler_characteristic,
     support_mask,
 )
-from .cyclofield import (IntPoly, divisor_phis, euler_phi, factorize, tk_exponents,
-                         tk_product)
+from .cyclofield import IntPoly, divisor_phis, euler_phi, factorize, tk_exponents, tk_product
 from .exactlin import cohomology_Q, cohomology_modN
 from .osalgebra import aomoto_matrices, integers
 from .record import derived, record

@@ -33,7 +33,7 @@ from divisors import divisors
 from mobius import mobius
 
 CEVA3_K3 = {(3, 1): 2, (3, 2): 13, (3, 3): 11}
-# Ceva(3) with k = 9, open too, asserted at its lower bounds
+# Ceva(3) with k = 9, open too, asserted at its lower bounds as well
 CEVA3_ALL = {**CEVA3_K3, (9, 1): 0, (9, 2): 9, (9, 3): 9}
 
 
@@ -224,7 +224,7 @@ def test_periodicity_matches_every_residue(selberg, maclane_decone, hessian_deco
     # README's assertions) and k = 9 (open too, asserted at its lower
     # bounds), and the braid A4 decone at k = 2 and 3 (resolved) and k = 6
     # (open, asserted at each value of its interval)
-    cases.append((ceva3, {**CEVA3_K3, (9, 1): 0, (9, 2): 9, (9, 3): 9}, 2520))
+    cases.append((ceva3, CEVA3_ALL, 2520))
     braid = braid_decone(5, 7)
     cases += [(braid, {(6, 2): b2, (6, 3): b2 + 6}, 2520) for b2 in (0, 1, 2)]
     for a, resolution, period in cases:
