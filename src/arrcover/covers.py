@@ -35,15 +35,15 @@ resonant k reads the same tuples.  Each generator acts through per-byte
 lookup tables built once per arrangement.  This module alone fixes the
 candidate order, and with it every witness_shift.
 
-The sweep also skips every shift of {-1, 0}^n whose Aomoto complex the dense
-edges prove acyclic below the top degree (Yuzvinsky, Comm. Algebra 23,
-1995; Orlik-Terao, Arrangements and Hypergeometric Integrals, MSJ Memoirs
-9, 2001): with w_inf = -sum(w_H) on the hyperplane at infinity, if
+The sweep ranks no shift of {-1, 0}^n whose Aomoto complex the dense edges
+prove acyclic below the top degree (Yuzvinsky, Comm. Algebra 23, 1995;
+Orlik-Terao, Arrangements and Hypergeometric Integrals, MSJ Memoirs 9,
+2001): with w_inf = -sum(w_H) on the hyperplane at infinity, if
 w_X = sum(w_H, H >= X) is nonzero on every dense edge X of the projective
-closure, the dims are (0, ..., 0, beta).  Once the running lower bound holds
-beta at the top, such a shift is below it in every degree, so it can be
-neither the first strict improver nor a lower <= upper violation.  At
-weights 1 + k*s every w_X is a bit count: with S the support mask of s, w_X
+closure, the dims are (0, ..., 0, beta).  The rule decides those dims, so
+such a shift raises lower and meets the upper bound check exactly as its
+ranks would, whatever lower holds and however large n is.  At weights
+1 + k*s every w_X is a bit count: with S the support mask of s, w_X
 vanishes exactly when (mask & S).bit_count() == quota, for one
 (mask, quota) pair per dense edge whose size k divides, filtered at each k
 from the arrangement's one table of dense edges.
@@ -296,33 +296,35 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
     """Bracket b_q(L_k) between shifted rational Aomoto dims and mod-k ranks.
 
     b_0 is pinned to 0 for k > 1 (a nontrivial rank-one system on a connected
-    space has no invariants).  The shift sweep stops early once every degree
+    space has no invariants).  The upper bound is the largest of the F_p
+    dims of the all-ones complex over the primes p | k, each derived once per
+    arrangement (_dims_mod_p).  The shift sweep stops early once every degree
     is resolved; the Euler-characteristic constraint closes a single leftover
-    gap.  Once lower holds beta at the top degree, a shift of {-1, 0}^n whose
-    dense edges all have nonzero weight is skipped unranked: its dims are
-    (0, ..., 0, beta), which cannot raise lower (see the module docstring).
-    With S the shift's support, a dense edge X weighs |X_a| - k*|X_a & S|,
-    or k*|S - X_a| - (n - |X_a|) at infinity, so w_X = 0 exactly when k
-    divides the size of its mask in _local_table and (mask & S) has size // k
-    bits.
+    gap.  A shift of {-1, 0}^n whose dense edges all have nonzero weight
+    takes its dims (0, ..., 0, beta) from the rule, with no rank (see the
+    module docstring); a ranked shift and a decided one then raise lower and
+    meet the upper bound check alike.  With S the shift's support, a dense
+    edge X weighs |X_a| - k*|X_a & S|, or k*|S - X_a| - (n - |X_a|) at
+    infinity, so w_X = 0 exactly when k divides the size of its mask in
+    _local_table and (mask & S) has size // k bits.
     A shift whose F_p ranks already bound its dims by lower is not ranked
     over Q either: cohomology_Q gives those bounds, which can neither raise
     lower nor exceed upper, as lower <= upper holds throughout.
     """
     ell = a.ell
-    upper = list(cohomology_modN(aomoto_matrices(a, (1,) * a.n), k).dims)
+    upper = list(map(max, zip(*(_dims_mod_p(a, p) for p, _ in factorize(k)))))
     upper[0] = 0
     lower = [0] * (ell + 1)
     witness: dict[int, tuple[int, ...]] = {}
-    generic_top = beta(a)
+    acyclic = (0,) * ell + (beta(a),)
     quotas = [(mask, size // k) for mask, size, _ in _local_table(a)[3] if size % k == 0]
     for shift in _candidates(a, extra_shifts):
-        if lower[ell] >= generic_top and set(shift) <= {-1, 0}:
-            support = support_mask(i for i, v in enumerate(shift) if v)
-            if _acyclic_below_top(quotas, support):
-                continue
-        weights = tuple(1 + k * mv for mv in shift)
-        dims = cohomology_Q(aomoto_matrices(a, weights), lower).dims
+        cube = set(shift) <= {-1, 0}
+        if cube and _acyclic_below_top(quotas, support_mask(i for i, v in enumerate(shift) if v)):
+            dims = acyclic
+        else:
+            weights = tuple(1 + k * mv for mv in shift)
+            dims = cohomology_Q(aomoto_matrices(a, weights), lower).dims
         for q in range(1, ell + 1):
             if dims[q] > upper[q]:
                 raise ArithmeticError(
@@ -349,6 +351,12 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
         BettiInterval(q, lower[q], upper[q], lower[q] == upper[q], witness.get(q))
         for q in range(ell + 1)
     )
+
+
+@derived
+def _dims_mod_p(a: Arrangement, p: int) -> tuple[int, ...]:
+    """The F_p dims of the all-ones Aomoto complex, for a prime p."""
+    return cohomology_modN(aomoto_matrices(a, (1,) * a.n), p).dims
 
 
 def _acyclic_below_top(quotas, support: int) -> bool:

@@ -1,17 +1,17 @@
-"""The dense-edge skip of the shift sweep.
+"""The dense-edge rule of the shift sweep.
 
 Yuzvinsky (Comm. Algebra 23, 1995; also Orlik-Terao, MSJ Memoirs 9, 2001):
 give the hyperplane at infinity the weight w_inf = -sum(w_H); if
 w_X = sum(w_H, H >= X) is nonzero on every dense edge X of the projective
 closure, the Aomoto complex of w is acyclic below the top degree, so its dims
-are (0, ..., 0, beta).  The sweep skips such a shift of {-1, 0}^n once its
-running lower bound holds beta at the top.  The checks below: the rule
-against exact ranks on every orbit representative, the bit-count predicate
-against plain weight sums, and the number of ranks the skip saves.  Last,
-the sweep's other skip: cohomology_Q leaves out the Bareiss rank of a
-candidate whose F_p ranks bound its dims by the running lower bound, gives
-those bounds, and every candidate so skipped must have exact dims at most
-that bound.
+are (0, ..., 0, beta).  For such a shift of {-1, 0}^n the rule decides the
+dims: the sweep ranks nothing, whatever its running lower bound holds, and
+uses those dims as it uses ranked ones.  The checks below: the rule against
+exact ranks on every orbit representative, the bit-count predicate against
+plain weight sums, and the ranks the sweep still makes.  Last, the sweep's
+skip: cohomology_Q leaves out the Bareiss rank of a candidate whose F_p
+ranks bound its dims by the running lower bound, gives those bounds, and
+every candidate so skipped must have exact dims at most that bound.
 """
 
 from itertools import product
@@ -125,7 +125,7 @@ def test_predicate_matches_weight_sums_on_the_whole_cube(make, k):
 
 
 # ---------------------------------------------------------------------------
-# The ranks the skip saves, and when it starts.
+# The ranks the rule leaves to the sweep.
 # ---------------------------------------------------------------------------
 
 def swept_weights(a, k, monkeypatch):
@@ -142,32 +142,38 @@ def swept_weights(a, k, monkeypatch):
 @pytest.mark.parametrize(
     "make,k,calls",
     [
-        # Ceva(3) is central, beta = 0: the skip applies from the zero shift
-        # on, and of the 14 orbit representatives only the one with dims
-        # (0, 0, 9, 9) is ranked; the other 13 give (0, 0, 0, 0)
+        # Ceva(3) is central, beta = 0: of the 14 orbit representatives only
+        # the one with dims (0, 0, 9, 9) is ranked; the rule decides the
+        # other 13, (0, 0, 0, 0)
         (lambda: catalog.get("ceva3").arrangement, 9, 1),
-        # 13 of the 74 representatives are ranked; all 74 give (0, 0, 0, 6)
-        (braid_a4_decone, 6, 13),
+        # 12 of the 74 representatives are ranked; all 74 give (0, 0, 0, 6),
+        # and the rule decides the zero shift and 61 others
+        (braid_a4_decone, 6, 12),
     ],
 )
 def test_ranks_made_by_the_sweep(make, k, calls, monkeypatch):
     assert len(swept_weights(make(), k, monkeypatch)) == calls
 
 
-@pytest.mark.parametrize("key,k", [("hessian-decone", 2), ("braid-a4-decone", 6)])
-def test_zero_shift_is_ranked_first_while_lower_is_below_beta(key, k, monkeypatch):
-    # the zero shift always passes the rule, but nothing is skipped before
-    # the top lower bound reaches beta > 0
+@pytest.mark.parametrize("key,k", [("hessian-decone", 2), ("braid-a4-decone", 6), ("ceva3", 9)])
+def test_the_all_ones_complex_is_never_ranked(key, k, monkeypatch):
+    # the zero shift comes first and passes the rule at every k, so its dims
+    # (0, ..., 0, beta) need no rank, and every complex ranked after it sees
+    # beta in the top lower bound already
     a = arrangement_of(key)
-    assert beta(a) > 0
+    zero = (0,) * a.n
     assert _acyclic_below_top(quotas(a, k), 0)
-    assert swept_weights(a, k, monkeypatch)[0] == (1,) * a.n
-
-
-def test_central_sweep_skips_the_zero_shift(monkeypatch):
-    a = catalog.get("ceva3").arrangement
-    assert beta(a) == 0
-    assert (1,) * a.n not in swept_weights(a, 9, monkeypatch)
+    ranked = []
+    monkeypatch.setattr(covers, "cohomology_Q",
+                        lambda complex_, lower=None:
+                        ranked.append((complex_.weights, lower[a.ell]))
+                        or cohomology_Q(complex_, lower))
+    top = _bound_intervals.__wrapped__(a, k, ())[a.ell]
+    assert (1,) * a.n not in [weights for weights, _ in ranked]
+    assert ranked and min(lower for _, lower in ranked) == beta(a)
+    # with beta > 0 the zero shift is the top degree's first strict
+    # improver, and its witness unless a later shift raises the top
+    assert (top.witness_shift == zero) == (top.lower == beta(a) > 0)
 
 
 # ---------------------------------------------------------------------------

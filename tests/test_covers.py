@@ -654,10 +654,31 @@ def test_sweep_beyond_max_enumeration(monkeypatch):
     intervals = _bound_intervals.__wrapped__(a, 3, ())
     assert [(iv.lower, iv.upper) for iv in intervals] == [(0, 0), (0, 0), (119, 119)]
     assert intervals[2].witness_shift == zero
-    assert swept == [aomoto_matrices(a, (1,) * n)]
+    assert swept == []
     # every shift closes all degrees here, so the first extra one is the last tried
     swept.clear()
     intervals = _bound_intervals.__wrapped__(a, 3, extra[2:])
     assert intervals[2].witness_shift == extra[2]
     assert swept == [aomoto_matrices(a, (7,) + (1,) * 16)]
     assert automorphisms.cache_info().misses == built
+
+
+def test_braid_a6_decone_beyond_max_enumeration_ranks_nothing(monkeypatch):
+    # n = 20: the zero shift is the only candidate, and the rule decides its
+    # dims (0, ..., 0, 120), so every lower bound is the top degree's beta
+    a = braid_decone(7, 7)
+    assert a.n == 20 > MAX_ENUMERATION
+    ranked = []
+    monkeypatch.setattr(covers, "cohomology_Q",
+                        lambda complex_, lower=None:
+                        ranked.append(complex_) or cohomology_Q(complex_, lower))
+    prime_2 = [(0, 0)] * 4 + [(0, 10), (120, 130)]
+    prime_3 = [(0, 0)] * 2 + [(0, 1), (0, 20), (0, 121), (120, 222)]
+    prime_5 = [(0, 0)] * 4 + [(0, 1), (120, 121)]
+    expected = {2: prime_2, 3: prime_3, 5: prime_5, 6: prime_3, 10: prime_2, 15: prime_3}
+    assert covers._local_table(a)[0] == expected.keys()
+    for k, bounds in expected.items():
+        intervals = local_betti(a, k)
+        assert [(iv.lower, iv.upper) for iv in intervals] == bounds, k
+        assert [iv.witness_shift for iv in intervals] == [None] * 5 + [(0,) * a.n], k
+    assert ranked == []

@@ -10,7 +10,8 @@ resonant divisors of m reach local_betti, the coefficient updates of
 tk_product do not grow with the d of its factors, and a characteristic
 polynomial above MAX_EXPANDED_DEGREE is not expanded.  A sweep ranks at
 most one candidate per cube representative, and beyond MAX_ENUMERATION it
-draws the zero shift alone.
+draws the zero shift alone.  The upper bound ranks each prime once per
+arrangement, whatever the number of k it divides.
 """
 
 import gc
@@ -213,7 +214,25 @@ def test_a_sweep_ranks_at_most_one_candidate_per_cube_representative(monkeypatch
         for k in sorted(_local_table(a)[0]):
             ranked.clear()
             _bound_intervals.__wrapped__(a, k, ())
-            assert 0 < len(ranked) <= representatives, (a.n, k)
+            assert len(ranked) <= representatives, (a.n, k)
+
+
+def test_each_prime_of_the_upper_bound_is_ranked_once(monkeypatch):
+    # braid A4 decone: k = 2, 3 and 6 use the F_2 and F_3 dims of the
+    # all-ones complex, one cohomology_modN pass per prime
+    a = braid_decone(5, 7)
+    assert _local_table(a)[0] == {2, 3, 6}
+    primes = []
+    cohomology_modN = covers.cohomology_modN
+
+    def counted(complex_, N):
+        primes.append(N)
+        return cohomology_modN(complex_, N)
+
+    monkeypatch.setattr(covers, "cohomology_modN", counted)
+    for k in (2, 3, 6):
+        local_betti(a, k)
+    assert primes == [2, 3]
 
 
 def pencil(n):
@@ -239,7 +258,7 @@ def test_a_sweep_beyond_max_enumeration_draws_the_zero_shift_alone(monkeypatch):
     monkeypatch.setattr(covers, "_candidates", counted)
     intervals = _bound_intervals.__wrapped__(a, a.n, ())
     assert drawn == [(0,) * a.n]
-    # beta = 0, so the zero shift is acyclic and skipped unranked; the
-    # shifts of one -1 would close both degrees at n - 2
+    # the rule decides the zero shift's dims, (0, 0, beta) = (0, 0, 0), with
+    # no rank; the shifts of one -1 would close both degrees at n - 2
     assert ranked == []
     assert [(iv.lower, iv.upper) for iv in intervals] == [(0, 0), (0, a.n - 2), (0, a.n - 2)]
