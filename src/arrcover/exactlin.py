@@ -10,11 +10,11 @@ mod CERTIFICATE_PRIME where a certificate proves the two equal, which needs
 D_q D_{q-1} = 0: the rank mod p bounds the rank over Q from below, and
 n_q - rank D_{q-1} and the row count bound it from above.  Only where the
 bounds differ does it run the fraction-free rank.  Everything is
-arbitrary-precision.  The ranks mod p of a whole complex come from the
-generators of its algebra, packed here once per prime (packed): each column
-of D_q is a short sum of packed generator columns, and the columns at the
-pivot rows of D_{q-1} are left out.  Both shortcuts rest on one proof, once
-per algebra, that every weight vector gives a complex (_check_complex).
+arbitrary-precision.  The ranks mod p of a complex add to the all-ones
+differentials, packed here once per prime (packed), the entries of the few
+generators whose weight is off 1 mod p, and leave out the columns at the
+pivot rows of D_{q-1}.  Both shortcuts rest on one proof, once per algebra,
+that every weight vector gives a complex (_check_complex).
 """
 
 from __future__ import annotations
@@ -184,18 +184,18 @@ def _check_complex(algebra: OSAlgebra) -> None:
 
 @derived
 def packed(algebra: OSAlgebra, p: int):
-    """Per degree q below the top: (width, base, gens), the columns of the
-    generators from degree q to q+1 packed mod p.
+    """Per degree q below the top: (width, base), the all-ones differential
+    D_q packed mod p.
 
-    gens[h][c] is column c of e_h wedge as one int with a width-bit slot per
-    monomial of bases[q+1] (row r at bit r*width), each entry reduced into
-    [0, p); base[c] = sum of gens[h][c] over h is column c of the
-    differential at all-ones weights.  For weights w, column c of the
-    differential is base[c] + sum of f_h*gens[h][c] mod p over the h with
-    f_h = (w_h - 1) mod p nonzero, whose slots start below
-    n*(p - 1)*p < n*p^2.  With n_q more additions below p^2 each, one per
-    pivot of exactlin's elimination over the n_q columns, a slot stays below
-    (n + n_q)*p^2 < 2^(width - 1) for
+    base[c] is column c of D_q at all-ones weights, the sum over h of the
+    entries of e_h wedge in that column each reduced into [0, p), as one int
+    with a width-bit slot per monomial of bases[q+1] (row r at bit r*width).
+    _ranks_mod_p adds to a copy of base the entries (f_h*v mod p) of the
+    generators h whose weight is off 1 mod p.  Each generator has at most
+    one entry per slot, so base stays below n*p and the term entries add
+    less than n*p more; with the n_q additions below p^2 each, one per pivot
+    of exactlin's elimination over the n_q columns, a slot stays below
+    2n*p + n_q*p^2 <= (2n + n_q)*p^2 < 2^(width - 1) for
     width = 2*bitlen(p) + bitlen(2n + n_q) + 1.
 
     Packing first proves, once per algebra, that the algebra gives a complex
@@ -206,39 +206,38 @@ def packed(algebra: OSAlgebra, p: int):
     for q in range(len(algebra.bases) - 1):
         nq = len(algebra.bases[q])
         width = 2 * p.bit_length() + (2 * len(algebra.generators) + nq).bit_length() + 1
-        gens = []
+        base = [0] * nq
         for per_q in algebra.generators:
-            columns = [0] * nq
             for r, c, v in per_q[q]:
-                columns[c] += (v % p) << (r * width)
-            gens.append(tuple(columns))
-        levels.append((width, tuple(map(sum, zip(*gens))), tuple(gens)))
+                base[c] += (v % p) << (r * width)
+        levels.append((width, tuple(base)))
     return tuple(levels)
 
 
 def _ranks_mod_p(complex_: AomotoComplex, p: int) -> list[int]:
     """[rank_p D_q for every degree q] of a complex, top differential (0)
-    included, from the generators packed mod p (packed).
+    included, from the all-ones differentials packed mod p (packed).
 
-    Column c of D_q is base[c] + sum of f_h*gens[h][c] over the h with
-    f_h = (w_h - 1) mod p nonzero; a sweep shift moves few weights off 1, so
-    the sum is short.  The columns at the pivot slots P of D_{q-1} are left
-    out.  That keeps the rank: D_{q-1} has rank |P| on the rows P, so its
-    image holds, for each j in P, a vector e_j + u with u zero on P, and
-    D_q D_{q-1} = 0 (proved by _check_complex) gives D_q e_j = -D_q u, a
-    combination of the columns outside P.
+    Column c of D_q is base[c] plus (f_h*v mod p) in slot r for each entry
+    (r, c, v) of algebra.generators[h][q], over the few h with
+    f_h = (w_h - 1) mod p nonzero.  The columns at the pivot slots P of
+    D_{q-1} are left out.  That keeps the rank: D_{q-1} has rank |P| on the
+    rows P, so its image holds, for each j in P, a vector e_j + u with u
+    zero on P, and D_q D_{q-1} = 0 (proved by _check_complex) gives
+    D_q e_j = -D_q u, a combination of the columns outside P.
     """
     sizes = complex_.dims()
-    terms = [(h, (w - 1) % p) for h, w in enumerate(complex_.weights) if (w - 1) % p]
+    pairs = zip(complex_.weights, complex_.algebra.generators)
+    terms = [(per_q, (w - 1) % p) for w, per_q in pairs if (w - 1) % p]
     ranks = []
     pivots = ()
-    for q, (width, base, gens) in enumerate(packed(complex_.algebra, p)):
+    for q, (width, base) in enumerate(packed(complex_.algebra, p)):
+        columns = list(base)
+        for per_q, f in terms:
+            for r, c, v in per_q[q]:
+                columns[c] += (f * v % p) << (r * width)
         skip = set(pivots)
-        keep = [c for c in range(sizes[q]) if c not in skip]
-        vectors = [base[c] for c in keep]
-        for h, f in terms:
-            g = gens[h]
-            vectors = [v + f * g[c] for v, c in zip(vectors, keep)]
+        vectors = [v for c, v in enumerate(columns) if c not in skip]
         rank, pivots = _eliminate(vectors, sizes[q + 1], width, p)
         ranks.append(rank)
     ranks.append(0)

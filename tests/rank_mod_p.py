@@ -1,9 +1,10 @@
 """Rank mod p of a dense integer matrix, the packed kernel's reference.
 
-The package ranks mod p only from generator columns packed once per prime
+The package ranks mod p only from the all-ones differentials packed once per
+prime, plus the entries of the generators whose weight is off 1 mod p
 (exactlin._ranks_mod_p); the tests pack a dense matrix into the same kernel,
-exactlin._eliminate, and compare it with the packed ranks and the
-fraction-free rank over Q.
+exactlin._eliminate, and compare it with those ranks and the fraction-free
+rank over Q.
 """
 
 from arrcover.exactlin import _eliminate

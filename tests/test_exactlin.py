@@ -333,6 +333,28 @@ def test_ranks_mod_p_match_dense_ranks(key, p):
         assert _ranks_mod_p(complex_, p) == [rank_mod_p(d, p) for d in dense], weights
 
 
+@pytest.mark.parametrize("p", (2, 3, CERTIFICATE_PRIME))
+@pytest.mark.parametrize("key", catalog.entries())
+def test_ranks_mod_p_match_dense_ranks_on_scaled_generators(key, p):
+    # catalog entries are all +-1; scaling e_h by c_h keeps
+    # e_h e_h' + e_h' e_h = 0, so the algebra still gives a complex, with
+    # entries that vanish mod p (c_h = p), are 1 mod p (p + 1) or neither
+    algebra = os_algebra(catalog.get(key).arrangement)
+    rng = random.Random(f"{key}-{p}")
+    scales = [rng.choice((2, -3, p, p + 1)) for _ in algebra.generators]
+    scaled = OSAlgebra(algebra.bases, tuple(
+        tuple(tuple((r, c, scale * v) for r, c, v in per_q) for per_q in generator)
+        for scale, generator in zip(scales, algebra.generators)
+    ))
+    values = (0, 1, 1, -1, p, p + 1, 1 - p)
+    for _ in range(20):
+        weights = tuple(rng.choice((rng.choice(values), rng.randint(-9, 9)))
+                        for _ in algebra.generators)
+        complex_ = AomotoComplex(scaled, weights)
+        dense = map(complex_.differential, range(len(complex_.dims())))
+        assert _ranks_mod_p(complex_, p) == [rank_mod_p(d, p) for d in dense], (scales, weights)
+
+
 @pytest.mark.parametrize("key", SWEEP_ARRANGEMENTS)
 def test_cohomology_Q_matches_bareiss_on_sweep_shifts(key):
     # the first 40 orbit representatives of every resonant k

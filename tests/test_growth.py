@@ -11,7 +11,8 @@ tk_product do not grow with the d of its factors, and a characteristic
 polynomial above MAX_EXPANDED_DEGREE is not expanded.  A sweep ranks at
 most one candidate per cube representative, and beyond MAX_ENUMERATION it
 draws the zero shift alone.  The upper bound ranks each prime once per
-arrangement, whatever the number of k it divides.
+arrangement, whatever the number of k it divides, and each prime's packing
+holds one int per column of each differential.
 """
 
 import gc
@@ -48,8 +49,8 @@ def test_dropped_arrangements_leave_no_derived_values():
             local_betti(a, k)
         # the divisors 1, 2 and 4 of braid A4 decones are resolved
         assert cover_betti(a, 4).exact
-        # the algebra's packed generators are held by the owner, under the
-        # algebra, not on it
+        # the algebra's packed all-ones differentials are held by the owner,
+        # under the algebra, not on it
         assert id(os_algebra(a)) in record._derived
         refs.append(weakref.ref(a))
         ids += [id(a), id(os_algebra(a))]
@@ -233,6 +234,26 @@ def test_each_prime_of_the_upper_bound_is_ranked_once(monkeypatch):
     for k in (2, 3, 6):
         local_betti(a, k)
     assert primes == [2, 3]
+
+
+def test_each_prime_packs_one_int_per_column():
+    # after every resonant k of a braid A4 decone, each prime's packing holds
+    # the all-ones D_q alone: a width and one int per column of each D_q,
+    # q < ell, n + 1 times fewer ints than one table per generator plus their sum
+    a = braid_decone(5, 7)
+    for k in sorted(_local_table(a)[0]):
+        local_betti(a, k)
+    algebra = os_algebra(a)
+    held = {args: value for (fn, args), value in record._derived[id(algebra)].items()
+            if fn is packed.__wrapped__}
+    assert {(2,), (3,)} <= held.keys()
+    columns = [len(basis) for basis in algebra.bases[:-1]]
+
+    def ints(value):
+        return sum(map(ints, value)) if isinstance(value, tuple) else 1
+
+    for levels in held.values():
+        assert [ints(level) - 1 for level in levels] == columns
 
 
 def pencil(n):
