@@ -40,13 +40,22 @@ prove acyclic below the top degree (Yuzvinsky, Comm. Algebra 23, 1995;
 Orlik-Terao, Arrangements and Hypergeometric Integrals, MSJ Memoirs 9,
 2001): with w_inf = -sum(w_H) on the hyperplane at infinity, if
 w_X = sum(w_H, H >= X) is nonzero on every dense edge X of the projective
-closure, the dims are (0, ..., 0, beta).  The rule decides those dims, so
-such a shift raises lower and meets the upper bound check exactly as its
-ranks would, whatever lower holds and however large n is.  At weights
-1 + k*s every w_X is a bit count: with S the support mask of s, w_X
-vanishes exactly when (mask & S).bit_count() == quota, for one
-(mask, quota) pair per dense edge whose size k divides, filtered at each k
-from the arrangement's one table of dense edges.
+closure that lies on the hyperplane at infinity, the dims are
+(0, ..., 0, beta).  Any closure hyperplane H_j can play that part: deconing
+at H_j gives an affine Orlik-Solomon algebra that e_i -> e_i - e_j maps
+isomorphically onto the projective one, the kernel of the boundary map in
+the cone's algebra, and as the closure weights sum to 0 each such map sends
+its omega to the same sum(w_i e_i).  So the dims are (0, ..., 0, beta) as
+soon as some closure hyperplane lies on no dense edge of weight 0 (Cohen,
+Dimca and Orlik, Ann. Inst. Fourier 53, 2003, prove this one-hyperplane
+form for the local systems themselves).  The
+rule decides those dims, so such a shift raises lower and meets the upper
+bound check exactly as its ranks would, whatever lower holds and however
+large n is.  At weights 1 + k*s every w_X is a bit count: with S the
+support mask of s, w_X vanishes exactly when (mask & S).bit_count() ==
+quota, for one (mask, quota, closure support) triple per dense edge whose
+size k divides, filtered at each k from the arrangement's one table of
+dense edges.
 
 Assembly never walks 1..m or the residues mod lcm(1..n), and does its
 per-divisor work in bulk, so its cost grows with the number of divisors and
@@ -300,13 +309,16 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
     dims of the all-ones complex over the primes p | k, each derived once per
     arrangement (_dims_mod_p).  The shift sweep stops early once every degree
     is resolved; the Euler-characteristic constraint closes a single leftover
-    gap.  A shift of {-1, 0}^n whose dense edges all have nonzero weight
-    takes its dims (0, ..., 0, beta) from the rule, with no rank (see the
-    module docstring); a ranked shift and a decided one then raise lower and
-    meet the upper bound check alike.  With S the shift's support, a dense
-    edge X weighs |X_a| - k*|X_a & S|, or k*|S - X_a| - (n - |X_a|) at
-    infinity, so w_X = 0 exactly when k divides the size of its mask in
-    _local_table and (mask & S) has size // k bits.
+    gap.  A shift of {-1, 0}^n with a closure hyperplane on no dense edge
+    of weight 0 takes its dims (0, ..., 0, beta) from the rule, with no rank
+    (see the module docstring; the hyperplane need not be the one at
+    infinity); a ranked shift and a decided one then raise lower and meet
+    the upper bound check alike.  With S the shift's support, a dense edge X
+    weighs |X_a| - k*|X_a & S|, or k*|S - X_a| - (n - |X_a|) at infinity,
+    so w_X = 0 exactly when k divides the size of its mask in _local_table
+    and (mask & S) has size // k bits.  Each such edge keeps its closure
+    support beside (mask, quota): the mask itself for an affine edge, the
+    affine support with bit n for an edge at infinity.
     A shift whose F_p ranks already bound its dims by lower is not ranked
     over Q either: cohomology_Q gives those bounds, which can neither raise
     lower nor exceed upper, as lower <= upper holds throughout.
@@ -317,10 +329,13 @@ def _bound_intervals(a: Arrangement, k: int, extra_shifts) -> tuple[BettiInterva
     lower = [0] * (ell + 1)
     witness: dict[int, tuple[int, ...]] = {}
     acyclic = (0,) * ell + (beta(a),)
-    quotas = [(mask, size // k) for mask, size, _ in _local_table(a)[3] if size % k == 0]
+    n = a.n
+    affine = (1 << n) - 1
+    quotas = [(mask, size // k, affine ^ mask | 1 << n if at_infinity else mask)
+              for mask, size, at_infinity in _local_table(a)[3] if size % k == 0]
     for shift in _candidates(a, extra_shifts):
         cube = set(shift) <= {-1, 0}
-        if cube and _acyclic_below_top(quotas, support_mask(i for i, v in enumerate(shift) if v)):
+        if cube and _acyclic_below_top(quotas, support_mask(i for i, v in enumerate(shift) if v), n):
             dims = acyclic
         else:
             weights = tuple(1 + k * mv for mv in shift)
@@ -359,11 +374,21 @@ def _dims_mod_p(a: Arrangement, p: int) -> tuple[int, ...]:
     return cohomology_modN(aomoto_matrices(a, (1,) * a.n), p).dims
 
 
-def _acyclic_below_top(quotas, support: int) -> bool:
-    """True when no dense edge weight vanishes on the shift with this support
-    bitmask, given the (mask, quota) pairs of _bound_intervals: its Aomoto
-    dims are (0, ..., 0, beta)."""
-    return all((mask & support).bit_count() != quota for mask, quota in quotas)
+def _acyclic_below_top(quotas, support: int, n: int) -> bool:
+    """True when some closure hyperplane (index 0..n, n at infinity) lies on
+    no dense edge whose weight vanishes on the shift with this support
+    bitmask, given the (mask, quota, closure support) triples of
+    _bound_intervals: its Aomoto dims are then (0, ..., 0, beta).  The
+    closure supports of the vanishing edges are ORed, and the test stops
+    once they cover all n + 1 hyperplanes."""
+    everything = (2 << n) - 1
+    covered = 0
+    for mask, quota, closure in quotas:
+        if (mask & support).bit_count() == quota:
+            covered |= closure
+            if covered == everything:
+                return False
+    return True
 
 
 # Nodes one backtracking search of automorphisms may visit.

@@ -3,8 +3,9 @@
 Yuzvinsky (Comm. Algebra 23, 1995; also Orlik-Terao, MSJ Memoirs 9, 2001):
 give the hyperplane at infinity the weight w_inf = -sum(w_H); if
 w_X = sum(w_H, H >= X) is nonzero on every dense edge X of the projective
-closure, the Aomoto complex of w is acyclic below the top degree, so its dims
-are (0, ..., 0, beta).  For such a shift of {-1, 0}^n the rule decides the
+closure that lies on some one closure hyperplane H_j (at infinity or not),
+the Aomoto complex of w is acyclic below the top degree, so its dims are
+(0, ..., 0, beta).  For such a shift of {-1, 0}^n the rule decides the
 dims: the sweep ranks nothing, whatever its running lower bound holds, and
 uses those dims as it uses ranked ones.  The checks below: the rule against
 exact ranks on every orbit representative, the bit-count predicate against
@@ -25,6 +26,7 @@ from arrcover.covers import _acyclic_below_top, _bound_intervals, _local_table, 
 from arrcover.cyclofield import cyc_reduce
 from arrcover.exactlin import cohomology_Q, rank_over_Q
 from arrcover.osalgebra import aomoto_matrices
+from bench_inputs import braid_decone
 from test_geometry_oracle import braid_a4_decone
 from test_orbit_sweep_oracle import SWEEPS, arrangement_of, as_tuples, bound_intervals_oracle
 
@@ -34,14 +36,20 @@ def cube_weights(n, k, support):
 
 
 def quotas(a, k):
-    """The (mask, quota) pairs the sweep reads at k: the dense edges of the
-    arrangement's table whose size k divides, with quota size // k."""
-    return [(mask, size // k) for mask, size, _ in _local_table(a)[3] if size % k == 0]
+    """The (mask, quota, closure support) triples the sweep reads at k: the
+    dense edges of the arrangement's table whose size k divides, with quota
+    size // k; an edge at infinity holds the complement of its affine
+    support as mask, and its affine support plus bit n as closure support."""
+    n = a.n
+    return [(mask, size // k, ((1 << n) - 1) ^ mask | 1 << n if at_infinity else mask)
+            for mask, size, at_infinity in _local_table(a)[3] if size % k == 0]
 
 
 def test_certified_representatives_are_acyclic():
     # every orbit representative the rule certifies has the generic dims;
-    # dropping the dense edges of codim >= 2 from the rule breaks this
+    # a rule that reads only the codim-2 dense edges gives 12 wrong
+    # profiles, and one that leaves out the codim-1 ones (the hyperplanes
+    # themselves) gives 8
     certified, violations = 0, []
     for key, k in SWEEPS:
         a = arrangement_of(key)
@@ -49,14 +57,14 @@ def test_certified_representatives_are_acyclic():
         generic = (0,) * a.ell + (beta(a),)
         for size in range(a.n + 1):
             for support in cube_representatives(a, size):
-                if _acyclic_below_top(at_k, support):
+                if _acyclic_below_top(at_k, support, a.n):
                     certified += 1
                     weights = cube_weights(a.n, k, support)
                     dims = cohomology_Q(aomoto_matrices(a, weights)).dims
                     if dims != generic:
                         violations.append((key, k, support, dims))
     assert violations == []
-    assert certified == 574
+    assert certified == 1376
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +99,25 @@ def vanishing_edges(a, weights):
             if f.dense and sum(w[i] for i in f.support) == 0}
 
 
+def some_hyperplane_is_free(a, vanishing):
+    """Some closure index 0..n lies outside every vanishing support."""
+    return bool(set(range(a.n + 1)).difference(*vanishing))
+
+
 @pytest.mark.parametrize(
     "make,k,support,vanishing",
     [
-        # weights (-1, 1, 1, 1), w_inf = -2: only {2, 3, inf} sums to 0
+        # weights (-1, 1, 1, 1), w_inf = -2: only {2, 3, inf} sums to 0, and
+        # no vanishing edge lies on H_0 or H_1, so the rule decides the dims
         (square, 2, 0b0001, {(2, 3, 4)}),
-        # weights (-2, 1, 1, 1), w_inf = -1: only the origin sums to 0
+        # weights (-2, 1, 1, 1), w_inf = -1: only the origin sums to 0, which
+        # leaves x + y = 1 and H_inf free
         (triple_point, 3, 0b0001, {(0, 1, 2)}),
         # weights (-1, -1, 1, 1), w_inf = 0: only H_inf itself sums to 0
         (square, 2, 0b0011, {(4,)}),
-        # weights (-1, 1, -1, 1), w_inf = 0: H_inf and both points at infinity
+        # weights (-1, 1, -1, 1), w_inf = 0: H_inf and both points at
+        # infinity, which cover every closure hyperplane: the one shift here
+        # the rule leaves to the ranks
         (square, 2, 0b0101, {(4,), (0, 1, 4), (2, 3, 4)}),
         # the zero shift: every affine edge is positive and every edge at
         # infinity negative
@@ -111,7 +128,9 @@ def vanishing_edges(a, weights):
 def test_predicate_matches_weight_sums(make, k, support, vanishing):
     a = make()
     assert vanishing_edges(a, cube_weights(a.n, k, support)) == vanishing
-    assert _acyclic_below_top(quotas(a, k), support) == (not vanishing)
+    decided = some_hyperplane_is_free(a, vanishing)
+    assert decided == (support != 0b0101)
+    assert _acyclic_below_top(quotas(a, k), support, a.n) == decided
 
 
 @pytest.mark.parametrize("make,k", [(square, 2), (square, 4), (triple_point, 3)])
@@ -120,8 +139,8 @@ def test_predicate_matches_weight_sums_on_the_whole_cube(make, k):
     at_k = quotas(a, k)
     for bits in product((0, 1), repeat=a.n):
         support = sum(bit << i for i, bit in enumerate(bits))
-        expect = not vanishing_edges(a, cube_weights(a.n, k, support))
-        assert _acyclic_below_top(at_k, support) == expect
+        expect = some_hyperplane_is_free(a, vanishing_edges(a, cube_weights(a.n, k, support)))
+        assert _acyclic_below_top(at_k, support, a.n) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +165,43 @@ def swept_weights(a, k, monkeypatch):
         # the one with dims (0, 0, 9, 9) is ranked; the rule decides the
         # other 13, (0, 0, 0, 0)
         (lambda: catalog.get("ceva3").arrangement, 9, 1),
-        # 12 of the 74 representatives are ranked; all 74 give (0, 0, 0, 6),
-        # and the rule decides the zero shift and 61 others
-        (braid_a4_decone, 6, 12),
+        # all 74 representatives give (0, 0, 0, 6), and the rule decides
+        # every one of them
+        (braid_a4_decone, 6, 0),
+        # the rule decides all but 5 of the shifts the sweep reaches; asking
+        # every dense edge to keep nonzero weight leaves 32 to rank
+        (lambda: catalog.get("hessian-decone").arrangement, 2, 5),
     ],
 )
 def test_ranks_made_by_the_sweep(make, k, calls, monkeypatch):
     assert len(swept_weights(make(), k, monkeypatch)) == calls
 
 
-@pytest.mark.parametrize("key,k", [("hessian-decone", 2), ("braid-a4-decone", 6), ("ceva3", 9)])
+def test_ranks_made_by_one_benchmark_pass(monkeypatch):
+    # the shift-sweep workload of perfbench/worker.py at seed 77: every
+    # resonant k of three catalog inputs and the seeded braid A4 decone;
+    # asking every dense edge to keep nonzero weight ranks 73 complexes
+    arrangements = [catalog.get(key).arrangement
+                    for key in ("hessian-decone", "ceva3", "maclane-decone")]
+    arrangements.append(braid_decone(5, 77))
+    ranked = []
+    monkeypatch.setattr(covers, "cohomology_Q",
+                        lambda complex_, lower=None:
+                        ranked.append(complex_) or cohomology_Q(complex_, lower))
+    for a in arrangements:
+        for k in sorted(_local_table(a)[0]):
+            _bound_intervals.__wrapped__(a, k, ())
+    assert len(ranked) == 13
+
+
+@pytest.mark.parametrize("key,k", [("hessian-decone", 2), ("braid-a4-decone", 3), ("ceva3", 9)])
 def test_the_all_ones_complex_is_never_ranked(key, k, monkeypatch):
     # the zero shift comes first and passes the rule at every k, so its dims
     # (0, ..., 0, beta) need no rank, and every complex ranked after it sees
     # beta in the top lower bound already
     a = arrangement_of(key)
     zero = (0,) * a.n
-    assert _acyclic_below_top(quotas(a, k), 0)
+    assert _acyclic_below_top(quotas(a, k), 0, a.n)
     ranked = []
     monkeypatch.setattr(covers, "cohomology_Q",
                         lambda complex_, lower=None:

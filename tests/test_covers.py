@@ -609,7 +609,7 @@ def test_euler_closure_forces_the_one_open_degree(monkeypatch, upper, dims, forc
     a = braid_a4_decone()
     assert (a.ell, euler_characteristic(a)) == (3, -6)
     fake_sweep(monkeypatch, upper, dims)
-    intervals = _bound_intervals.__wrapped__(a, 6, ())
+    intervals = _bound_intervals.__wrapped__(a, 3, ())
     assert [(iv.lower, iv.upper, iv.resolved) for iv in intervals] == [
         (dims[q], dims[q], True) if dims[q] == upper[q] else (forced, forced, True)
         for q in range(4)
@@ -623,7 +623,7 @@ def test_euler_closure_forces_the_one_open_degree(monkeypatch, upper, dims, forc
 def test_euler_forced_value_outside_the_interval_is_an_error(monkeypatch, upper, dims, message):
     fake_sweep(monkeypatch, upper, dims)
     with pytest.raises(ArithmeticError, match=re.escape(f"Euler-forced {message}")):
-        _bound_intervals.__wrapped__(braid_a4_decone(), 6, ())
+        _bound_intervals.__wrapped__(braid_a4_decone(), 3, ())
 
 
 def seventeen_lines():

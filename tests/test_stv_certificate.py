@@ -18,17 +18,21 @@ rule is tested on the weights scaled by k, w = 1 + k*s and
 w_inf = -sum(w): lambda_X is an integer exactly when k divides w_X, with the
 sign of w_X.  One representative per orbit of the lattice automorphisms
 stands for its orbit, since an automorphism permutes the dense edges.
+
+Last, the rule the sweep does read, Yuzvinsky's with any closure hyperplane
+at infinity, is checked against exact ranks on the braid A5 decone.
 """
 
 from functools import cache
 
 import pytest
 
-from arrcover.arrangement import dense_edges
-from arrcover.covers import cube_representatives, local_betti
+from arrcover.arrangement import beta, dense_edges
+from arrcover.covers import _acyclic_below_top, cube_representatives, local_betti
 from arrcover.exactlin import cohomology_Q
 from arrcover.osalgebra import aomoto_matrices
 from bench_inputs import braid_decone
+from test_acyclic_skip import quotas
 from test_orbit_sweep_oracle import SWEEPS, arrangement_of
 
 # k = 6 and 10 are not prime powers: there, short of an independent oracle,
@@ -92,3 +96,33 @@ def test_no_shift_of_ceva3_is_admissible_at_k3():
     # every shift of the cube has a dense edge weighing a positive integer
     # and one weighing a negative integer, so the rule says nothing here
     assert admissible_dims(arrangement("ceva3"), 3) == set()
+
+
+# Braid A5 decone: the orbit representatives with a dense edge of weight 0
+# but some closure hyperplane on none, and how many of them have every free
+# hyperplane affine, so that only a hyperplane j != inf decides them.
+DECIDED_BY_ONE_HYPERPLANE = {6: (224, 17), 10: (17, 0)}
+
+
+@pytest.mark.parametrize("k", sorted(DECIDED_BY_ONE_HYPERPLANE))
+def test_one_free_closure_hyperplane_gives_the_generic_dims(k):
+    # Yuzvinsky's rule with any closure hyperplane at infinity, against
+    # exact ranks on the shifts that a rule asking for every dense edge to
+    # keep nonzero weight would leave to the sweep
+    a = arrangement("braid-a5-decone")
+    edges = [flat.support for flat in dense_edges(a).flats() if flat.dense]
+    generic = (0,) * a.ell + (beta(a),)
+    at_k = quotas(a, k)
+    decided = off_infinity = 0
+    for size in range(a.n + 1):
+        for mask in cube_representatives(a, size):
+            weights = tuple(1 - k * (mask >> i & 1) for i in range(a.n))
+            w = weights + (-sum(weights),)
+            vanishing = [s for s in edges if sum(w[i] for i in s) == 0]
+            free = set(range(a.n + 1)).difference(*vanishing)
+            assert _acyclic_below_top(at_k, mask, a.n) == bool(free)
+            if vanishing and free:
+                decided += 1
+                off_infinity += a.n not in free
+                assert cohomology_Q(aomoto_matrices(a, weights)).dims == generic, mask
+    assert (decided, off_infinity) == DECIDED_BY_ONE_HYPERPLANE[k]
